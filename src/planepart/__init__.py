@@ -29,7 +29,6 @@ from .construct import (
     sample_zeta_sets,
     searching_family,
     select_class_lines,
-    select_class_points,
     separation_probability_bound,
 )
 from .galois import Field, build_field, is_prime

@@ -17,14 +17,15 @@ from .construct import (
     sample_zeta_sets,
 )
 from .metric import (
-    LINE,
-    POINT,
     Partition,
-    VertexId,
     VertexSet,
     bfs_distance,
+    distance_columns,
     is_resolving,
     packed_signatures,
+    pair_count,
+    signature_groups,
+    vertex_at,
 )
 from .plane import IncidencePlane, build_plane
 
@@ -154,12 +155,11 @@ def _all_pairs_distances(plane: IncidencePlane) -> list[list[int]]:
     size = 2 * n
     dist = [[0] * size for _ in range(size)]
     for i in range(size):
-        u = VertexId(POINT, i) if i < n else VertexId(LINE, i - n)
+        u = vertex_at(i, n)
         row = dist[i]
         for j in range(size):
             if j != i:
-                w = VertexId(POINT, j) if j < n else VertexId(LINE, j - n)
-                row[j] = bfs_distance(plane, u, w)
+                row[j] = bfs_distance(plane, u, vertex_at(j, n))
     return dist
 
 
@@ -282,8 +282,6 @@ def _scan_level(dist, size, t, budget, workers):
     when it falls within the budget, so the outcome and the node count are
     identical for every worker count. Returns (nodes, witness, exhausted).
     """
-    if budget <= 0:
-        return 0, None, True
     depth = 0
     span = 1
     while span < 8 * max(workers, 1) and depth < size:
@@ -333,6 +331,8 @@ def exhaustive_pd(
     partitions verified; when it runs out the result is a bracket whose
     upper end is the trivial singleton witness.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     start = time.monotonic()
     size = 2 * plane.n
     if t_max is None:
@@ -380,16 +380,6 @@ def exhaustive_pd(
     )
 
 
-def _collision_count(plane, partition) -> int:
-    psig, lsig = packed_signatures(plane, partition.classes)
-    counts: dict[int, int] = {}
-    for sig in psig:
-        counts[sig] = counts.get(sig, 0) + 1
-    for sig in lsig:
-        counts[sig] = counts.get(sig, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
-
-
 def randomized_upper_bound(
     plane: IncidencePlane, t: int, attempts: int = 20, seed: int = 0
 ) -> Partition | None:
@@ -398,51 +388,64 @@ def randomized_upper_bound(
     Attempt i draws from its own stream id composed of (seed, i). Each
     attempt starts from a random valid t-partition and relocates one
     vertex at a time, accepting only moves that strictly reduce the number
-    of colliding pairs. Returns the first verified witness, or None when
-    every attempt stalls at a local minimum.
+    of colliding pairs. A move changes two classes, so only their two
+    signature coordinates are recomputed. Returns the first verified
+    witness, or None when every attempt stalls at a local minimum.
     """
     if t < 2:
         raise ValueError(f"need at least 2 classes, got {t}")
     size = 2 * plane.n
     if t > size:
         raise ValueError(f"cannot split {size} vertices into {t} classes")
+    if attempts < 1:
+        raise ValueError(f"need at least one attempt, got {attempts}")
     n = plane.n
+    ids = range(size)
     for attempt in range(attempts):
         rng = random.Random((seed << 32) | attempt)
-        order = list(range(size))
+        order = list(ids)
         rng.shuffle(order)
         assign = [0] * size
         for c, v in enumerate(order[:t]):
             assign[v] = c
         for v in order[t:]:
             assign[v] = rng.randrange(t)
-        current = _collision_count(plane, _assignment_to_partition(assign, t, n))
-        sizes = [0] * t
-        for c in assign:
-            sizes[c] += 1
+        classes = _assignment_to_partition(assign, t, n).classes
+        psig, lsig = packed_signatures(plane, classes)
+        sigs = psig + lsig
+        current = pair_count(signature_groups(sigs, ids))
         improved = True
         while current > 0 and improved:
             improved = False
-            for v in range(size):
+            for v in ids:
                 src = assign[v]
-                if sizes[src] == 1:
+                if classes[src].size() == 1:
                     continue
+                one = VertexSet.from_vertices([vertex_at(v, n)])
+                shrunk = classes[src] ^ one
+                pcol, lcol = distance_columns(plane, shrunk)
+                src_col = pcol + lcol
                 for c in range(t):
                     if c == src:
                         continue
-                    assign[v] = c
-                    cand = _collision_count(plane, _assignment_to_partition(assign, t, n))
+                    grown = classes[c] | one
+                    pcol, lcol = distance_columns(plane, grown)
+                    keep = ~(3 << 2 * src | 3 << 2 * c)
+                    cand_sigs = [
+                        sig & keep | a << 2 * src | b << 2 * c
+                        for sig, a, b in zip(sigs, src_col, pcol + lcol)
+                    ]
+                    cand = pair_count(signature_groups(cand_sigs, ids))
                     if cand < current:
-                        current = cand
-                        sizes[src] -= 1
-                        sizes[c] += 1
+                        current, sigs = cand, cand_sigs
+                        classes[src], classes[c] = shrunk, grown
+                        assign[v] = c
                         improved = True
                         break
-                    assign[v] = src
                 if improved:
                     break
         if current == 0:
-            witness = _assignment_to_partition(assign, t, n)
+            witness = Partition(classes)
             if is_resolving(plane, witness).resolving:
                 return witness
     return None

@@ -14,7 +14,15 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .metric import Partition, VertexSet, is_resolving, packed_signatures
+from .metric import (
+    Partition,
+    VertexSet,
+    _iter_bits,
+    is_resolving,
+    packed_signatures,
+    pair_count,
+    signature_groups,
+)
 from .plane import IncidencePlane
 
 log = logging.getLogger("planepart.construct")
@@ -113,6 +121,23 @@ class Frame:
     line_meet: tuple[int, ...] = field(repr=False)
     point_join: tuple[int, ...] = field(repr=False)
 
+    def dual(self) -> "Frame":
+        """The same frame read in the dual plane, points and lines exchanged."""
+        return Frame(
+            self.support_line,
+            self.support_point,
+            self.major_lines,
+            self.major_points,
+            self.major_line_mask,
+            self.major_point_mask,
+            self.common_lines,
+            self.common_points,
+            self.common_line_mask,
+            self.common_point_mask,
+            self.point_join,
+            self.line_meet,
+        )
+
 
 def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) -> Frame:
     """Label the plane relative to an incident support point and line.
@@ -150,15 +175,6 @@ def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) 
         for p in plane.line_points[li]:
             point_join[p] = li
     point_join[p0] = l0
-
-    def _bits(mask):
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
-
     return Frame(
         support_point=p0,
         support_line=l0,
@@ -166,8 +182,8 @@ def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) 
         major_lines=major_lines,
         major_point_mask=mp_mask,
         major_line_mask=ml_mask,
-        common_points=_bits(cp_mask),
-        common_lines=_bits(cl_mask),
+        common_points=tuple(_iter_bits(cp_mask)),
+        common_lines=tuple(_iter_bits(cl_mask)),
         common_point_mask=cp_mask,
         common_line_mask=cl_mask,
         line_meet=tuple(line_meet),
@@ -250,24 +266,12 @@ class ConflictGraph:
 
     @property
     def edge_count(self) -> int:
-        total = 0
-        for c in self.point_cliques:
-            total += len(c) * (len(c) - 1) // 2
-        for c in self.line_cliques:
-            total += len(c) * (len(c) - 1) // 2
-        return total
+        return pair_count(self.point_cliques) + pair_count(self.line_cliques)
 
 
 def _collision_cliques(domain, sigs, special):
-    groups = {}
-    for v, sig in zip(domain, sigs):
-        groups.setdefault(sig, []).append(v)
-    cliques = sorted(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
-    x_edges = 0
-    for g in cliques:
-        size = len(g) - (1 if special in g else 0)
-        x_edges += size * (size - 1) // 2
-    return tuple(cliques), x_edges
+    cliques = tuple(sorted(tuple(sorted(g)) for g in signature_groups(sigs, domain)))
+    return cliques, pair_count([v for v in c if v != special] for c in cliques)
 
 
 def build_conflict_graph(
@@ -290,16 +294,10 @@ def build_conflict_graph(
 
 def common_unseparated_count(plane: IncidencePlane, frame: Frame, family: list[VertexSet]) -> int:
     """Unseparated pairs among common points plus those among common lines."""
-    psig, lsig = packed_signatures(
-        plane, family, list(frame.common_points), list(frame.common_lines)
-    )
-    total = 0
-    for sigs in (psig, lsig):
-        counts = {}
-        for sig in sigs:
-            counts[sig] = counts.get(sig, 0) + 1
-        total += sum(c * (c - 1) // 2 for c in counts.values())
-    return total
+    psig, lsig = packed_signatures(plane, family, frame.common_points, frame.common_lines)
+    points = signature_groups(psig, frame.common_points)
+    lines = signature_groups(lsig, frame.common_lines)
+    return pair_count(points) + pair_count(lines)
 
 
 def searching_family(domain, count: int, excluded=()) -> list[list]:
@@ -335,6 +333,24 @@ def searching_family(domain, count: int, excluded=()) -> list[list]:
     return sets
 
 
+# Messages of a stalled selector, (conflict step, target step), indexed by
+# whether it runs on the dual plane and so chooses points on lines.
+_STUCK = (
+    (
+        "no free line through conflict point P{}: every candidate is used, "
+        "forbidden, or meets the support line outside the uncovered targets",
+        "no free line through target point P{}: every candidate is used, "
+        "forbidden, or meets an excluded conflict point",
+    ),
+    (
+        "no free point on conflict line L{}: every candidate is used, "
+        "forbidden, or joins the support point outside the uncovered targets",
+        "no free point on target line L{}: every candidate is used, "
+        "forbidden, or lies on an excluded conflict line",
+    ),
+)
+
+
 def select_class_lines(
     plane: IncidencePlane,
     frame: Frame,
@@ -355,6 +371,10 @@ def select_class_lines(
     which avoids the other conflict points; remaining targets then receive
     lines clear of every conflict point. Ties break to the lowest line id.
     Raises SelectionError when a step has no admissible line.
+
+    Run on ``plane.dual()`` with ``frame.dual()`` and ``used.dual()``, the
+    same code chooses common points covering major lines, and its errors
+    name points on lines.
     """
     tset = set(targets)
     if not tset <= set(frame.major_points):
@@ -371,6 +391,7 @@ def select_class_lines(
     for li in forbidden_lines:
         rc_mask |= 1 << li
     blocked = rc_mask | used.line_mask
+    stuck_conflict, stuck_target = _STUCK[plane.dualized]
     meet = frame.line_meet
     lmasks = plane.line_masks
     covered: set[int] = set()
@@ -390,10 +411,7 @@ def select_class_lines(
             pick = ln
             break
         if pick < 0:
-            raise SelectionError(
-                f"no free line through conflict point P{u}: every candidate is used, "
-                "forbidden, or meets the support line outside the uncovered targets"
-            )
+            raise SelectionError(stuck_conflict.format(u))
         chosen.append(pick)
         covered.add(meet[pick])
         blocked |= 1 << pick
@@ -409,89 +427,7 @@ def select_class_lines(
             pick = ln
             break
         if pick < 0:
-            raise SelectionError(
-                f"no free line through target point P{t}: every candidate is used, "
-                "forbidden, or meets an excluded conflict point"
-            )
-        chosen.append(pick)
-        blocked |= 1 << pick
-    return sorted(chosen)
-
-
-def select_class_points(
-    plane: IncidencePlane,
-    frame: Frame,
-    targets,
-    conflict_lines,
-    allowed_points,
-    forbidden_lines,
-    forbidden_points,
-    used: VertexSet,
-) -> list[int]:
-    """Dual of select_class_lines: common points covering major lines.
-
-    Each target major line carries exactly one chosen point, each conflict
-    line gets exactly one chosen point, and forbidden lines, forbidden
-    points and already assigned vertices are avoided. Ties break to the
-    lowest point id.
-    """
-    tset = set(targets)
-    if not tset <= set(frame.major_lines):
-        raise ValueError("targets must be major lines")
-    if set(allowed_points) & set(forbidden_points):
-        raise ValueError("allowed and forbidden points overlap")
-    r_mask = 0
-    for li in conflict_lines:
-        r_mask |= 1 << li
-    rc_mask = 0
-    for li in forbidden_lines:
-        rc_mask |= 1 << li
-    qc_mask = 0
-    for p in forbidden_points:
-        qc_mask |= 1 << p
-    blocked = qc_mask | used.point_mask
-    join = frame.point_join
-    pmasks = plane.point_masks
-    covered: set[int] = set()
-    chosen = []
-    for r in sorted(conflict_lines):
-        others = r_mask & ~(1 << r)
-        pick = -1
-        for pt in plane.line_points[r]:
-            t = join[pt]
-            if t not in tset or t in covered:
-                continue
-            if blocked >> pt & 1:
-                continue
-            lm = pmasks[pt]
-            if lm & rc_mask or lm & others:
-                continue
-            pick = pt
-            break
-        if pick < 0:
-            raise SelectionError(
-                f"no free point on conflict line L{r}: every candidate is used, "
-                "forbidden, or joins the support point outside the uncovered targets"
-            )
-        chosen.append(pick)
-        covered.add(join[pick])
-        blocked |= 1 << pick
-    avoid = r_mask | rc_mask
-    p0 = frame.support_point
-    for t in sorted(tset - covered):
-        pick = -1
-        for pt in plane.line_points[t]:
-            if pt == p0 or blocked >> pt & 1:
-                continue
-            if pmasks[pt] & avoid:
-                continue
-            pick = pt
-            break
-        if pick < 0:
-            raise SelectionError(
-                f"no free point on target line L{t}: every candidate is used, "
-                "forbidden, or lies on an excluded conflict line"
-            )
+            raise SelectionError(stuck_target.format(t))
         chosen.append(pick)
         blocked |= 1 << pick
     return sorted(chosen)
@@ -523,8 +459,9 @@ def build_h2(
 
     Families run over the major points, the major lines, and the two sides
     of the conflict graph, support excluded. Class j combines the j-th set
-    of each family; its lines and points come from the two greedy selectors
-    and stay disjoint from everything already assigned.
+    of each family; its lines come from select_class_lines and its points
+    from the same selector run on the dual, and both stay disjoint from
+    everything already assigned.
     """
     q = plane.q
     if count < default_searching_count(q):
@@ -542,6 +479,7 @@ def build_h2(
         raise SelectionError(f"searching families infeasible: {exc}") from exc
     cpoints = set(conflict.points)
     clines = set(conflict.lines)
+    dual, dual_frame = plane.dual(), frame.dual()
     specs = []
     for j in range(count):
         t_j = t_family[j]
@@ -552,7 +490,7 @@ def build_h2(
         lines = select_class_lines(plane, frame, t_j, q_j, r_j, qc_j, rc_j, used)
         used = used | VertexSet.from_indices(lines=lines)
         tstar_j = tstar_family[j]
-        points = select_class_points(plane, frame, tstar_j, r_j, q_j, rc_j, qc_j, used)
+        points = select_class_lines(dual, dual_frame, tstar_j, r_j, q_j, rc_j, qc_j, used.dual())
         used = used | VertexSet.from_indices(points=points)
         specs.append(
             H2Spec(
@@ -613,6 +551,8 @@ def construct_partition(
     partition fails verification. Raises ConstructionError once retries
     run out, naming the last obstruction.
     """
+    if max_retries < 0:
+        raise ValueError(f"retry count must be nonnegative, got {max_retries}")
     q = plane.q
     defaults = k is None
     if k is None:

@@ -9,7 +9,7 @@ form; ``bfs_distance`` provides the independent shortest-path oracle.
 from __future__ import annotations
 
 import re
-from collections import defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
@@ -45,9 +45,9 @@ def line(i: int) -> VertexId:
     return VertexId(LINE, i)
 
 
-def _key(v: VertexId) -> tuple[int, int]:
-    # points sort before lines
-    return (0 if v.kind == POINT else 1, v.index)
+def vertex_at(v: int, n: int) -> VertexId:
+    """Vertex with integer id v: point v below n, else line v - n."""
+    return VertexId(POINT, v) if v < n else VertexId(LINE, v - n)
 
 
 def _iter_bits(mask: int):
@@ -111,6 +111,13 @@ class VertexSet:
     def __or__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.point_mask | other.point_mask, self.line_mask | other.line_mask)
 
+    def __xor__(self, other: "VertexSet") -> "VertexSet":
+        return VertexSet(self.point_mask ^ other.point_mask, self.line_mask ^ other.line_mask)
+
+    def dual(self) -> "VertexSet":
+        """The same vertices read in the dual plane, points and lines exchanged."""
+        return VertexSet(self.line_mask, self.point_mask)
+
 
 @dataclass
 class Partition:
@@ -150,27 +157,10 @@ class Partition:
 
 
 def distance_to_set(plane: IncidencePlane, v: VertexId, s: VertexSet) -> int:
-    """Distance from a vertex to a nonempty vertex set.
-
-    0 when v belongs to the set. A point is at distance 1 exactly when the
-    set holds a line through it, else 2 when the set holds any point, else
-    3; lines behave dually. This equals the minimum graph distance to a
-    member and applies unchanged to vertices outside every set of a family.
-    """
-    if s.point_mask == 0 and s.line_mask == 0:
-        raise ValueError("distance to an empty set is undefined")
+    """Distance from a vertex to a nonempty vertex set; see distance_columns."""
     kind, i = v
-    if kind == POINT:
-        if s.point_mask >> i & 1:
-            return 0
-        if plane.point_masks[i] & s.line_mask:
-            return 1
-        return 2 if s.point_mask else 3
-    if s.line_mask >> i & 1:
-        return 0
-    if plane.line_masks[i] & s.point_mask:
-        return 1
-    return 2 if s.line_mask else 3
+    pcol, lcol = distance_columns(plane, s, *(([i], []) if kind == POINT else ([], [i])))
+    return (pcol or lcol)[0]
 
 
 def distance_columns(
@@ -179,7 +169,14 @@ def distance_columns(
     point_ids: Sequence[int] | None = None,
     line_ids: Sequence[int] | None = None,
 ) -> tuple[list[int], list[int]]:
-    """Distances from many vertices to one set, bulk form of distance_to_set."""
+    """Distances from points and lines to one nonempty vertex set.
+
+    0 when the vertex belongs to the set. A point is at distance 1 exactly
+    when the set holds a line through it, else 2 when the set holds any
+    point, else 3; lines behave dually. This equals the minimum graph
+    distance to a member and applies unchanged to vertices outside every
+    set of a family. Ids default to every point and every line.
+    """
     if s.point_mask == 0 and s.line_mask == 0:
         raise ValueError("distance to an empty set is undefined")
     prange = range(plane.n) if point_ids is None else point_ids
@@ -244,19 +241,26 @@ class Verdict:
         return pairs
 
 
+def signature_groups(sigs: Sequence[int], ids: Iterable) -> list[list]:
+    """Ids that share a signature, as groups of two or more in first-seen order."""
+    groups: dict[int, list] = {}
+    for sig, v in zip(sigs, ids):
+        groups.setdefault(sig, []).append(v)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def pair_count(groups: Iterable[Sequence]) -> int:
+    """Number of unordered pairs within the groups."""
+    return sum(len(g) * (len(g) - 1) // 2 for g in groups)
+
+
 def is_resolving(plane: IncidencePlane, partition: Partition) -> Verdict:
     """Decide whether all 2n representation vectors are pairwise distinct."""
     partition.validate(plane)
+    n = plane.n
     psig, lsig = packed_signatures(plane, partition.classes)
-    groups = defaultdict(list)
-    for i, sig in enumerate(psig):
-        groups[sig].append(VertexId(POINT, i))
-    for i, sig in enumerate(lsig):
-        groups[sig].append(VertexId(LINE, i))
-    collisions = sorted(
-        (sorted(g, key=_key) for g in groups.values() if len(g) > 1),
-        key=lambda g: _key(g[0]),
-    )
+    groups = signature_groups(psig + lsig, range(2 * n))
+    collisions = [[vertex_at(v, n) for v in g] for g in groups]
     return Verdict(not collisions, collisions)
 
 
@@ -273,22 +277,11 @@ def unseparated_pairs(
         for j in range(i + 1, len(sets)):
             if sets[i].intersects(sets[j]):
                 raise ValueError(f"sets {i} and {j} are not disjoint")
-    groups = defaultdict(list)
-    if sets:
-        psig, lsig = packed_signatures(plane, sets)
-        for i, sig in enumerate(psig):
-            groups[sig].append(VertexId(POINT, i))
-        for i, sig in enumerate(lsig):
-            groups[sig].append(VertexId(LINE, i))
-    else:
-        groups[0] = [VertexId(POINT, i) for i in range(plane.n)]
-        groups[0].extend(VertexId(LINE, i) for i in range(plane.n))
-    pairs = []
-    for group in groups.values():
-        if len(group) > 1:
-            pairs.extend(combinations(sorted(group, key=_key), 2))
-    pairs.sort(key=lambda uw: (_key(uw[0]), _key(uw[1])))
-    return pairs
+    n = plane.n
+    psig, lsig = packed_signatures(plane, sets)
+    groups = signature_groups(psig + lsig, range(2 * n))
+    pairs = sorted(uw for g in groups for uw in combinations(g, 2))
+    return [(vertex_at(u, n), vertex_at(w, n)) for u, w in pairs]
 
 
 def bfs_distance(plane: IncidencePlane, u: VertexId, w: VertexId) -> int:
@@ -338,7 +331,11 @@ def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
         for v in members:
             if v.index >= plane.n:
                 raise ValueError(f"vertex {v} out of range for plane with n={plane.n}")
-        classes.append(VertexSet.from_vertices(members))
+        cls = VertexSet.from_vertices(members)
+        if cls.size() != len(members):
+            twice = next(v for v, c in Counter(members).items() if c > 1)
+            raise ValueError(f"class {names[-1]!r} lists vertex {twice} more than once")
+        classes.append(cls)
     partition = Partition(classes, names)
     partition.validate(plane)
     return partition

@@ -31,6 +31,8 @@ class IncidencePlane:
     when point j lies on line i, and ``point_masks[j]`` has bit i set when
     line i passes through point j. Sorted id lists mirror the masks.
     Coordinate triples are present only for algebraically built planes.
+    ``dualized`` is true for the view returned by ``dual``, whose points
+    are the lines of the plane it came from.
     """
 
     __slots__ = (
@@ -42,6 +44,7 @@ class IncidencePlane:
         "point_masks",
         "point_triples",
         "line_triples",
+        "dualized",
     )
 
     def __init__(self, q, line_points, point_triples=None, line_triples=None):
@@ -51,6 +54,7 @@ class IncidencePlane:
         self.line_points = [sorted(pts) for pts in line_points]
         self.point_triples = point_triples
         self.line_triples = line_triples
+        self.dualized = False
         line_masks = []
         point_lines = [[] for _ in range(n)]
         for li, pts in enumerate(self.line_points):
@@ -77,8 +81,13 @@ class IncidencePlane:
         return bool(self.line_masks[line] >> point & 1)
 
     def dual(self) -> "IncidencePlane":
-        """Plane with the roles of points and lines exchanged."""
-        return IncidencePlane(self.q, [list(ls) for ls in self.point_lines])
+        """Plane with the roles of points and lines exchanged, sharing all storage."""
+        d = object.__new__(IncidencePlane)
+        d.q, d.n, d.dualized = self.q, self.n, not self.dualized
+        d.line_points, d.point_lines = self.point_lines, self.line_points
+        d.line_masks, d.point_masks = self.point_masks, self.line_masks
+        d.point_triples, d.line_triples = self.line_triples, self.point_triples
+        return d
 
 
 def build_pg2(f: Field) -> IncidencePlane:

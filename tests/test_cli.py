@@ -1,6 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from planepart.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -102,6 +108,41 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(capsys, "verify", "--q", "2", "--partition", str(bad))[0] == 2
+    repeated = tmp_path / "repeated.json"
+    classes = [
+        {"name": "points", "members": [f"P{i}" for i in range(7)] + ["P3"]},
+        {"name": "lines", "members": [f"L{i}" for i in range(7)]},
+    ]
+    repeated.write_text(json.dumps({"classes": classes}))
+    code, _, err = run(capsys, "verify", "--q", "2", "--partition", str(repeated))
+    assert (code, err) == (2, "error: class 'points' lists vertex P3 more than once\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--q", "16", "--retries", "-1"],
+        ["search", "--q", "2", "--budget", "0"],
+        ["search", "--q", "2", "--budget", "-5"],
+        ["search", "--q", "2", "--method", "randomized", "--trials", "0"],
+    ],
+)
+def test_out_of_range_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_search_randomized_outputs_are_pinned(capsys):
+    pinned = json.loads((FIXTURES / "search_random_q4_sha256.json").read_text())
+    for seed, digest in pinned["stdout_sha256"].items():
+        code, out, _ = run(
+            capsys, "search", "--q", "4", "--method", "randomized", "--tmin", "4",
+            "--tmax", "26", "--trials", "8", "--seed", seed,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"seed {seed}"
 
 
 def test_estimate_subcommand(capsys):

@@ -21,7 +21,6 @@ from planepart import (
     sample_zeta_sets,
     searching_family,
     select_class_lines,
-    select_class_points,
     separation_probability_bound,
 )
 from planepart.metric import LINE, POINT
@@ -236,11 +235,20 @@ def test_select_class_lines_q4_against_enumeration(plane_for):
         assert min(options) in chosen
 
 
-def test_select_class_points_q4_dual(plane_for):
+def test_frame_dual_is_the_frame_of_the_dual_plane(plane_for):
+    plane = plane_for(4)
+    fr = choose_frame(plane)
+    assert fr.dual() == choose_frame(plane.dual(), (fr.support_line, fr.support_point))
+    assert fr.dual().dual() == fr
+
+
+def test_select_class_lines_on_dual_picks_points_q4(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
     targets = list(fr.major_lines[:2])
-    chosen = select_class_points(plane, fr, targets, [], [], [], [], VertexSet())
+    chosen = select_class_lines(
+        plane.dual(), fr.dual(), targets, [], [], [], [], VertexSet()
+    )
     assert len(chosen) == len(targets)
     for pt in chosen:
         assert pt in fr.common_points
@@ -260,6 +268,24 @@ def test_select_class_lines_respects_used_and_forbidden(plane_for):
     forbidden = options
     with pytest.raises(SelectionError, match="target point"):
         select_class_lines(plane, fr, [t], [], [], [], forbidden, VertexSet())
+
+
+def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
+    # Through the dual the selector chooses points, so a stall must be
+    # reported as a point missing on a line, never as a line through a point.
+    plane = plane_for(4)
+    fr = choose_frame(plane)
+    dual, dual_fr = plane.dual(), fr.dual()
+    t = fr.major_lines[0]
+    options = [p for p in plane.line_points[t] if p != fr.support_point]
+    stuck_target = rf"^no free point on target line L{t}: .* conflict line$"
+    with pytest.raises(SelectionError, match=stuck_target):
+        select_class_lines(dual, dual_fr, [t], [], [], [], options, VertexSet())
+    u = fr.common_lines[0]
+    used = VertexSet.from_indices(points=plane.line_points[u])
+    stuck_conflict = rf"^no free point on conflict line L{u}: .* support point "
+    with pytest.raises(SelectionError, match=stuck_conflict):
+        select_class_lines(dual, dual_fr, fr.major_lines, [u], [], [], [], used.dual())
 
 
 def test_select_class_lines_conflict_requirements(plane_for):

@@ -16,7 +16,7 @@ from planepart import (
     representation,
     unseparated_pairs,
 )
-from planepart.metric import LINE, POINT
+from planepart.metric import LINE, POINT, pair_count, signature_groups
 
 
 def random_partition(rng, n, m=None):
@@ -171,6 +171,13 @@ def test_is_resolving_agrees_with_unseparated_pairs(plane_for):
         assert set(verdict.collision_pairs()) == set(pairs)
 
 
+def test_signature_groups_first_seen_order_and_pair_count():
+    groups = signature_groups([5, 1, 5, 2, 1, 5], "abcdef")
+    assert groups == [["a", "c", "f"], ["b", "e"]]
+    assert pair_count(groups) == 3 + 1
+    assert signature_groups([1, 2, 3], range(3)) == []
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_diameter_is_three(q, plane_for):
     plane = plane_for(q)
@@ -253,6 +260,11 @@ def test_partition_doc_rejects_missing_and_duplicate_vertices(plane_for):
     doubled["classes"][0]["members"].append(doubled["classes"][1]["members"][0])
     with pytest.raises(ValueError):
         partition_from_doc(doubled, plane)
+    repeated = partition_to_doc(plane, partition)
+    first = repeated["classes"][1]["members"][0]
+    repeated["classes"][1]["members"].append(first)
+    with pytest.raises(ValueError, match=f"class 'C1' lists vertex {first} more than once"):
+        partition_from_doc(repeated, plane)
 
 
 def test_partition_doc_rejects_wrong_order(plane_for):

@@ -73,7 +73,18 @@ def test_pair_coverage_brute_force(q, plane_for):
 
 @pytest.mark.parametrize("q", prime_powers(2, 8))
 def test_duality(q, plane_for):
-    assert validate_axioms(plane_for(q).dual()).ok
+    plane = plane_for(q)
+    dual = plane.dual()
+    assert validate_axioms(dual).ok
+    # the dual shares the plane's lists, with the two sides swapped
+    assert dual.line_points is plane.point_lines and dual.point_lines is plane.line_points
+    assert dual.line_masks is plane.point_masks and dual.point_masks is plane.line_masks
+    assert dual.point_triples is plane.line_triples
+    assert dual.dualized and not plane.dualized
+    again = dual.dual()
+    assert not again.dualized
+    for side in ("line_points", "point_lines", "line_masks", "point_masks"):
+        assert getattr(again, side) == getattr(plane, side)
 
 
 def test_single_flipped_bit_breaks_two_axioms():
