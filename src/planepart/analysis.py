@@ -7,15 +7,16 @@ import multiprocessing
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .construct import (
+    build_conflict_graph,
     choose_frame,
-    common_unseparated_count,
     default_zeta_count,
     expected_unseparated_bound,
     sample_zeta_sets,
 )
+from .galois import prime_power
 from .metric import (
     Partition,
     VertexSet,
@@ -24,6 +25,7 @@ from .metric import (
     is_resolving,
     packed_signatures,
     pair_count,
+    partition_to_doc,
     signature_groups,
     vertex_at,
 )
@@ -55,16 +57,7 @@ class LowerBoundResult:
     caveat: str = LOWER_BOUND_CAVEAT
 
     def to_doc(self) -> dict:
-        return {
-            "q": self.q,
-            "r": self.r,
-            "s": self.s,
-            "t": self.t,
-            "total": self.total,
-            "pure_mixed_t": self.pure_mixed_t,
-            "inequalities": self.inequalities,
-            "caveat": self.caveat,
-        }
+        return asdict(self)
 
 
 _BOX_MAX = 64
@@ -77,10 +70,11 @@ def lower_bound(q: int) -> LowerBoundResult:
     and s+t >= 1. Ascending totals are tried with r varying slowest, so a
     reported optimum with r = s = 0 means no split with pure classes does
     better. Also reports the least t with t * 2^(t-1) >= n, the pure mixed
-    form of the same bound.
+    form of the same bound. Like every plane order, q must be a prime power.
     """
     if q < 2:
         raise ValueError(f"order must be at least 2, got {q}")
+    prime_power(q)
     n = q * q + q + 1
     best = None
     for total in range(1, 3 * _BOX_MAX + 1):
@@ -134,8 +128,6 @@ class SearchResult:
         return self.lower if self.exact else None
 
     def to_doc(self, plane: IncidencePlane | None = None) -> dict:
-        from .metric import partition_to_doc
-
         doc: dict = {"q": self.q, "exact": self.exact, "nodes": self.nodes}
         if self.exact:
             doc["pd"] = self.lower
@@ -465,16 +457,7 @@ class EstimateReport:
     seed: int
 
     def to_doc(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "trials": self.trials,
-            "counts": self.counts,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "bound": self.bound,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 _EST_STATE: dict = {}
@@ -484,7 +467,7 @@ def _estimate_trial(plane, frame, h0, k, seed, trial) -> int:
     rng = random.Random((seed << 32) | trial)
     zetas = sample_zeta_sets(plane, frame, k, rng)
     family = [h0] + [z.members() for z in zetas]
-    return common_unseparated_count(plane, frame, family)
+    return build_conflict_graph(plane, frame, family).x_edge_count
 
 
 def _est_init(q, k, seed):

@@ -18,12 +18,14 @@ from .metric import (
     Partition,
     VertexSet,
     _iter_bits,
+    check_disjoint,
     is_resolving,
     packed_signatures,
     pair_count,
+    partition_to_doc,
     signature_groups,
 )
-from .plane import IncidencePlane
+from .plane import IncidencePlane, bitmask
 
 log = logging.getLogger("planepart.construct")
 
@@ -112,12 +114,8 @@ class Frame:
     support_line: int
     major_points: tuple[int, ...]
     major_lines: tuple[int, ...]
-    major_point_mask: int
-    major_line_mask: int
     common_points: tuple[int, ...]
     common_lines: tuple[int, ...]
-    common_point_mask: int
-    common_line_mask: int
     line_meet: tuple[int, ...] = field(repr=False)
     point_join: tuple[int, ...] = field(repr=False)
 
@@ -128,15 +126,28 @@ class Frame:
             self.support_point,
             self.major_lines,
             self.major_points,
-            self.major_line_mask,
-            self.major_point_mask,
             self.common_lines,
             self.common_points,
-            self.common_line_mask,
-            self.common_point_mask,
             self.point_join,
             self.line_meet,
         )
+
+
+def _frame_side(plane: IncidencePlane, p0: int, l0: int):
+    """Major points, common points and each line's meet with l0, for support (p0, l0).
+
+    Run on the dual plane with (l0, p0) it gives the major lines, the common
+    lines and each point's join with p0.
+    """
+    n = plane.n
+    majors = tuple(p for p in plane.line_points[l0] if p != p0)
+    commons = tuple(_iter_bits(((1 << n) - 1) & ~plane.line_masks[l0]))
+    meet = [p0] * n
+    for p in plane.line_points[l0]:
+        for li in plane.point_lines[p]:
+            meet[li] = p
+    meet[l0] = p0
+    return majors, commons, tuple(meet)
 
 
 def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) -> Frame:
@@ -145,7 +156,6 @@ def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) 
     The default support is the lowest point id with its lowest incident
     line. An explicit override pair must be incident.
     """
-    n = plane.n
     if support is None:
         p0 = 0
         l0 = plane.point_lines[0][0]
@@ -153,41 +163,10 @@ def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) 
         p0, l0 = support
         if not plane.incident(p0, l0):
             raise ValueError(f"support override P{p0}, L{l0} is not an incident pair")
-    major_points = tuple(p for p in plane.line_points[l0] if p != p0)
-    major_lines = tuple(li for li in plane.point_lines[p0] if li != l0)
-    mp_mask = 0
-    for p in major_points:
-        mp_mask |= 1 << p
-    ml_mask = 0
-    for li in major_lines:
-        ml_mask |= 1 << li
-    full = (1 << n) - 1
-    cp_mask = full & ~mp_mask & ~(1 << p0)
-    cl_mask = full & ~ml_mask & ~(1 << l0)
-
-    line_meet = [p0] * n
-    for p in plane.line_points[l0]:
-        for li in plane.point_lines[p]:
-            line_meet[li] = p
-    line_meet[l0] = p0
-    point_join = [l0] * n
-    for li in plane.point_lines[p0]:
-        for p in plane.line_points[li]:
-            point_join[p] = li
-    point_join[p0] = l0
+    major_points, common_points, line_meet = _frame_side(plane, p0, l0)
+    major_lines, common_lines, point_join = _frame_side(plane.dual(), l0, p0)
     return Frame(
-        support_point=p0,
-        support_line=l0,
-        major_points=major_points,
-        major_lines=major_lines,
-        major_point_mask=mp_mask,
-        major_line_mask=ml_mask,
-        common_points=tuple(_iter_bits(cp_mask)),
-        common_lines=tuple(_iter_bits(cl_mask)),
-        common_point_mask=cp_mask,
-        common_line_mask=cl_mask,
-        line_meet=tuple(line_meet),
-        point_join=tuple(point_join),
+        p0, l0, major_points, major_lines, common_points, common_lines, line_meet, point_join
     )
 
 
@@ -278,10 +257,7 @@ def build_conflict_graph(
     plane: IncidencePlane, frame: Frame, family: list[VertexSet]
 ) -> ConflictGraph:
     """Group common and support vertices by representation under a family."""
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if family[i].intersects(family[j]):
-                raise ValueError(f"family sets {i} and {j} are not disjoint")
+    check_disjoint(family)
     pdomain = list(frame.common_points) + [frame.support_point]
     ldomain = list(frame.common_lines) + [frame.support_line]
     psig, lsig = packed_signatures(plane, family, pdomain, ldomain)
@@ -290,14 +266,6 @@ def build_conflict_graph(
     points = tuple(sorted(v for c in point_cliques for v in c))
     lines = tuple(sorted(v for c in line_cliques for v in c))
     return ConflictGraph(point_cliques, line_cliques, points, lines, xp + xl)
-
-
-def common_unseparated_count(plane: IncidencePlane, frame: Frame, family: list[VertexSet]) -> int:
-    """Unseparated pairs among common points plus those among common lines."""
-    psig, lsig = packed_signatures(plane, family, frame.common_points, frame.common_lines)
-    points = signature_groups(psig, frame.common_points)
-    lines = signature_groups(lsig, frame.common_lines)
-    return pair_count(points) + pair_count(lines)
 
 
 def searching_family(domain, count: int, excluded=()) -> list[list]:
@@ -381,16 +349,9 @@ def select_class_lines(
         raise ValueError("targets must be major points")
     if set(allowed_lines) & set(forbidden_lines):
         raise ValueError("allowed and forbidden lines overlap")
-    q_mask = 0
-    for p in conflict_points:
-        q_mask |= 1 << p
-    qc_mask = 0
-    for p in forbidden_points:
-        qc_mask |= 1 << p
-    rc_mask = 0
-    for li in forbidden_lines:
-        rc_mask |= 1 << li
-    blocked = rc_mask | used.line_mask
+    q_mask = bitmask(conflict_points)
+    qc_mask = bitmask(forbidden_points)
+    blocked = bitmask(forbidden_lines) | used.line_mask
     stuck_conflict, stuck_target = _STUCK[plane.dualized]
     meet = frame.line_meet
     lmasks = plane.line_masks
@@ -630,8 +591,6 @@ def construct_partition(
 
 def result_to_doc(result: ConstructionResult, plane: IncidencePlane) -> dict:
     """Partition document with the construction metadata block."""
-    from .metric import partition_to_doc
-
     doc = partition_to_doc(plane, result.partition)
     doc["metadata"] = {
         "q": result.q,

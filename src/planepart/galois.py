@@ -41,6 +41,18 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int]:
+    """Split q as p**e with p prime; ValueError when q is not a prime power."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = factors[0]
+    e = 1
+    while p**e < q:
+        e += 1
+    return p, e
+
+
 def _digits(a: int, p: int, e: int) -> list[int]:
     out = []
     for _ in range(e):

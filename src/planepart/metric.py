@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
-from .plane import IncidencePlane
+from .plane import IncidencePlane, bitmask
 
 POINT = "P"
 LINE = "L"
@@ -66,23 +66,14 @@ class VertexSet:
 
     @classmethod
     def from_indices(cls, points: Iterable[int] = (), lines: Iterable[int] = ()) -> "VertexSet":
-        pm = 0
-        for i in points:
-            pm |= 1 << i
-        lm = 0
-        for i in lines:
-            lm |= 1 << i
-        return cls(pm, lm)
+        return cls(bitmask(points), bitmask(lines))
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[VertexId]) -> "VertexSet":
-        pm = lm = 0
+        ids: tuple[list[int], list[int]] = ([], [])
         for kind, i in vertices:
-            if kind == POINT:
-                pm |= 1 << i
-            else:
-                lm |= 1 << i
-        return cls(pm, lm)
+            ids[kind != POINT].append(i)
+        return cls.from_indices(*ids)
 
     def is_empty(self) -> bool:
         return self.point_mask == 0 and self.line_mask == 0
@@ -264,6 +255,14 @@ def is_resolving(plane: IncidencePlane, partition: Partition) -> Verdict:
     return Verdict(not collisions, collisions)
 
 
+def check_disjoint(family: Sequence[VertexSet]) -> None:
+    """Raise ValueError naming the first two sets of a family that share a vertex."""
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            if family[i].intersects(family[j]):
+                raise ValueError(f"family sets {i} and {j} are not disjoint")
+
+
 def unseparated_pairs(
     plane: IncidencePlane, family: Sequence[VertexSet]
 ) -> list[tuple[VertexId, VertexId]]:
@@ -273,10 +272,7 @@ def unseparated_pairs(
     pair unseparated. Output is normalized to lexicographic order.
     """
     sets = list(family)
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i].intersects(sets[j]):
-                raise ValueError(f"sets {i} and {j} are not disjoint")
+    check_disjoint(sets)
     n = plane.n
     psig, lsig = packed_signatures(plane, sets)
     groups = signature_groups(psig + lsig, range(2 * n))

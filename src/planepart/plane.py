@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .galois import DEFAULT_ORDER_LIMIT, Field, build_field
+from .galois import DEFAULT_ORDER_LIMIT, Field, build_field, prime_power
 
 _POINT_ID = re.compile(r"^P([0-9]+)$")
 _LINE_ID = re.compile(r"^L([0-9]+)$")
@@ -22,6 +22,14 @@ def canonicalize(f: Field, triple: tuple[int, int, int]) -> tuple[int, int, int]
         return tuple(triple)
     s = f.inv(lead)
     return tuple(f.mul(x, s) for x in triple)
+
+
+def bitmask(ids) -> int:
+    """Integer with bit i set for every id i."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
 
 
 class IncidencePlane:
@@ -55,24 +63,15 @@ class IncidencePlane:
         self.point_triples = point_triples
         self.line_triples = line_triples
         self.dualized = False
-        line_masks = []
         point_lines = [[] for _ in range(n)]
         for li, pts in enumerate(self.line_points):
-            m = 0
             for p in pts:
                 if not 0 <= p < n:
                     raise ValueError(f"point id {p} out of range 0..{n - 1}")
-                m |= 1 << p
                 point_lines[p].append(li)
-            line_masks.append(m)
-        self.line_masks = line_masks
         self.point_lines = point_lines
-        self.point_masks = [0] * n
-        for p, lines in enumerate(point_lines):
-            m = 0
-            for li in lines:
-                m |= 1 << li
-            self.point_masks[p] = m
+        self.line_masks = [bitmask(pts) for pts in self.line_points]
+        self.point_masks = [bitmask(lines) for lines in point_lines]
 
     def __repr__(self) -> str:
         return f"IncidencePlane(q={self.q}, n={self.n})"
@@ -131,19 +130,7 @@ def build_plane(q: int, limit: int = DEFAULT_ORDER_LIMIT) -> IncidencePlane:
     """Build PG(2,q) for a prime power q."""
     if q < 2:
         raise ValueError(f"plane order must be at least 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1 if p == 2 else 2
-        if p * p > q:
-            p = q
-            break
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+    p, e = prime_power(q)
     return build_pg2(build_field(p, e, limit))
 
 
@@ -159,12 +146,27 @@ class ValidationReport:
     violations: list[Violation] = field(default_factory=list)
 
 
+# Violation kinds and messages, (size, pair), for the lines of the plane and
+# for the lines of its dual, which are the points of the plane.
+_AXIOMS = (
+    (
+        ("line-size", "line L{} has {} points, expected {}"),
+        ("line-pair", "lines L{} and L{} meet in {} points"),
+    ),
+    (
+        ("point-degree", "point P{} lies on {} lines, expected {}"),
+        ("point-pair", "points P{} and P{} lie on {} common lines"),
+    ),
+)
+
+
 def validate_axioms(plane: IncidencePlane, fail_fast: bool = False) -> ValidationReport:
     """Check the projective plane axioms against the plane's declared order.
 
     Violations are data, not errors: line sizes, point degrees, and the
-    coverage counts of every point pair and line pair are reported. With
-    ``fail_fast`` the scan stops at the first violation.
+    coverage counts of every point pair and line pair are reported, in that
+    order. Each check is written once for lines and run on the plane and on
+    its dual. With ``fail_fast`` the scan stops at the first violation.
     """
     violations: list[Violation] = []
 
@@ -181,31 +183,19 @@ def validate_axioms(plane: IncidencePlane, fail_fast: bool = False) -> Validatio
         if bad("order", f"{n} lines but order {q} requires {q * q + q + 1}"):
             return ValidationReport(False, violations)
     want = q + 1
-    for li, mask in enumerate(plane.line_masks):
-        size = mask.bit_count()
-        if size != want:
-            if bad("line-size", f"line L{li} has {size} points, expected {want}"):
+    sides = list(zip((plane, plane.dual()), _AXIOMS))
+    for side, ((kind, text), _) in sides:
+        for i, mask in enumerate(side.line_masks):
+            size = mask.bit_count()
+            if size != want and bad(kind, text.format(i, size, want)):
                 return ValidationReport(False, violations)
-    for p, mask in enumerate(plane.point_masks):
-        deg = mask.bit_count()
-        if deg != want:
-            if bad("point-degree", f"point P{p} lies on {deg} lines, expected {want}"):
-                return ValidationReport(False, violations)
-    pmasks = plane.point_masks
-    for i in range(n):
-        mi = pmasks[i]
-        for j in range(i + 1, n):
-            c = (mi & pmasks[j]).bit_count()
-            if c != 1:
-                if bad("point-pair", f"points P{i} and P{j} lie on {c} common lines"):
-                    return ValidationReport(False, violations)
-    lmasks = plane.line_masks
-    for i in range(n):
-        mi = lmasks[i]
-        for j in range(i + 1, n):
-            c = (mi & lmasks[j]).bit_count()
-            if c != 1:
-                if bad("line-pair", f"lines L{i} and L{j} meet in {c} points"):
+    for side, (_, (kind, text)) in reversed(sides):
+        masks = side.line_masks
+        for i in range(n):
+            mi = masks[i]
+            for j in range(i + 1, n):
+                c = (mi & masks[j]).bit_count()
+                if c != 1 and bad(kind, text.format(i, j, c)):
                     return ValidationReport(False, violations)
     return ValidationReport(not violations, violations)
 
@@ -276,7 +266,7 @@ def load_plane(doc: dict) -> IncidencePlane:
             + (f"; unexpected {extra[:5]}" if extra else "")
         )
     plane = IncidencePlane(q, line_points)
-    report = validate_axioms(plane)
+    report = validate_axioms(plane, fail_fast=True)
     if not report.ok:
         first = report.violations[0]
         raise ValueError(f"axiom violation ({first.kind}): {first.message}")

@@ -16,7 +16,7 @@ from planepart.analysis import (
     _scan_completions,
     _all_pairs_distances,
 )
-from planepart.construct import choose_frame, common_unseparated_count, sample_zeta_sets
+from planepart.construct import build_conflict_graph, choose_frame, sample_zeta_sets
 
 from conftest import prime_powers
 
@@ -215,7 +215,7 @@ def test_more_zeta_sets_never_unseparate(plane_for):
     counts = []
     for k in range(1, 17):
         family = [h0] + [z.members() for z in zetas[:k]]
-        counts.append(common_unseparated_count(plane, fr, family))
+        counts.append(build_conflict_graph(plane, fr, family).x_edge_count)
     assert counts == sorted(counts, reverse=True)
 
 

@@ -125,6 +125,7 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["search", "--q", "2", "--budget", "0"],
         ["search", "--q", "2", "--budget", "-5"],
         ["search", "--q", "2", "--method", "randomized", "--trials", "0"],
+        ["bounds", "--q", "6"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):

@@ -109,7 +109,7 @@ def test_zeta_counts_and_error():
 def test_zeta_disjointness_100_seeds(plane_for):
     plane = plane_for(16)
     fr = choose_frame(plane)
-    h0_points = fr.major_point_mask
+    h0_points = plane.line_masks[fr.support_line] & ~(1 << fr.support_point)
     for seed in range(100):
         zetas = sample_zeta_sets(plane, fr, 15, random.Random(seed))
         pm = lm = 0
@@ -365,7 +365,7 @@ def test_construct_h0_is_exactly_the_major_points(q64):
     plane, res = q64
     fr = res.frame
     h0 = res.partition.classes[0]
-    assert h0.point_mask == fr.major_point_mask
+    assert h0.point_mask == plane.line_masks[fr.support_line] & ~(1 << fr.support_point)
     assert h0.line_mask == 0
 
 

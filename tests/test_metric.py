@@ -156,8 +156,13 @@ def test_unseparated_pairs_rejects_overlap(plane_for):
     plane = plane_for(2)
     a = VertexSet.from_indices(points=[0, 1])
     b = VertexSet.from_indices(points=[1, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="family sets 0 and 1 are not disjoint"):
         unseparated_pairs(plane, [a, b])
+    # the conflict graph applies the same check
+    from planepart import build_conflict_graph, choose_frame
+
+    with pytest.raises(ValueError, match="family sets 0 and 1 are not disjoint"):
+        build_conflict_graph(plane, choose_frame(plane), [a, b])
 
 
 def test_is_resolving_agrees_with_unseparated_pairs(plane_for):

@@ -178,3 +178,87 @@ def test_pg2_matches_field_dot_product_oracle():
         for pi, (x, y, z) in enumerate(plane.point_triples):
             dot = f.add(f.add(f.mul(a, x), f.mul(b, y)), f.mul(c, z))
             assert plane.incident(pi, li) == (dot == 0)
+
+
+# PG(2,3) has L0 = P1 P4 P7 P10, L1 = P0 P4 P5 P6, L2 = P3 P4 P9 P11 and
+# L4 = P0 P1 P2 P3. Each edit is (line, point removed, point added).
+_AXIOM_CASES = {
+    # one incidence dropped: P1 leaves L4
+    "dropped": (
+        [(4, 1, None)],
+        [
+            ("line-size", "line L4 has 3 points, expected 4"),
+            ("point-degree", "point P1 lies on 3 lines, expected 4"),
+            ("point-pair", "points P0 and P1 lie on 0 common lines"),
+            ("point-pair", "points P1 and P2 lie on 0 common lines"),
+            ("point-pair", "points P1 and P3 lie on 0 common lines"),
+            ("line-pair", "lines L0 and L4 meet in 0 points"),
+            ("line-pair", "lines L4 and L5 meet in 0 points"),
+            ("line-pair", "lines L4 and L6 meet in 0 points"),
+        ],
+    ),
+    # one incidence moved: P1 leaves L4 and joins L2
+    "moved": (
+        [(4, 1, None), (2, None, 1)],
+        [
+            ("line-size", "line L2 has 5 points, expected 4"),
+            ("line-size", "line L4 has 3 points, expected 4"),
+            ("point-pair", "points P0 and P1 lie on 0 common lines"),
+            ("point-pair", "points P1 and P2 lie on 0 common lines"),
+            ("point-pair", "points P1 and P4 lie on 2 common lines"),
+            ("point-pair", "points P1 and P9 lie on 2 common lines"),
+            ("point-pair", "points P1 and P11 lie on 2 common lines"),
+            ("line-pair", "lines L0 and L2 meet in 2 points"),
+            ("line-pair", "lines L0 and L4 meet in 0 points"),
+            ("line-pair", "lines L2 and L5 meet in 2 points"),
+            ("line-pair", "lines L2 and L6 meet in 2 points"),
+            ("line-pair", "lines L4 and L5 meet in 0 points"),
+            ("line-pair", "lines L4 and L6 meet in 0 points"),
+        ],
+    ),
+    # two points swapped: P1 moves from L0 to L1 and P5 from L1 to L0, so
+    # sizes and degrees hold and both pair axioms break
+    "swapped": (
+        [(0, 1, 5), (1, 5, 1)],
+        [
+            ("point-pair", "points P0 and P1 lie on 2 common lines"),
+            ("point-pair", "points P0 and P5 lie on 0 common lines"),
+            ("point-pair", "points P1 and P6 lie on 2 common lines"),
+            ("point-pair", "points P1 and P7 lie on 0 common lines"),
+            ("point-pair", "points P1 and P10 lie on 0 common lines"),
+            ("point-pair", "points P5 and P6 lie on 0 common lines"),
+            ("point-pair", "points P5 and P7 lie on 2 common lines"),
+            ("point-pair", "points P5 and P10 lie on 2 common lines"),
+            ("line-pair", "lines L0 and L4 meet in 0 points"),
+            ("line-pair", "lines L0 and L5 meet in 0 points"),
+            ("line-pair", "lines L0 and L9 meet in 2 points"),
+            ("line-pair", "lines L0 and L12 meet in 2 points"),
+            ("line-pair", "lines L1 and L4 meet in 2 points"),
+            ("line-pair", "lines L1 and L5 meet in 2 points"),
+            ("line-pair", "lines L1 and L9 meet in 0 points"),
+            ("line-pair", "lines L1 and L12 meet in 0 points"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AXIOM_CASES))
+def test_axiom_messages_are_pinned(case):
+    from planepart.plane import IncidencePlane
+
+    edits, expected = _AXIOM_CASES[case]
+    line_points = [list(pts) for pts in build_plane(3).line_points]
+    for li, removed, added in edits:
+        if removed is not None:
+            line_points[li].remove(removed)
+        if added is not None:
+            line_points[li].append(added)
+    mutated = IncidencePlane(3, line_points)
+    report = validate_axioms(mutated)
+    assert [(v.kind, v.message) for v in report.violations] == expected
+    first = validate_axioms(mutated, fail_fast=True).violations
+    assert [(v.kind, v.message) for v in first] == expected[:1]
+    kind, message = expected[0]
+    with pytest.raises(ValueError) as err:
+        load_plane(plane_to_doc(mutated))
+    assert str(err.value) == f"axiom violation ({kind}): {message}"
