@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -167,6 +168,21 @@ def _assignment_to_partition(assign, t: int, n: int) -> Partition:
     return Partition(sets)
 
 
+def _class_options(size: int, t: int) -> list[list[list[int]]]:
+    """Restricted growth rule for partitions of size vertices into t classes.
+
+    Entry [v][used] lists, in canonical order, the classes vertex v may
+    join when `used` classes are open, keeping exactly t classes reachable.
+    """
+    return [
+        [
+            [c for c in range(min(used + 1, t)) if used + (c == used) + size - v > t]
+            for used in range(t + 1)
+        ]
+        for v in range(size)
+    ]
+
+
 def _rgs_prefixes(size: int, t: int, depth: int):
     """Restricted growth prefixes of the given depth, canonical order.
 
@@ -174,6 +190,7 @@ def _rgs_prefixes(size: int, t: int, depth: int):
     """
     if size == 0 or t < 1 or t > size:
         return
+    options = _class_options(size, t)
     depth = min(depth, size)
     prefix = [0] * depth
 
@@ -181,39 +198,27 @@ def _rgs_prefixes(size: int, t: int, depth: int):
         if i == depth:
             yield tuple(prefix)
             return
-        for c in range(min(used + 1, t)):
-            new_used = used + 1 if c == used else used
-            if new_used + (size - i - 1) >= t:
-                prefix[i] = c
-                yield from rec(i + 1, new_used)
+        for c in options[i][used]:
+            prefix[i] = c
+            yield from rec(i + 1, used + (c == used))
 
     yield from rec(0, 0)
 
 
-def _scan_completions(dist, size, t, prefix, limit):
+def _scan_completions(dist, size, t, limit, prefix):
     """Verify completions of a restricted-growth prefix, canonical order.
 
     Distance vectors are maintained incrementally, packed 2 bits per class
     with empty slots at 3, so a leaf check is one set-cardinality test.
-    Returns (verified, witness) where verified counts partitions checked,
-    stopping at the limit or at the first resolving assignment.
+    Levels inside the prefix allow only the prefix's class. Returns
+    (verified, witness) where verified counts partitions checked, stopping
+    at the limit or at the first resolving assignment.
     """
-    if limit <= 0:
-        return 0, None
-    all_far = (1 << (2 * t)) - 1
-    dvec = [all_far] * size
-    assign = list(prefix) + [0] * (size - len(prefix))
-    used = 0
+    options = _class_options(size, t)
     for v, c in enumerate(prefix):
-        if c == used:
-            used += 1
-        base = 2 * c
-        drow = dist[v]
-        for u in range(size):
-            cur = dvec[u] >> base & 3
-            d = drow[u]
-            if d < cur:
-                dvec[u] -= (cur - d) << base
+        options[v] = [[c]] * (t + 1)
+    dvec = [(1 << (2 * t)) - 1] * size
+    assign = [0] * size
     verified = 0
     witness = None
 
@@ -224,12 +229,8 @@ def _scan_completions(dist, size, t, prefix, limit):
             if len(set(dvec)) == size:
                 witness = list(assign)
             return witness is not None or verified >= limit
-        left = size - v - 1
         drow = dist[v]
-        for c in range(min(used + 1, t)):
-            new_used = used + 1 if c == used else used
-            if new_used + left < t:
-                continue
+        for c in options[v][used]:
             assign[v] = c
             base = 2 * c
             trail = []
@@ -239,40 +240,47 @@ def _scan_completions(dist, size, t, prefix, limit):
                 if d < cur:
                     trail.append((u, dvec[u]))
                     dvec[u] -= (cur - d) << base
-            stop = rec(v + 1, new_used)
+            stop = rec(v + 1, used + (c == used))
             for u, packed in trail:
                 dvec[u] = packed
             if stop:
                 return True
         return False
 
-    if len(prefix) == size:
-        verified = 1
-        if len(set(dvec)) == size:
-            witness = list(assign)
-    else:
-        rec(len(prefix), used)
+    rec(0, 0)
     return verified, witness
 
 
-_POOL_STATE: dict = {}
+# Set once per pool worker, so each task ships only its item.
+_WORKER: dict = {}
 
 
-def _pool_init(dist, size, t, limit):
-    _POOL_STATE["args"] = (dist, size, t, limit)
+def _worker_init(fn, args):
+    _WORKER["call"] = fn, args
 
 
-def _pool_scan(prefix):
-    dist, size, t, limit = _POOL_STATE["args"]
-    return _scan_completions(dist, size, t, prefix, limit)
+def _worker_call(item):
+    fn, args = _WORKER["call"]
+    return fn(*args, item)
+
+
+@contextlib.contextmanager
+def _pooled(workers, fn, args, items, chunksize):
+    """Yield the results of fn(*args, item) over items, in order, from a pool.
+
+    Leaving the block terminates the pool, abandoning unread tasks.
+    """
+    with multiprocessing.Pool(workers, initializer=_worker_init, initargs=(fn, args)) as pool:
+        yield pool.imap(_worker_call, items, chunksize)
 
 
 def _scan_level(dist, size, t, budget, workers):
     """Scan one class count under a budget.
 
-    Tasks are consumed in canonical prefix order and a witness only counts
-    when it falls within the budget, so the outcome and the node count are
-    identical for every worker count. Returns (nodes, witness, exhausted).
+    Results are consumed in canonical prefix order and a witness only
+    counts when it falls within the budget, so the outcome and the node
+    count are identical for every worker count. Returns (nodes, witness);
+    nodes reaching the budget without a witness means it ran out.
     """
     depth = 0
     span = 1
@@ -282,29 +290,20 @@ def _scan_level(dist, size, t, budget, workers):
     prefixes = list(_rgs_prefixes(size, t, depth))
     nodes = 0
     if workers <= 1 or len(prefixes) <= 1:
-        for prefix in prefixes:
-            count, witness = _scan_completions(dist, size, t, prefix, budget - nodes)
+        # Lazy: each prefix is limited to the budget left when it is reached.
+        scans = contextlib.nullcontext(
+            _scan_completions(dist, size, t, budget - nodes, prefix) for prefix in prefixes
+        )
+    else:
+        scans = _pooled(workers, _scan_completions, (dist, size, t, budget), prefixes, 1)
+    with scans as results:
+        for count, witness in results:
             nodes += count
-            if witness is not None:
-                return nodes, witness, False
+            if witness is not None and nodes <= budget:
+                return nodes, witness
             if nodes >= budget:
-                return budget, None, True
-        return nodes, None, False
-    with multiprocessing.Pool(
-        workers, initializer=_pool_init, initargs=(dist, size, t, budget)
-    ) as pool:
-        for count, witness in pool.imap(_pool_scan, prefixes, chunksize=1):
-            if witness is not None:
-                if nodes + count <= budget:
-                    pool.terminate()
-                    return nodes + count, witness, False
-                pool.terminate()
-                return budget, None, True
-            nodes += count
-            if nodes >= budget:
-                pool.terminate()
-                return budget, None, True
-    return nodes, None, False
+                return budget, None
+    return nodes, None
 
 
 def exhaustive_pd(
@@ -336,37 +335,23 @@ def exhaustive_pd(
         workers = os.cpu_count() or 1
     dist = _all_pairs_distances(plane)
     nodes = 0
+    lower, upper, found = t_max + 1, None, None
     for t in range(max(t_min, 1), t_max + 1):
-        count, witness, exhausted = _scan_level(dist, size, t, budget - nodes, workers)
+        count, witness = _scan_level(dist, size, t, budget - nodes, workers)
         nodes += count
         if witness is not None:
-            partition = _assignment_to_partition(witness, t, plane.n)
-            return SearchResult(
-                q=plane.q,
-                exact=t_min == 1,
-                lower=t,
-                upper=t,
-                witness=partition,
-                nodes=nodes,
-                wall_time=time.monotonic() - start,
-            )
-        if exhausted:
+            lower, upper, found = t, t, _assignment_to_partition(witness, t, plane.n)
+            break
+        if nodes >= budget:
             singles = _assignment_to_partition(list(range(size)), size, plane.n)
-            return SearchResult(
-                q=plane.q,
-                exact=False,
-                lower=t,
-                upper=size,
-                witness=singles,
-                nodes=nodes,
-                wall_time=time.monotonic() - start,
-            )
+            lower, upper, found = t, size, singles
+            break
     return SearchResult(
         q=plane.q,
-        exact=False,
-        lower=t_max + 1,
-        upper=None,
-        witness=None,
+        exact=t_min == 1 and lower == upper,
+        lower=lower,
+        upper=upper,
+        witness=found,
         nodes=nodes,
         wall_time=time.monotonic() - start,
     )
@@ -460,26 +445,11 @@ class EstimateReport:
         return asdict(self)
 
 
-_EST_STATE: dict = {}
-
-
 def _estimate_trial(plane, frame, h0, k, seed, trial) -> int:
     rng = random.Random((seed << 32) | trial)
     zetas = sample_zeta_sets(plane, frame, k, rng)
     family = [h0] + [z.members() for z in zetas]
     return build_conflict_graph(plane, frame, family).x_edge_count
-
-
-def _est_init(q, k, seed):
-    plane = build_plane(q)
-    frame = choose_frame(plane)
-    h0 = VertexSet.from_indices(points=frame.major_points)
-    _EST_STATE["args"] = (plane, frame, h0, k, seed)
-
-
-def _est_run(trial):
-    plane, frame, h0, k, seed = _EST_STATE["args"]
-    return _estimate_trial(plane, frame, h0, k, seed, trial)
 
 
 def estimate_unseparated(
@@ -505,16 +475,14 @@ def estimate_unseparated(
         raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
     if workers is None:
         workers = os.cpu_count() or 1
+    frame = choose_frame(plane)
+    args = (plane, frame, VertexSet.from_indices(points=frame.major_points), k, seed)
     if workers <= 1 or trials == 1:
-        frame = choose_frame(plane)
-        h0 = VertexSet.from_indices(points=frame.major_points)
-        counts = [_estimate_trial(plane, frame, h0, k, seed, t) for t in range(trials)]
+        counts = [_estimate_trial(*args, t) for t in range(trials)]
     else:
-        with multiprocessing.Pool(
-            min(workers, trials), initializer=_est_init, initargs=(q, k, seed)
-        ) as pool:
-            chunk = max(1, trials // (4 * workers))
-            counts = list(pool.map(_est_run, range(trials), chunksize=chunk))
+        chunk = max(1, trials // (4 * workers))
+        with _pooled(min(workers, trials), _estimate_trial, args, range(trials), chunk) as results:
+            counts = list(results)
     mean = sum(counts) / trials
     if trials > 1:
         var = sum((c - mean) ** 2 for c in counts) / (trials - 1)

@@ -37,14 +37,6 @@ class VertexId(NamedTuple):
         return cls(m.group(1), int(m.group(2)))
 
 
-def point(i: int) -> VertexId:
-    return VertexId(POINT, i)
-
-
-def line(i: int) -> VertexId:
-    return VertexId(LINE, i)
-
-
 def vertex_at(v: int, n: int) -> VertexId:
     """Vertex with integer id v: point v below n, else line v - n."""
     return VertexId(POINT, v) if v < n else VertexId(LINE, v - n)
@@ -313,7 +305,7 @@ def partition_to_doc(plane: IncidencePlane, partition: Partition) -> dict:
 
 def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
     """Parse a partition document and check it covers every vertex once."""
-    if not isinstance(doc, dict) or "classes" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise ValueError("partition document must be an object with a 'classes' array")
     if "q" in doc and doc["q"] != plane.q:
         raise ValueError(f"partition order {doc['q']} does not match plane order {plane.q}")
@@ -323,6 +315,8 @@ def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
         if not isinstance(entry, dict) or "members" not in entry:
             raise ValueError(f"class entry {pos} must have 'members'")
         names.append(str(entry.get("name", f"C{pos}")))
+        if not isinstance(entry["members"], list):
+            raise ValueError(f"members of class {names[-1]!r} must be an array")
         members = [VertexId.parse(str(m)) for m in entry["members"]]
         for v in members:
             if v.index >= plane.n:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -214,8 +215,8 @@ def plane_to_doc(plane: IncidencePlane) -> dict:
 def load_plane(doc: dict) -> IncidencePlane:
     """Parse and validate a plane document.
 
-    The order is inferred from the size of the first line; a declared "q"
-    must agree. Point ids are implicit and every one of P0..P(n-1) must
+    The order q is inferred from the line count n = q*q + q + 1; a declared
+    "q" must agree. Point ids are implicit and every one of P0..P(n-1) must
     appear. Raises ValueError on malformed input or on the first axiom
     violation.
     """
@@ -226,7 +227,6 @@ def load_plane(doc: dict) -> IncidencePlane:
         raise ValueError("plane document has no lines")
     n = len(lines)
     line_points: list[list[int] | None] = [None] * n
-    first_size = None
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
@@ -238,6 +238,8 @@ def load_plane(doc: dict) -> IncidencePlane:
             raise ValueError(f"line id L{li} out of range for {n} lines")
         if line_points[li] is not None:
             raise ValueError(f"duplicate line id L{li}")
+        if not isinstance(entry["points"], list):
+            raise ValueError(f"points of line L{li} must be an array")
         pts = []
         for name in entry["points"]:
             pm = _POINT_ID.match(str(name))
@@ -246,12 +248,10 @@ def load_plane(doc: dict) -> IncidencePlane:
             pts.append(int(pm.group(1)))
         if len(set(pts)) != len(pts):
             raise ValueError(f"line L{li} repeats a point")
-        if pos == 0:
-            first_size = len(pts)
         line_points[li] = pts
-    q = first_size - 1
-    if q < 1:
-        raise ValueError("first line is too short to determine the order")
+    q = (math.isqrt(4 * n - 3) - 1) // 2
+    if q < 1 or q * q + q + 1 != n:
+        raise ValueError(f"{n} lines is not q*q + q + 1 for any order q >= 1")
     if "q" in doc and doc["q"] != q:
         raise ValueError(f"declared order {doc['q']} does not match inferred order {q}")
     seen = set()

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from planepart import build_plane
 
@@ -31,3 +32,31 @@ def prime_powers(lo, hi):
         if m == 1:
             out.append(q)
     return out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def replace_one_field(doc, data):
+    """Replace the value at one key or index path of a JSON document with an
+    arbitrary JSON value drawn from ``data``."""
+    paths = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            paths.append(path + (key,))
+            if isinstance(value, (dict, list)):
+                walk(value, path + (key,))
+
+    walk(doc, ())
+    path = data.draw(st.sampled_from(paths))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES)

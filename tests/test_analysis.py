@@ -14,6 +14,7 @@ from planepart.analysis import (
     _assignment_to_partition,
     _rgs_prefixes,
     _scan_completions,
+    _scan_level,
     _all_pairs_distances,
 )
 from planepart.construct import build_conflict_graph, choose_frame, sample_zeta_sets
@@ -69,14 +70,14 @@ def test_enumeration_counts_match_stirling_numbers(size, t):
     dist = [[3] * size for _ in range(size)]
     total = 0
     for prefix in _rgs_prefixes(size, t, 3):
-        count, witness = _scan_completions(dist, size, t, prefix, 10**9)
+        count, witness = _scan_completions(dist, size, t, 10**9, prefix)
         total += count
     assert total == stirling2(size, t)
 
 
 def test_scan_respects_limit():
     dist = [[3] * 8 for _ in range(8)]
-    count, witness = _scan_completions(dist, 8, 3, (0,), 10)
+    count, witness = _scan_completions(dist, 8, 3, 10, (0,))
     assert count == 10 and witness is None
 
 
@@ -98,13 +99,39 @@ def test_exhaustive_pd_t1_is_never_resolving(plane_for):
     assert res.lower == 2
 
 
-def test_exhaustive_pd_budget_bracket(plane_for):
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "t_min,t_max,budget,expected",
+    [
+        # (exact, lower, upper, nodes), the same for every worker count
+        (1, 6, 100, (False, 2, 14, 100)),
+        (4, 4, 50, (False, 4, 14, 50)),
+        (1, 6, 10_000, (False, 3, 14, 10_000)),
+    ],
+)
+def test_exhaustive_pd_budget_bracket(plane_for, workers, t_min, t_max, budget, expected):
     plane = plane_for(2)
-    res = exhaustive_pd(plane, t_min=1, t_max=6, budget=100, workers=1)
-    assert not res.exact
-    assert res.nodes == 100
-    assert res.lower >= 1 and res.upper == 2 * plane.n
+    res = exhaustive_pd(plane, t_min=t_min, t_max=t_max, budget=budget, workers=workers)
+    assert (res.exact, res.lower, res.upper, res.nodes) == expected
     assert is_resolving(plane, res.witness).resolving
+
+
+def test_scan_level_budget_rule_is_worker_independent():
+    # a fixed random distance table whose first 3-class witness is the
+    # 545th partition, 33 into the fourth of five depth-3 prefixes; at
+    # budget 540 the pool sees that witness but it lies past the budget
+    rng = random.Random(42)
+    size = 8
+    dist = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            dist[i][j] = dist[j][i] = rng.choice((1, 2, 3))
+    cases = [(100, 100, False), (540, 540, False), (545, 545, True), (600, 545, True)]
+    for budget, nodes, found in cases:
+        results = [_scan_level(dist, size, 3, budget, workers) for workers in (1, 2)]
+        assert results[0] == results[1]
+        count, witness = results[0]
+        assert (count, witness is not None) == (nodes, found)
 
 
 def test_rejected_partitions_audit_against_closed_form(plane_for):

@@ -116,6 +116,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     repeated.write_text(json.dumps({"classes": classes}))
     code, _, err = run(capsys, "verify", "--q", "2", "--partition", str(repeated))
     assert (code, err) == (2, "error: class 'points' lists vertex P3 more than once\n")
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"lines": [{"id": "L0", "points": 5}]}))
+    code, _, err = run(capsys, "verify", "--plane", str(short), "--partition", str(repeated))
+    assert (code, err) == (2, "error: points of line L0 must be an array\n")
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps({"classes": [{"members": 7}]}))
+    code, _, err = run(capsys, "verify", "--q", "2", "--partition", str(scalar))
+    assert (code, err) == (2, "error: members of class 'C0' must be an array\n")
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from planepart import (
 )
 from planepart.metric import LINE, POINT, pair_count, signature_groups
 
+from conftest import replace_one_field
+
 
 def random_partition(rng, n, m=None):
     size = 2 * n
@@ -270,6 +272,31 @@ def test_partition_doc_rejects_missing_and_duplicate_vertices(plane_for):
     repeated["classes"][1]["members"].append(first)
     with pytest.raises(ValueError, match=f"class 'C1' lists vertex {first} more than once"):
         partition_from_doc(repeated, plane)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"classes": 5}, "partition document must be an object with a 'classes' array"),
+        ({"classes": [{"name": "x", "members": None}]}, "members of class 'x' must be an array"),
+    ],
+)
+def test_partition_doc_rejects_non_arrays(plane_for, doc, message):
+    with pytest.raises(ValueError) as err:
+        partition_from_doc(doc, plane_for(2))
+    assert str(err.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_partition_from_doc_rejects_any_malformed_field_with_value_error(data, plane_for):
+    plane = plane_for(2)
+    doc = partition_to_doc(plane, random_partition(random.Random(3), plane.n, m=4))
+    replace_one_field(doc, data)
+    try:
+        partition_from_doc(doc, plane)
+    except ValueError:
+        pass
 
 
 def test_partition_doc_rejects_wrong_order(plane_for):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planepart import (
     build_field,
@@ -12,7 +13,7 @@ from planepart import (
     validate_axioms,
 )
 
-from conftest import prime_powers
+from conftest import prime_powers, replace_one_field
 
 
 def test_canonicalize_examples():
@@ -155,6 +156,44 @@ def test_load_rejects_bad_ids():
     doc["lines"][0]["points"][0] = "Q0"
     with pytest.raises(ValueError, match="bad point id"):
         load_plane(doc)
+
+
+def test_load_blames_a_short_line_not_the_order():
+    # the order comes from the line count, so a short L0 is a line-size fault
+    doc = plane_to_doc(build_plane(4))
+    doc["lines"][0]["points"].pop()
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == "axiom violation (line-size): line L0 has 4 points, expected 5"
+    del doc["q"]
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == "axiom violation (line-size): line L0 has 4 points, expected 5"
+
+
+def test_load_rejects_line_count_of_no_order():
+    doc = plane_to_doc(build_plane(2))
+    del doc["lines"][6]
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == "6 lines is not q*q + q + 1 for any order q >= 1"
+
+
+def test_load_rejects_points_that_are_not_an_array():
+    doc = {"lines": [{"id": "L0", "points": None}]}
+    with pytest.raises(ValueError, match="points of line L0 must be an array"):
+        load_plane(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_plane_rejects_any_malformed_field_with_value_error(data):
+    doc = plane_to_doc(build_plane(2))
+    replace_one_field(doc, data)
+    try:
+        load_plane(doc)
+    except ValueError:
+        pass
 
 
 def test_load_rejects_missing_point():
