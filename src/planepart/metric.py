@@ -4,6 +4,15 @@ Vertices of the incidence graph of a plane of order q are its n points and
 n lines, n = q*q + q + 1. The graph is bipartite with diameter 3, so every
 distance to a nonempty vertex set is one of 0, 1, 2, 3 and has a closed
 form; ``bfs_distance`` provides the independent shortest-path oracle.
+
+``distance_columns`` states that rule vertex by vertex. ``packed_signatures``
+computes the same distances for a family of m sets at once. For each set it
+ORs the incidence rows of the set's members into the mask of vertices at
+distance at most 1 and turns the 0/1/2/3 codes into two n-bit planes: the
+low bit (codes 1 and 3) and the high bit (codes 2 and 3). It then
+transposes the 2m planes of a side into one integer per vertex, in lanes of
+ceil(2m / 8) bytes (at least one), so any family size fits. Set j occupies
+bits 2j and 2j+1 of that integer.
 """
 
 from __future__ import annotations
@@ -43,10 +52,12 @@ def vertex_at(v: int, n: int) -> VertexId:
 
 
 def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    bits = format(mask, "b")[::-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 @dataclass(frozen=True)
@@ -164,8 +175,6 @@ def distance_columns(
         raise ValueError("distance to an empty set is undefined")
     prange = range(plane.n) if point_ids is None else point_ids
     lrange = range(plane.n) if line_ids is None else line_ids
-    members_p = set(_iter_bits(s.point_mask))
-    members_l = set(_iter_bits(s.line_mask))
     far_point = 2 if s.point_mask else 3
     far_line = 2 if s.line_mask else 3
     pmasks = plane.point_masks
@@ -173,10 +182,10 @@ def distance_columns(
     lm = s.line_mask
     pm = s.point_mask
     pcol = [
-        0 if p in members_p else (1 if pmasks[p] & lm else far_point) for p in prange
+        0 if pm >> p & 1 else (1 if pmasks[p] & lm else far_point) for p in prange
     ]
     lcol = [
-        0 if li in members_l else (1 if lmasks[li] & pm else far_line) for li in lrange
+        0 if lm >> li & 1 else (1 if lmasks[li] & pm else far_line) for li in lrange
     ]
     return pcol, lcol
 
@@ -184,6 +193,35 @@ def distance_columns(
 def representation(plane: IncidencePlane, v: VertexId, partition: Partition) -> tuple[int, ...]:
     """Vector of distances from v to each class, in class order."""
     return tuple(distance_to_set(plane, v, cls) for cls in partition.classes)
+
+
+_SPREAD = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _point_signatures(plane: IncidencePlane, family: Sequence[VertexSet]) -> list[int]:
+    """Packed distance vectors of every point to a family of nonempty sets."""
+    n = plane.n
+    line_masks = plane.line_masks
+    full = (1 << n) - 1
+    planes = []
+    for s in family:
+        near = 0
+        for li in _iter_bits(s.line_mask):
+            near |= line_masks[li]
+        member = s.point_mask
+        near &= ~member
+        far = full & ~(member | near)
+        planes += (near if member else full, far)
+    lane = max(1, (len(planes) + 7) // 8)
+    width = f"0{n}b"
+    buf = bytearray(n * lane)
+    for k in range(lane):
+        group = 0
+        for b, bits in enumerate(planes[8 * k : 8 * k + 8]):
+            spread = format(bits, width)[::-1].encode().translate(_SPREAD)
+            group |= int.from_bytes(spread, "little") << b
+        buf[k::lane] = group.to_bytes(n, "little")
+    return [int.from_bytes(buf[i : i + lane], "little") for i in range(0, n * lane, lane)]
 
 
 def packed_signatures(
@@ -194,19 +232,32 @@ def packed_signatures(
 ) -> tuple[list[int], list[int]]:
     """Distance vectors to a set family, packed 2 bits per coordinate.
 
-    Packed integers compare exactly, so equal values mean equal vectors.
+    Bits 2j and 2j+1 of a vertex's integer hold its distance to family[j].
+    ``distance_columns`` is the reference form of the distance rule; this
+    computes the same values for the whole family with whole-integer
+    operations. Packed integers compare exactly, so equal values mean equal
+    vectors.
+
+    Each set gives two n-bit planes per side. The points at distance at
+    most 1 (the OR of the incidence rows of the set's lines), less the
+    set's members, form the low plane (codes 1 and 3). The points neither
+    in nor next to the set form the high plane (codes 2 and 3). A set with
+    no point has every point at distance 1 or 3, so its low plane is full.
+    Bit v of a plane goes to byte v of a spread string, eight planes are
+    shifted into one byte per vertex, and byte k of vertex v's lane holds
+    planes 8k..8k+7. A lane is ceil(2m / 8) bytes (at least one), so any
+    family size fits; the lanes are cut into integers at the end. Lines are
+    the points of the dual plane. Ids default to every point and every
+    line; given ids pick from the full lists in the order given.
     """
-    prange = list(range(plane.n)) if point_ids is None else list(point_ids)
-    lrange = list(range(plane.n)) if line_ids is None else list(line_ids)
-    psig = [0] * len(prange)
-    lsig = [0] * len(lrange)
-    for j, s in enumerate(family):
-        shift = 2 * j
-        pcol, lcol = distance_columns(plane, s, prange, lrange)
-        for i, d in enumerate(pcol):
-            psig[i] |= d << shift
-        for i, d in enumerate(lcol):
-            lsig[i] |= d << shift
+    if any(s.is_empty() for s in family):
+        raise ValueError("distance to an empty set is undefined")
+    psig = _point_signatures(plane, family)
+    lsig = _point_signatures(plane.dual(), [s.dual() for s in family])
+    if point_ids is not None:
+        psig = [psig[p] for p in point_ids]
+    if line_ids is not None:
+        lsig = [lsig[li] for li in line_ids]
     return psig, lsig
 
 

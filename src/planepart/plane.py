@@ -57,10 +57,10 @@ class IncidencePlane:
     )
 
     def __init__(self, q, line_points, point_triples=None, line_triples=None):
-        n = len(line_points)
+        self.line_points = [sorted(pts) for pts in line_points]
+        n = len(self.line_points)
         self.q = q
         self.n = n
-        self.line_points = [sorted(pts) for pts in line_points]
         self.point_triples = point_triples
         self.line_triples = line_triples
         self.dualized = False
@@ -107,24 +107,28 @@ def build_pg2(f: Field) -> IncidencePlane:
     n = len(triples)
     mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
 
-    line_points = []
-    for a, b, c in triples:
-        pts = []
-        if c == 0:
-            pts.append(index[(0, 0, 1)])
-            if b == 0:
-                pts.extend(index[(0, 1, z)] for z in range(q))
+    # One line at a time: IncidencePlane keeps a sorted copy of each, and a
+    # list built in full first would leave its freed lines as ~20 MB of
+    # fragments in the process at q=128.
+    def lines():
+        for a, b, c in triples:
+            pts = []
+            if c == 0:
+                pts.append(index[(0, 0, 1)])
+                if b == 0:
+                    pts.extend(index[(0, 1, z)] for z in range(q))
+                else:
+                    y = mul(neg(a), inv(b))
+                    pts.extend(index[(1, y, z)] for z in range(q))
             else:
-                y = mul(neg(a), inv(b))
-                pts.extend(index[(1, y, z)] for z in range(q))
-        else:
-            ci = inv(c)
-            pts.append(index[(0, 1, mul(neg(b), ci))])
-            for y in range(q):
-                z = mul(neg(add(a, mul(b, y))), ci)
-                pts.append(index[(1, y, z)])
-        line_points.append(pts)
-    return IncidencePlane(q, line_points, point_triples=triples, line_triples=triples)
+                ci = inv(c)
+                pts.append(index[(0, 1, mul(neg(b), ci))])
+                for y in range(q):
+                    z = mul(neg(add(a, mul(b, y))), ci)
+                    pts.append(index[(1, y, z)])
+            yield pts
+
+    return IncidencePlane(q, lines(), point_triples=triples, line_triples=triples)
 
 
 def build_plane(q: int, limit: int = DEFAULT_ORDER_LIMIT) -> IncidencePlane:

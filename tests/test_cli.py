@@ -214,3 +214,26 @@ def test_identical_invocations_are_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_kernel_outputs_are_pinned(capsys, monkeypatch, tmp_path):
+    """Outputs that go through packed_signatures, pinned by sha256.
+
+    SPLIT stands for the q=8 partition {all points} / {all lines}; the
+    failing construct also pins its stderr, which carries one log line per
+    attempt with the unseparated pair count.
+    """
+    monkeypatch.setenv("PLANEPART_LOG", "info")
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps({"classes": [
+        {"name": "points", "members": [f"P{i}" for i in range(73)]},
+        {"name": "lines", "members": [f"L{i}" for i in range(73)]},
+    ]}))
+    pinned = json.loads((FIXTURES / "kernel_outputs_sha256.json").read_text())
+    for command, expect in pinned.items():
+        argv = [str(split) if a == "SPLIT" else a for a in command.split()]
+        code, out, err = run(capsys, *argv)
+        assert code == expect["exit"], command
+        assert hashlib.sha256(out.encode()).hexdigest() == expect["stdout_sha256"], command
+        if "stderr_sha256" in expect:
+            assert hashlib.sha256(err.encode()).hexdigest() == expect["stderr_sha256"], command

@@ -16,7 +16,14 @@ from planepart import (
     representation,
     unseparated_pairs,
 )
-from planepart.metric import LINE, POINT, pair_count, signature_groups
+from planepart.metric import (
+    LINE,
+    POINT,
+    distance_columns,
+    packed_signatures,
+    pair_count,
+    signature_groups,
+)
 
 from conftest import replace_one_field
 
@@ -79,6 +86,47 @@ def test_line_near_mixed_class_through_incident_point(plane_for):
 def test_empty_set_rejected(plane_for):
     with pytest.raises(ValueError):
         distance_to_set(plane_for(2), VertexId(POINT, 0), VertexSet())
+
+
+def _vertex_sets(n):
+    """Nonempty sets with points only, lines only, or both."""
+    side = st.integers(1, (1 << n) - 1)
+    return st.one_of(
+        side.map(lambda pm: VertexSet(pm, 0)),
+        side.map(lambda lm: VertexSet(0, lm)),
+        st.tuples(side, side).map(lambda pl: VertexSet(*pl)),
+    )
+
+
+def _id_subset(n):
+    """Every id by default, else a subset of ids in any order."""
+    return st.none() | st.permutations(range(n)).flatmap(
+        lambda order: st.integers(0, n).map(lambda k: order[:k])
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_packed_signatures_equal_the_distance_column_fold(data, plane_for):
+    # families of up to 40 sets overlap freely and pack up to 80 bits
+    plane = plane_for(data.draw(st.sampled_from([2, 3, 4, 5, 7, 8]), label="q"))
+    n = plane.n
+    size = data.draw(st.integers(0, 40), label="size")
+    family = data.draw(st.lists(_vertex_sets(n), min_size=size, max_size=size), label="family")
+    point_ids = data.draw(_id_subset(n), label="point_ids")
+    line_ids = data.draw(_id_subset(n), label="line_ids")
+    psig = [0] * (n if point_ids is None else len(point_ids))
+    lsig = [0] * (n if line_ids is None else len(line_ids))
+    for j, s in enumerate(family):
+        pcol, lcol = distance_columns(plane, s, point_ids, line_ids)
+        psig = [sig | d << 2 * j for sig, d in zip(psig, pcol)]
+        lsig = [sig | d << 2 * j for sig, d in zip(lsig, lcol)]
+    assert packed_signatures(plane, family, point_ids, line_ids) == (psig, lsig)
+    if family:
+        at = data.draw(st.integers(0, len(family)), label="empty set at")
+        with_empty = family[:at] + [VertexSet()] + family[at:]
+        with pytest.raises(ValueError, match="^distance to an empty set is undefined$"):
+            packed_signatures(plane, with_empty, point_ids, line_ids)
 
 
 @pytest.mark.parametrize("q", [2, 3])
