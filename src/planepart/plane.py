@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import getitem
 
-from .galois import DEFAULT_ORDER_LIMIT, Field, build_field, prime_power
+from .galois import Field, build_field, prime_power
 
 _POINT_ID = re.compile(r"^P([0-9]+)$")
 _LINE_ID = re.compile(r"^L([0-9]+)$")
@@ -38,41 +39,41 @@ class IncidencePlane:
 
     Incidence is held in both orientations: ``line_masks[i]`` has bit j set
     when point j lies on line i, and ``point_masks[j]`` has bit i set when
-    line i passes through point j. Sorted id lists mirror the masks.
-    Coordinate triples are present only for algebraically built planes.
-    ``dualized`` is true for the view returned by ``dual``, whose points
-    are the lines of the plane it came from.
+    line i passes through point j. Ascending id tuples mirror the masks;
+    tuples of ints are not tracked by the garbage collector. A built plane
+    is its own dual under the polarity of its coordinates, so line j and
+    point j have the same row: its point-side lists are separate lists
+    holding the line side's row and mask objects. Coordinate triples are
+    present only for algebraically built planes. ``dualized`` is true for
+    the view returned by ``dual``, whose points are the lines of the plane
+    it came from.
     """
 
-    __slots__ = (
-        "q",
-        "n",
-        "line_points",
-        "point_lines",
-        "line_masks",
-        "point_masks",
-        "point_triples",
-        "line_triples",
-        "dualized",
-    )
+    __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks",
+                 "point_triples", "line_triples", "dualized")
 
     def __init__(self, q, line_points, point_triples=None, line_triples=None):
-        self.line_points = [sorted(pts) for pts in line_points]
-        n = len(self.line_points)
-        self.q = q
-        self.n = n
-        self.point_triples = point_triples
-        self.line_triples = line_triples
-        self.dualized = False
-        point_lines = [[] for _ in range(n)]
-        for li, pts in enumerate(self.line_points):
+        rows = [sorted(pts) for pts in line_points]
+        n = len(rows)
+        ids = list(range(n))
+        point_lines = [[] for _ in ids]
+        for li, pts in zip(ids, rows):
             for p in pts:
                 if not 0 <= p < n:
                     raise ValueError(f"point id {p} out of range 0..{n - 1}")
                 point_lines[p].append(li)
-        self.point_lines = point_lines
-        self.line_masks = [bitmask(pts) for pts in self.line_points]
-        self.point_masks = [bitmask(lines) for lines in point_lines]
+        rows = [tuple(map(ids.__getitem__, pts)) for pts in rows]
+        cols = list(map(tuple, point_lines))
+        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)),
+                  point_triples, line_triples)
+
+    def _set(self, q, line_points, point_lines, line_masks, point_masks,
+             point_triples, line_triples, dualized=False):
+        self.q, self.n, self.dualized = q, len(line_points), dualized
+        self.line_points, self.point_lines = line_points, point_lines
+        self.line_masks, self.point_masks = line_masks, point_masks
+        self.point_triples, self.line_triples = point_triples, line_triples
+        return self
 
     def __repr__(self) -> str:
         return f"IncidencePlane(q={self.q}, n={self.n})"
@@ -82,61 +83,53 @@ class IncidencePlane:
 
     def dual(self) -> "IncidencePlane":
         """Plane with the roles of points and lines exchanged, sharing all storage."""
-        d = object.__new__(IncidencePlane)
-        d.q, d.n, d.dualized = self.q, self.n, not self.dualized
-        d.line_points, d.point_lines = self.point_lines, self.line_points
-        d.line_masks, d.point_masks = self.point_masks, self.line_masks
-        d.point_triples, d.line_triples = self.line_triples, self.point_triples
-        return d
+        return object.__new__(IncidencePlane)._set(
+            self.q, self.point_lines, self.line_points, self.point_masks,
+            self.line_masks, self.line_triples, self.point_triples, not self.dualized,
+        )
 
 
 def build_pg2(f: Field) -> IncidencePlane:
     """Coordinatized plane of order q over the given field.
 
     Points and lines are the canonical homogeneous triples in ascending
-    lexicographic order; ids follow that order. Point P lies on line L
-    exactly when the dot product of their triples vanishes.
+    lexicographic order; ids follow that order, so (0,0,1), (0,1,z) and
+    (1,y,z) have ids 0, 1+z and 1+q+qy+z. Point P lies on line L exactly
+    when the dot product of their triples vanishes. A line with c != 0 is
+    z = k + m*y for k = -a/c and m = -b/c, through (0,1,m); a line with
+    c = 0 holds (0,0,1) and either every (0,1,z) or every (1,-a/b,z).
     """
     q = f.q
-    triples = [(0, 0, 1)]
-    triples.extend((0, 1, z) for z in range(q))
-    for y in range(q):
-        for z in range(q):
-            triples.append((1, y, z))
-    index = {t: i for i, t in enumerate(triples)}
-    n = len(triples)
-    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
+    elems = range(q)
+    triples = [(0, 0, 1), *((0, 1, z) for z in elems)]
+    triples.extend((1, y, z) for y in elems for z in elems)
+    ids = list(range(len(triples)))
+    # the field's tables, read through its checked ops; ninv[c] is -1/c
+    products = [tuple(f.mul(a, b) for b in elems) for a in elems]
+    sums = [tuple(f.add(a, b) for b in elems) for a in elems]
+    ninv = [0] + [f.neg(f.inv(c)) for c in range(1, q)]
+    infinity = tuple(ids[: q + 1])
+    blocks = [ids[1 + q + q * y : 1 + 2 * q + q * y] for y in elems]  # ids of (1,y,*)
 
-    # One line at a time: IncidencePlane keeps a sorted copy of each, and a
-    # list built in full first would leave its freed lines as ~20 MB of
-    # fragments in the process at q=128.
-    def lines():
-        for a, b, c in triples:
-            pts = []
-            if c == 0:
-                pts.append(index[(0, 0, 1)])
-                if b == 0:
-                    pts.extend(index[(0, 1, z)] for z in range(q))
-                else:
-                    y = mul(neg(a), inv(b))
-                    pts.extend(index[(1, y, z)] for z in range(q))
-            else:
-                ci = inv(c)
-                pts.append(index[(0, 1, mul(neg(b), ci))])
-                for y in range(q):
-                    z = mul(neg(add(a, mul(b, y))), ci)
-                    pts.append(index[(1, y, z)])
-            yield pts
+    def line(a, b, c):
+        if not c:
+            return (0, *blocks[products[a][ninv[b]]]) if b else infinity
+        k, m = products[a][ninv[c]], products[b][ninv[c]]
+        return (ids[1 + m], *map(getitem, blocks, map(sums[k].__getitem__, products[m])))
 
-    return IncidencePlane(q, lines(), point_triples=triples, line_triples=triples)
+    rows = [line(*t) for t in triples]
+    masks = list(map(bitmask, rows))
+    return object.__new__(IncidencePlane)._set(
+        q, rows, list(rows), masks, list(masks), triples, triples
+    )
 
 
-def build_plane(q: int, limit: int = DEFAULT_ORDER_LIMIT) -> IncidencePlane:
+def build_plane(q: int) -> IncidencePlane:
     """Build PG(2,q) for a prime power q."""
     if q < 2:
         raise ValueError(f"plane order must be at least 2, got {q}")
     p, e = prime_power(q)
-    return build_pg2(build_field(p, e, limit))
+    return build_pg2(build_field(p, e))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,14 @@ def test_plane_subcommand(capsys):
     assert all(len(entry["points"]) == 3 for entry in doc["lines"])
 
 
+def test_plane_outputs_are_pinned(capsys):
+    pinned = json.loads((FIXTURES / "plane_sha256.json").read_text())
+    for q, digest in pinned["stdout_sha256"].items():
+        code, out, _ = run(capsys, "plane", "--q", q)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"q={q}"
+
+
 def test_plane_text_format(capsys):
     code, out, _ = run(capsys, "plane", "--q", "3", "--format", "text")
     assert code == 0

@@ -1,17 +1,19 @@
+import gc
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planepart import (
     build_field,
-    build_pg2,
     build_plane,
     canonicalize,
     load_plane,
     plane_to_doc,
     validate_axioms,
 )
+from planepart.galois import prime_power
 
 from conftest import prime_powers, replace_one_field
 
@@ -209,14 +211,48 @@ def test_non_prime_power_order_rejected():
         build_plane(6)
 
 
-def test_pg2_matches_field_dot_product_oracle():
-    # every incidence bit agrees with a direct dot product over the field
-    f = build_field(2, 2)
-    plane = build_pg2(f)
-    for li, (a, b, c) in enumerate(plane.line_triples):
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_pg2_matches_field_dot_product_oracle(q, plane_for):
+    # every incidence bit agrees with a dot product taken without the
+    # field's tables: products by polynomial arithmetic, sums digitwise;
+    # q = 25 and 27 check every third line against all points
+    plane = plane_for(q)
+    f = build_field(*prime_power(q))
+    p, e, elems = f.p, f.e, range(q)
+    digits = [[v // p**i % p for i in range(e)] for v in elems]
+    raw = [[digits[f._raw_mul(a, x)] for x in elems] for a in elems]
+    for li in range(0, plane.n, 1 if q <= 16 else 3):
+        a, b, c = plane.line_triples[li]
         for pi, (x, y, z) in enumerate(plane.point_triples):
-            dot = f.add(f.add(f.mul(a, x), f.mul(b, y)), f.mul(c, z))
-            assert plane.incident(pi, li) == (dot == 0)
+            on = all((u + v + w) % p == 0 for u, v, w in zip(raw[a][x], raw[b][y], raw[c][z]))
+            assert plane.incident(pi, li) == on, (li, pi)
+    # the point side is the transpose of the line side, not assumed from it
+    cols = [[] for _ in range(plane.n)]
+    for li, pts in enumerate(plane.line_points):
+        assert plane.line_masks[li] == sum(1 << pt for pt in pts)
+        for pt in pts:
+            cols[pt].append(li)
+    assert [list(lines) for lines in plane.point_lines] == cols
+    assert plane.point_masks == [sum(1 << li for li in lines) for lines in cols]
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_rows_are_untracked_tuples_over_one_id_list(source):
+    # q=17 has ids above 256, which CPython does not cache
+    plane = build_plane(17)
+    if source == "loaded":
+        plane = load_plane(plane_to_doc(plane))
+    gc.collect()
+    for side in (plane.line_points, plane.point_lines):
+        assert all(type(row) is tuple and not gc.is_tracked(row) for row in side)
+    ids = {id(v) for side in (plane.line_points, plane.point_lines) for row in side for v in row}
+    assert len(ids) == plane.n
+    if source == "built":
+        # the polarity: point j's row is line j's row, in a separate list
+        assert plane.point_lines is not plane.line_points
+        assert plane.point_masks is not plane.line_masks
+        assert all(map(operator.is_, plane.point_lines, plane.line_points))
+        assert all(map(operator.is_, plane.point_masks, plane.line_masks))
 
 
 # PG(2,3) has L0 = P1 P4 P7 P10, L1 = P0 P4 P5 P6, L2 = P3 P4 P9 P11 and
