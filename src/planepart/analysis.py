@@ -251,6 +251,15 @@ def _scan_completions(dist, size, t, limit, prefix):
     return verified, witness
 
 
+def _worker_count(workers: int | None) -> int:
+    """The pool size: os.cpu_count() for None, else at least 1."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    return workers
+
+
 # Set once per pool worker, so each task ships only its item.
 _WORKER: dict = {}
 
@@ -284,7 +293,7 @@ def _scan_level(dist, size, t, budget, workers):
     """
     depth = 0
     span = 1
-    while span < 8 * max(workers, 1) and depth < size:
+    while span < 8 * workers and depth < size:
         depth += 1
         span *= min(depth, t) + 1
     prefixes = list(_rgs_prefixes(size, t, depth))
@@ -324,6 +333,9 @@ def exhaustive_pd(
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if t_min < 1:
+        raise ValueError(f"smallest class count must be at least 1, got {t_min}")
+    workers = _worker_count(workers)
     start = time.monotonic()
     size = 2 * plane.n
     if t_max is None:
@@ -331,12 +343,10 @@ def exhaustive_pd(
     t_max = min(t_max, size)
     if t_min > t_max:
         raise ValueError(f"empty class count range {t_min}..{t_max}")
-    if workers is None:
-        workers = os.cpu_count() or 1
     dist = _all_pairs_distances(plane)
     nodes = 0
     lower, upper, found = t_max + 1, None, None
-    for t in range(max(t_min, 1), t_max + 1):
+    for t in range(t_min, t_max + 1):
         count, witness = _scan_level(dist, size, t, budget - nodes, workers)
         nodes += count
         if witness is not None:
@@ -470,11 +480,10 @@ def estimate_unseparated(
         k = default_zeta_count(q)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    workers = _worker_count(workers)
     plane = build_plane(q)
     if k > q:
         raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
-    if workers is None:
-        workers = os.cpu_count() or 1
     frame = choose_frame(plane)
     args = (plane, frame, VertexSet.from_indices(points=frame.major_points), k, seed)
     if workers <= 1 or trials == 1:

@@ -216,6 +216,8 @@ def _cmd_search(args) -> int:
     size = 2 * target.n
     tmax = min(args.tmax if args.tmax is not None else size, size)
     tmin = max(args.tmin, 2)
+    if tmin > tmax:
+        raise UsageError(f"empty class count range {tmin}..{tmax}")
     best_t = None
     best = None
     for t in range(tmax, tmin - 1, -1):

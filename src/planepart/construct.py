@@ -243,10 +243,6 @@ class ConflictGraph:
     def vertex_count(self) -> int:
         return len(self.points) + len(self.lines)
 
-    @property
-    def edge_count(self) -> int:
-        return pair_count(self.point_cliques) + pair_count(self.line_cliques)
-
 
 def _collision_cliques(domain, sigs, special):
     cliques = tuple(sorted(tuple(sorted(g)) for g in signature_groups(sigs, domain)))

@@ -2,29 +2,9 @@
 
 from __future__ import annotations
 
-from array import array
 from itertools import product
 
 DEFAULT_ORDER_LIMIT = 1 << 20
-
-# Dense q x q product tables are affordable up to this order; larger
-# extension fields fall back to discrete-log tables.
-_TABLE_ORDER_MAX = 4096
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -74,17 +54,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
     # m monic
     a = list(a)
@@ -127,31 +96,30 @@ class Field:
 
     The base-p digits of an element are its polynomial coefficients,
     constant digit first. Addition is digitwise mod p; products reduce
-    modulo a fixed monic irreducible polynomial. Instances are immutable
-    after construction and safe for concurrent reads.
+    modulo a fixed monic irreducible polynomial. A prime field multiplies
+    as ``a * b % p``; an extension field multiplies through exp/log tables
+    of a generator, built once with the table-free ``_raw_mul``. Instances
+    are immutable after construction and safe for concurrent reads.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_table")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
 
-    def __init__(self, p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT):
-        if not is_prime(p):
+    def __init__(self, p: int, e: int):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be positive, got {e}")
         q = p**e
-        if q > limit:
-            raise ValueError(f"field order {q} exceeds limit {limit}")
+        if q > DEFAULT_ORDER_LIMIT:
+            raise ValueError(f"field order {q} exceeds limit {DEFAULT_ORDER_LIMIT}")
         self.p = p
         self.e = e
         self.q = q
         self.modulus = tuple(smallest_irreducible(p, e))
         self._exp = None
         self._log = None
-        self._table = None
         if e > 1:
             self._build_log_tables()
-        if q <= _TABLE_ORDER_MAX:
-            self._build_mul_table()
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, e={self.e})"
@@ -206,24 +174,6 @@ class Field:
         self._exp = exp
         self._log = log
 
-    def _build_mul_table(self) -> None:
-        q = self.q
-        table = array("H", bytes(2 * q * q))
-        if self.e == 1:
-            for a in range(1, q):
-                row = a * q
-                for b in range(1, q):
-                    table[row + b] = a * b % q
-        else:
-            exp, log = self._exp, self._log
-            order = q - 1
-            for a in range(1, q):
-                row = a * q
-                la = log[a]
-                for b in range(1, q):
-                    table[row + b] = exp[(la + log[b]) % order]
-        self._table = table
-
     def _check(self, a: int) -> None:
         if not 0 <= a < self.q:
             raise ValueError(f"element {a} out of range for field of order {self.q}")
@@ -249,14 +199,9 @@ class Field:
         p = self.p
         return _undigits([(-d) % p for d in _digits(a, p, self.e)], p)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self._table is not None:
-            return self._table[a * self.q + b]
         if self.e == 1:
             return a * b % self.p
         if a == 0 or b == 0:
@@ -271,19 +216,7 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def pow(self, a: int, n: int) -> int:
-        self._check(a)
-        if n < 0:
-            raise ValueError("negative exponents are not supported; invert first")
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
 
-
-def build_field(p: int, e: int, limit: int = DEFAULT_ORDER_LIMIT) -> Field:
+def build_field(p: int, e: int) -> Field:
     """Construct GF(p^e) on the deterministic minimal irreducible modulus."""
-    return Field(p, e, limit)
+    return Field(p, e)

@@ -84,10 +84,6 @@ class VertexSet:
     def size(self) -> int:
         return self.point_mask.bit_count() + self.line_mask.bit_count()
 
-    def contains(self, v: VertexId) -> bool:
-        mask = self.point_mask if v.kind == POINT else self.line_mask
-        return bool(mask >> v.index & 1)
-
     def point_ids(self) -> list[int]:
         return list(_iter_bits(self.point_mask))
 
@@ -190,11 +186,6 @@ def distance_columns(
     return pcol, lcol
 
 
-def representation(plane: IncidencePlane, v: VertexId, partition: Partition) -> tuple[int, ...]:
-    """Vector of distances from v to each class, in class order."""
-    return tuple(distance_to_set(plane, v, cls) for cls in partition.classes)
-
-
 _SPREAD = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -267,12 +258,6 @@ class Verdict:
 
     resolving: bool
     collision_groups: list[list[VertexId]]
-
-    def collision_pairs(self) -> list[tuple[VertexId, VertexId]]:
-        pairs = []
-        for group in self.collision_groups:
-            pairs.extend(combinations(group, 2))
-        return pairs
 
 
 def signature_groups(sigs: Sequence[int], ids: Iterable) -> list[list]:

@@ -13,19 +13,6 @@ _POINT_ID = re.compile(r"^P([0-9]+)$")
 _LINE_ID = re.compile(r"^L([0-9]+)$")
 
 
-def canonicalize(f: Field, triple: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Scale a homogeneous triple so its first nonzero coordinate is 1."""
-    for lead in triple:
-        if lead:
-            break
-    else:
-        raise ValueError("zero triple has no canonical form")
-    if lead == 1:
-        return tuple(triple)
-    s = f.inv(lead)
-    return tuple(f.mul(x, s) for x in triple)
-
-
 def bitmask(ids) -> int:
     """Integer with bit i set for every id i."""
     m = 0

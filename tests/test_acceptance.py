@@ -13,24 +13,17 @@ from pathlib import Path
 import pytest
 
 from planepart import (
-    ConstructionError,
-    Partition,
-    VertexId,
-    VertexSet,
     build_plane,
     construct_partition,
-    default_zeta_count,
-    distance_to_set,
     estimate_unseparated,
-    exhaustive_pd,
     is_resolving,
     lower_bound,
-    separation_probability_bound,
-    validate_axioms,
 )
-from planepart.analysis import _all_pairs_distances
+from planepart.analysis import _all_pairs_distances, exhaustive_pd
 from planepart.cli import main as cli_main
-from planepart.metric import LINE, POINT
+from planepart.construct import ConstructionError, default_zeta_count, separation_probability_bound
+from planepart.metric import LINE, POINT, Partition, VertexId, VertexSet, distance_to_set
+from planepart.plane import validate_axioms
 
 from conftest import prime_powers
 

@@ -2,22 +2,18 @@ import random
 
 import pytest
 
-from planepart import (
-    VertexSet,
-    estimate_unseparated,
-    exhaustive_pd,
-    is_resolving,
-    lower_bound,
-    randomized_upper_bound,
-)
+from planepart import estimate_unseparated, is_resolving, lower_bound
 from planepart.analysis import (
     _assignment_to_partition,
     _rgs_prefixes,
     _scan_completions,
     _scan_level,
     _all_pairs_distances,
+    exhaustive_pd,
+    randomized_upper_bound,
 )
 from planepart.construct import build_conflict_graph, choose_frame, sample_zeta_sets
+from planepart.metric import VertexSet
 
 from conftest import prime_powers
 

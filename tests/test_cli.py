@@ -142,6 +142,14 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["search", "--q", "2", "--budget", "-5"],
         ["search", "--q", "2", "--method", "randomized", "--trials", "0"],
         ["bounds", "--q", "6"],
+        ["search", "--q", "2", "--tmin", "0"],
+        ["search", "--q", "2", "--tmin", "-1"],
+        ["search", "--q", "2", "--method", "randomized", "--tmin", "10", "--tmax", "5"],
+        ["search", "--q", "2", "--method", "randomized", "--tmax", "1"],
+        ["search", "--q", "2", "--workers", "0"],
+        ["estimate", "--q", "16", "--workers", "0"],
+        ["estimate", "--q", "16", "--workers", "-2"],
+        ["plane", "--q", "2097152"],
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv):
@@ -149,6 +157,20 @@ def test_out_of_range_counts_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_out_of_range_messages(capsys):
+    cases = {
+        ("search", "--q", "2", "--tmin", "0"): "smallest class count must be at least 1, got 0",
+        ("search", "--q", "2", "--method", "randomized", "--tmin", "10", "--tmax", "5"):
+            "empty class count range 10..5",
+        ("search", "--q", "2", "--method", "randomized", "--tmax", "1"):
+            "empty class count range 2..1",
+        ("estimate", "--q", "16", "--workers", "-2"): "worker count must be at least 1, got -2",
+        ("plane", "--q", "2097152"): "field order 2097152 exceeds limit 1048576",
+    }
+    for argv, message in cases.items():
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_search_randomized_outputs_are_pinned(capsys):

@@ -4,18 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planepart import (
+from planepart import construct_partition, is_resolving
+from planepart.construct import (
     ConstructionError,
     SelectionError,
-    VertexId,
-    VertexSet,
     build_conflict_graph,
     choose_frame,
-    construct_partition,
     default_searching_count,
     default_zeta_count,
     expected_unseparated_bound,
-    is_resolving,
     min_free_lines,
     result_to_doc,
     sample_zeta_sets,
@@ -23,7 +20,7 @@ from planepart import (
     select_class_lines,
     separation_probability_bound,
 )
-from planepart.metric import LINE, POINT
+from planepart.metric import LINE, POINT, VertexId, VertexSet
 
 
 @pytest.fixture(scope="module")

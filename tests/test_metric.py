@@ -1,28 +1,26 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planepart import (
+from planepart import is_resolving
+from planepart.construct import choose_frame
+from planepart.metric import (
+    LINE,
+    POINT,
     Partition,
     VertexId,
     VertexSet,
     bfs_distance,
-    choose_frame,
-    distance_to_set,
-    is_resolving,
-    partition_from_doc,
-    partition_to_doc,
-    representation,
-    unseparated_pairs,
-)
-from planepart.metric import (
-    LINE,
-    POINT,
     distance_columns,
+    distance_to_set,
     packed_signatures,
     pair_count,
+    partition_from_doc,
+    partition_to_doc,
     signature_groups,
+    unseparated_pairs,
 )
 
 from conftest import replace_one_field
@@ -147,10 +145,13 @@ def test_representation_zero_exactly_in_own_class(plane_for):
     partition = random_partition(random.Random(7), plane.n, m=5)
     for i in range(plane.n):
         for v in (VertexId(POINT, i), VertexId(LINE, i)):
-            rep = representation(plane, v, partition)
-            zeros = [j for j, d in enumerate(rep) if d == 0]
-            assert len(zeros) == 1
-            assert partition.classes[zeros[0]].contains(v)
+            zeros = [j for j, c in enumerate(partition.classes) if distance_to_set(plane, v, c) == 0]
+            own = [
+                j for j, c in enumerate(partition.classes)
+                if (c.point_mask if v.kind == POINT else c.line_mask) >> i & 1
+            ]
+            assert len(own) == 1
+            assert zeros == own
 
 
 def test_singleton_partition_resolves(plane_for):
@@ -169,7 +170,7 @@ def test_single_class_partition_does_not_resolve(plane_for):
     assert not verdict.resolving
     # every vector is the single coordinate 0, so all points collide
     # pairwise and all lines collide pairwise
-    pairs = set(verdict.collision_pairs())
+    pairs = {uw for g in verdict.collision_groups for uw in combinations(g, 2)}
     for i in range(plane.n):
         for j in range(i + 1, plane.n):
             assert (VertexId(POINT, i), VertexId(POINT, j)) in pairs
@@ -209,7 +210,7 @@ def test_unseparated_pairs_rejects_overlap(plane_for):
     with pytest.raises(ValueError, match="family sets 0 and 1 are not disjoint"):
         unseparated_pairs(plane, [a, b])
     # the conflict graph applies the same check
-    from planepart import build_conflict_graph, choose_frame
+    from planepart.construct import build_conflict_graph, choose_frame
 
     with pytest.raises(ValueError, match="family sets 0 and 1 are not disjoint"):
         build_conflict_graph(plane, choose_frame(plane), [a, b])
@@ -223,7 +224,7 @@ def test_is_resolving_agrees_with_unseparated_pairs(plane_for):
         verdict = is_resolving(plane, partition)
         pairs = unseparated_pairs(plane, partition.classes)
         assert verdict.resolving == (pairs == [])
-        assert set(verdict.collision_pairs()) == set(pairs)
+        assert {uw for g in verdict.collision_groups for uw in combinations(g, 2)} == set(pairs)
 
 
 def test_signature_groups_first_seen_order_and_pair_count():
