@@ -213,6 +213,8 @@ def _cmd_search(args) -> int:
             )
         _emit(args, doc, text)
         return EXIT_OK
+    if args.workers is not None and args.workers < 1:
+        raise UsageError(f"worker count must be at least 1, got {args.workers}")
     size = 2 * target.n
     tmax = min(args.tmax if args.tmax is not None else size, size)
     tmin = max(args.tmin, 2)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from operator import getitem
+from functools import reduce
+from operator import getitem, or_
 
 from .galois import Field, build_field, prime_power
 
@@ -152,6 +153,17 @@ def validate_axioms(plane: IncidencePlane, fail_fast: bool = False) -> Validatio
     coverage counts of every point pair and line pair are reported, in that
     order. Each check is written once for lines and run on the plane and on
     its dual. With ``fail_fast`` the scan stops at the first violation.
+
+    The pair checks count instead of scanning when the order and size
+    checks found nothing. Then each of the q+1 points of line i lies on q
+    lines other than i, so the union of their line sets has at most
+    1 + (q+1)q = n members, and it covers all n lines exactly when every
+    other line meets line i in one point. A line whose union is full has no
+    pair violation and is skipped; only a line whose union falls short is
+    scanned against the lines after it, so the report is the one a full
+    pair scan gives. After any order or size violation the counting
+    argument does not hold, and every line is scanned. On a valid plane the
+    checks cost O(nq) big-integer ORs instead of n*n/2 ANDs.
     """
     violations: list[Violation] = []
 
@@ -174,9 +186,12 @@ def validate_axioms(plane: IncidencePlane, fail_fast: bool = False) -> Validatio
             size = mask.bit_count()
             if size != want and bad(kind, text.format(i, size, want)):
                 return ValidationReport(False, violations)
+    counted, full = not violations, (1 << n) - 1
     for side, (_, (kind, text)) in reversed(sides):
-        masks = side.line_masks
-        for i in range(n):
+        masks, cover = side.line_masks, side.point_masks
+        for i, row in enumerate(side.line_points):
+            if counted and reduce(or_, map(cover.__getitem__, row), 0) == full:
+                continue
             mi = masks[i]
             for j in range(i + 1, n):
                 c = (mi & masks[j]).bit_count()
@@ -199,10 +214,10 @@ def plane_to_doc(plane: IncidencePlane) -> dict:
 def load_plane(doc: dict) -> IncidencePlane:
     """Parse and validate a plane document.
 
-    The order q is inferred from the line count n = q*q + q + 1; a declared
-    "q" must agree. Point ids are implicit and every one of P0..P(n-1) must
-    appear. Raises ValueError on malformed input or on the first axiom
-    violation.
+    The order q is inferred from the line count n = q*q + q + 1 and must be
+    at least 2; a declared "q" must agree. Point ids are implicit and every
+    one of P0..P(n-1) must appear. Raises ValueError on malformed input or
+    on the first axiom violation.
     """
     if not isinstance(doc, dict) or "lines" not in doc:
         raise ValueError("plane document must be an object with a 'lines' array")
@@ -236,6 +251,8 @@ def load_plane(doc: dict) -> IncidencePlane:
     q = (math.isqrt(4 * n - 3) - 1) // 2
     if q < 1 or q * q + q + 1 != n:
         raise ValueError(f"{n} lines is not q*q + q + 1 for any order q >= 1")
+    if q < 2:
+        raise ValueError(f"plane order must be at least 2, got {q}")
     if "q" in doc and doc["q"] != q:
         raise ValueError(f"declared order {doc['q']} does not match inferred order {q}")
     seen = set()

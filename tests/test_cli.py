@@ -147,6 +147,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         ["search", "--q", "2", "--method", "randomized", "--tmin", "10", "--tmax", "5"],
         ["search", "--q", "2", "--method", "randomized", "--tmax", "1"],
         ["search", "--q", "2", "--workers", "0"],
+        ["search", "--q", "2", "--method", "randomized", "--tmin", "12", "--tmax", "14",
+         "--workers", "0"],
         ["estimate", "--q", "16", "--workers", "0"],
         ["estimate", "--q", "16", "--workers", "-2"],
         ["plane", "--q", "2097152"],
@@ -167,6 +169,8 @@ def test_out_of_range_messages(capsys):
         ("search", "--q", "2", "--method", "randomized", "--tmax", "1"):
             "empty class count range 2..1",
         ("estimate", "--q", "16", "--workers", "-2"): "worker count must be at least 1, got -2",
+        ("search", "--q", "2", "--method", "randomized", "--tmin", "12", "--tmax", "14",
+         "--workers", "0"): "worker count must be at least 1, got 0",
         ("plane", "--q", "2097152"): "field order 2097152 exceeds limit 1048576",
     }
     for argv, message in cases.items():

@@ -1,13 +1,15 @@
 import gc
 import json
 import operator
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planepart import build_plane, plane_to_doc
 from planepart.galois import build_field, prime_power
-from planepart.plane import load_plane, validate_axioms
+from planepart.plane import IncidencePlane, load_plane, validate_axioms
 
 from conftest import prime_powers, replace_one_field
 
@@ -81,8 +83,6 @@ def test_single_flipped_bit_breaks_two_axioms():
     with pytest.raises(ValueError):
         load_plane(doc)
     # rebuild without validation to inspect the full report
-    from planepart.plane import IncidencePlane
-
     line_points = [list(pts) for pts in plane.line_points]
     line_points[li].remove(victim)
     mutated = IncidencePlane(plane.q, line_points)
@@ -94,8 +94,6 @@ def test_single_flipped_bit_breaks_two_axioms():
 
 
 def test_empty_plane_order_undeterminable():
-    from planepart.plane import IncidencePlane
-
     report = validate_axioms(IncidencePlane(0, []))
     assert not report.ok
     assert report.violations[0].kind == "order"
@@ -161,6 +159,25 @@ def test_load_rejects_line_count_of_no_order():
     with pytest.raises(ValueError) as err:
         load_plane(doc)
     assert str(err.value) == "6 lines is not q*q + q + 1 for any order q >= 1"
+
+
+def test_load_rejects_order_one():
+    # a triangle has 3 = 1*1 + 1 + 1 lines of 2 points, but no plane has order 1
+    doc = {"lines": [{"id": f"L{i}", "points": [f"P{a}", f"P{b}"]}
+                     for i, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)])]}
+    for declared in (False, True):
+        if declared:
+            doc["q"] = 1
+        with pytest.raises(ValueError) as err:
+            load_plane(doc)
+        assert str(err.value) == "plane order must be at least 2, got 1"
+
+
+def test_q64_document_loads(plane_for):
+    # the pair checks are O(nq) on a valid plane; the n*n/2 pair scan took
+    # about 9 s at this order, so a return to it shows in the test durations
+    plane = plane_for(64)
+    assert load_plane(plane_to_doc(plane)).line_points == plane.line_points
 
 
 def test_load_rejects_points_that_are_not_an_array():
@@ -301,8 +318,6 @@ _AXIOM_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_AXIOM_CASES))
 def test_axiom_messages_are_pinned(case):
-    from planepart.plane import IncidencePlane
-
     edits, expected = _AXIOM_CASES[case]
     line_points = [list(pts) for pts in build_plane(3).line_points]
     for li, removed, added in edits:
@@ -319,3 +334,66 @@ def test_axiom_messages_are_pinned(case):
     with pytest.raises(ValueError) as err:
         load_plane(plane_to_doc(mutated))
     assert str(err.value) == f"axiom violation ({kind}): {message}"
+
+
+def _oracle_violations(q, rows):
+    """Every violation recounted from id sets, in the documented order:
+    line sizes, point degrees, point pairs, line pairs."""
+    n = len(rows)
+    points_of = [set(pts) for pts in rows]
+    lines_of = [set() for _ in range(n)]
+    for li, pts in enumerate(rows):
+        for p in pts:
+            lines_of[p].add(li)
+    out = [("line-size", f"line L{i} has {len(s)} points, expected {q + 1}")
+           for i, s in enumerate(points_of) if len(s) != q + 1]
+    out += [("point-degree", f"point P{i} lies on {len(s)} lines, expected {q + 1}")
+            for i, s in enumerate(lines_of) if len(s) != q + 1]
+    for kind, sets, text in (("point-pair", lines_of, "points P{} and P{} lie on {} common lines"),
+                             ("line-pair", points_of, "lines L{} and L{} meet in {} points")):
+        for i, j in combinations(range(n), 2):
+            common = len(sets[i] & sets[j])
+            if common != 1:
+                out.append((kind, text.format(i, j, common)))
+    return out
+
+
+def _mutate(rng, rows):
+    """One to three edits: a swap of two points between two lines keeps
+    every size and degree; a move of a point from one line to another
+    breaks two line sizes."""
+    rows = [list(pts) for pts in rows]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.sample(range(len(rows)), 2)
+        only_a = [p for p in rows[a] if p not in rows[b]]
+        only_b = [p for p in rows[b] if p not in rows[a]]
+        if not only_a:
+            continue
+        x = rng.choice(only_a)
+        rows[a].remove(x)
+        if rng.random() < 0.5 and only_b:
+            y = rng.choice(only_b)
+            rows[b].remove(y)
+            rows[a].append(y)
+        rows[b].append(x)
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_pair_checks_match_a_set_count_oracle(q, plane_for):
+    # the counting shortcut must give the report of a full pair scan, both
+    # when sizes hold (swaps) and when they do not (moves)
+    rng = random.Random(q)
+    base = plane_for(q).line_points
+    swaps_only = 0
+    for _ in range(60):
+        rows = _mutate(rng, base)
+        expected = _oracle_violations(q, rows)
+        swaps_only += not any(kind == "line-size" for kind, _ in expected)
+        mutated = IncidencePlane(q, rows)
+        report = validate_axioms(mutated)
+        assert [(v.kind, v.message) for v in report.violations] == expected
+        assert report.ok == (not expected)
+        first = validate_axioms(mutated, fail_fast=True).violations
+        assert [(v.kind, v.message) for v in first] == expected[:1]
+    assert swaps_only >= 10
