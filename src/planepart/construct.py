@@ -516,6 +516,8 @@ def construct_partition(
         k = default_zeta_count(q)
     if l is None:
         l = default_searching_count(q)
+    if k < 1:
+        raise ValueError(f"zeta set count must be positive, got {k}")
     if k > q:
         if defaults:
             raise ValueError(

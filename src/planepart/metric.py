@@ -28,7 +28,7 @@ from .plane import IncidencePlane, bitmask
 POINT = "P"
 LINE = "L"
 
-_VERTEX_ID = re.compile(r"^([PL])([0-9]+)$")
+_VERTEX_ID = re.compile(r"([PL])([0-9]+)")
 
 
 class VertexId(NamedTuple):
@@ -40,7 +40,7 @@ class VertexId(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "VertexId":
-        m = _VERTEX_ID.match(text)
+        m = _VERTEX_ID.fullmatch(text)
         if not m:
             raise ValueError(f"bad vertex id {text!r}")
         return cls(m.group(1), int(m.group(2)))

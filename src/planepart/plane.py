@@ -6,12 +6,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import getitem, or_
+from itertools import repeat
+from operator import getitem, itemgetter, or_
 
 from .galois import Field, build_field, prime_power
 
-_POINT_ID = re.compile(r"^P([0-9]+)$")
-_LINE_ID = re.compile(r"^L([0-9]+)$")
+_POINT_ID = re.compile(r"P([0-9]+)")
+_LINE_ID = re.compile(r"L([0-9]+)")
 
 
 def bitmask(ids) -> int:
@@ -86,8 +87,19 @@ def build_pg2(f: Field) -> IncidencePlane:
     when the dot product of their triples vanishes. A line with c != 0 is
     z = k + m*y for k = -a/c and m = -b/c, through (0,1,m); a line with
     c = 0 holds (0,0,1) and either every (0,1,z) or every (1,-a/b,z).
+
+    Rows and masks come by translation: line (k, m) is line (0, m) with z
+    moved by +k inside every block of q ids, the points (1,y,*). Its row
+    takes from block y the id at z = m*y + k, read for all k at once by an
+    itemgetter over the field's sum table. Its mask is the head bit 1+m
+    plus a body moved by whole-integer shifts, equal to ``bitmask`` of the
+    row. Adding s = p**j raises base-p digit j of each z by one mod p: a
+    body bit whose digit j is below p-1 moves up by s, any other moves down
+    by (p-1)*s. Step t of a p-ary Gray walk adds p**v_p(t), the largest
+    power of p dividing t, and steps 1..q-1 reach every k once; so each
+    slope costs one base mask and q-1 shifts of its body.
     """
-    q = f.q
+    q, p = f.q, f.p
     elems = range(q)
     triples = [(0, 0, 1), *((0, 1, z) for z in elems)]
     triples.extend((1, y, z) for y in elems for z in elems)
@@ -99,14 +111,46 @@ def build_pg2(f: Field) -> IncidencePlane:
     infinity = tuple(ids[: q + 1])
     blocks = [ids[1 + q + q * y : 1 + 2 * q + q * y] for y in elems]  # ids of (1,y,*)
 
-    def line(a, b, c):
-        if not c:
-            return (0, *blocks[products[a][ninv[b]]]) if b else infinity
-        k, m = products[a][ninv[c]], products[b][ninv[c]]
-        return (ids[1 + m], *map(getitem, blocks, map(sums[k].__getitem__, products[m])))
+    # Line (k, m) with c != 0 is entry q*m + k of the tables, which end with
+    # the lines with c = 0. shift[c](block) lists the ids of block at
+    # z = c + k for k = 0..q-1, so one zip gives the q rows of a slope.
+    shift = [itemgetter(*zs) for zs in sums]
+    table_rows = []
+    for m, zs in enumerate(products):
+        table_rows += zip(repeat(ids[1 + m], q), *(shift[c](b) for c, b in zip(zs, blocks)))
+    table_rows += [(0, *ys) for ys in blocks]
+    table_rows.append(infinity)
+    block = (1 << q) - 1
+    table_masks = [None] * (q * q) + [1 | block << 1 + q + q * x for x in elems]
+    table_masks.append((1 << q + 1) - 1)
 
-    rows = [line(*t) for t in triples]
-    masks = list(map(bitmask, rows))
+    # Step t of the walk adds s = p**v_p(t) to k: a body bit moves up by s
+    # where digit j of z is below p-1 (the bits of `up`), else down by (p-1)*s.
+    # Steps 1..p*s-1 are p copies of steps 1..s-1, the first p-1 copies each
+    # followed by a step of digit j.
+    body_bits = (1 << q * q) - 1 << 1 + q  # ids of (1,*,*)
+    walk, s = [], 1
+    while s < q:
+        every = ((1 << q * q) - 1) // ((1 << p * s) - 1) << 1 + q  # period p*s
+        up = ((1 << (p - 1) * s) - 1) * every
+        walk = (walk + [(s, up, up ^ body_bits, (p - 1) * s)]) * (p - 1) + walk
+        s *= p
+    heads = [1 << 1 + m for m in elems]
+    bodies = [bitmask(map(getitem, blocks, zs)) for zs in products]  # k = 0
+    k = 0
+    table_masks[k : q * q : q] = map(or_, bodies, heads)
+    for s, up, down, wrap in walk:
+        bodies = [(body & up) << s | (body & down) >> wrap for body in bodies]
+        k = sums[k][s]
+        table_masks[k : q * q : q] = map(or_, bodies, heads)
+
+    entries = [
+        q * products[b][ninv[c]] + products[a][ninv[c]] if c
+        else q * q + products[a][ninv[b]] if b else q * q + q
+        for a, b, c in triples
+    ]
+    rows = list(map(table_rows.__getitem__, entries))
+    masks = list(map(table_masks.__getitem__, entries))
     return object.__new__(IncidencePlane)._set(
         q, rows, list(rows), masks, list(masks), triples, triples
     )
@@ -229,7 +273,7 @@ def load_plane(doc: dict) -> IncidencePlane:
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
-        m = _LINE_ID.match(str(entry["id"]))
+        m = _LINE_ID.fullmatch(str(entry["id"]))
         if not m:
             raise ValueError(f"bad line id {entry['id']!r}")
         li = int(m.group(1))
@@ -241,7 +285,7 @@ def load_plane(doc: dict) -> IncidencePlane:
             raise ValueError(f"points of line L{li} must be an array")
         pts = []
         for name in entry["points"]:
-            pm = _POINT_ID.match(str(name))
+            pm = _POINT_ID.fullmatch(str(name))
             if not pm:
                 raise ValueError(f"bad point id {name!r} on line L{li}")
             pts.append(int(pm.group(1)))

@@ -134,6 +134,26 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert (code, err) == (2, "error: members of class 'C0' must be an array\n")
 
 
+def test_zero_zeta_sets_exit_2_before_any_warning(capsys):
+    code, out, err = run(capsys, "construct", "--q", "4", "--k", "0")
+    assert (code, out, err) == (2, "", "error: zeta set count must be positive, got 0\n")
+
+
+def test_verify_rejects_a_plane_id_with_a_trailing_newline(tmp_path, capsys):
+    doc = json.loads(run(capsys, "plane", "--q", "2")[1])
+    points = doc["lines"][0]["points"]
+    points[0] += "\n"
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps(doc))
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps({"classes": [
+        {"name": "points", "members": [f"P{i}" for i in range(7)]},
+        {"name": "lines", "members": [f"L{i}" for i in range(7)]},
+    ]}))
+    code, out, err = run(capsys, "verify", "--plane", str(plane), "--partition", str(partition))
+    assert (code, out, err) == (2, "", f"error: bad point id {points[0]!r} on line L0\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

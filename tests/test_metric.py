@@ -348,6 +348,16 @@ def test_partition_from_doc_rejects_any_malformed_field_with_value_error(data, p
         pass
 
 
+def test_partition_doc_rejects_a_member_with_a_trailing_newline(plane_for):
+    plane = plane_for(2)
+    doc = partition_to_doc(plane, random_partition(random.Random(0), plane.n, m=3))
+    for entry in doc["classes"]:
+        entry["members"] = [f"{v}\n" if v == "L0" else v for v in entry["members"]]
+    with pytest.raises(ValueError) as err:
+        partition_from_doc(doc, plane)
+    assert str(err.value) == "bad vertex id 'L0\\n'"
+
+
 def test_partition_doc_rejects_wrong_order(plane_for):
     plane = plane_for(2)
     doc = partition_to_doc(plane, random_partition(random.Random(0), plane.n, m=3))

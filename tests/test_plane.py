@@ -1,8 +1,11 @@
 import gc
+import hashlib
 import json
 import operator
 import random
-from itertools import combinations
+import sys
+from array import array
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -140,6 +143,19 @@ def test_load_rejects_bad_ids():
         load_plane(doc)
 
 
+def test_load_rejects_ids_with_a_trailing_newline():
+    doc = plane_to_doc(build_plane(2))
+    doc["lines"][0]["points"][0] = "P5\n"
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == "bad point id 'P5\\n' on line L0"
+    doc = plane_to_doc(build_plane(2))
+    doc["lines"][1]["id"] = "L1\n"
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == "bad line id 'L1\\n'"
+
+
 def test_load_blames_a_short_line_not_the_order():
     # the order comes from the line count, so a short L0 is a line-size fault
     doc = plane_to_doc(build_plane(4))
@@ -233,6 +249,41 @@ def test_pg2_matches_field_dot_product_oracle(q, plane_for):
             cols[pt].append(li)
     assert [list(lines) for lines in plane.point_lines] == cols
     assert plane.point_masks == [sum(1 << li for li in lines) for lines in cols]
+
+
+# sha256 of the ids of all rows in line order, as little-endian uint16
+_ROWS_SHA256 = {
+    49: "677a8c6868f83911e901a0b25f7fab810f6972325b87b70e881cd5427456b961",
+    64: "dabba779d6da9239f402fc2da7ae21db07d13968e12b2b79f36480dfbdb559ac",
+    81: "09f64f1bcf1052734522cbc1cd66736a7d2af2576b9b25eaee6c1b0e0c218a20",
+    125: "da67a66e0811834d022a274844958f51c6c1c1c1afaf37b45c63726f8bd5fefd",
+    128: "d5de0e5bd73fe3ae0d51299ab3ed873a4c18df615151225eb860f46312ca73ec",
+}
+
+
+@pytest.mark.parametrize("q", sorted(_ROWS_SHA256))
+def test_translated_rows_are_pinned_and_masks_match_a_byte_fill_oracle(q):
+    # p = 7, 2, 3, 5, 2 with e = 2, 6, 4, 3, 7: the Gray walk steps every
+    # digit, and wraps by (p-1)*s, which differs from s when p > 2
+    plane = build_plane(q)
+    rows = plane.line_points
+    ids = array("H", chain.from_iterable(rows))
+    if sys.byteorder == "big":
+        ids.byteswap()
+    assert hashlib.sha256(ids).hexdigest() == _ROWS_SHA256[q]
+    byte = [i >> 3 for i in range(plane.n)]
+    bit = [1 << (i & 7) for i in range(plane.n)]
+
+    def oracle(row):
+        buf = bytearray(byte[-1] + 1)
+        for i in row:
+            buf[byte[i]] |= bit[i]
+        return int.from_bytes(buf, "little")
+
+    expect = list(map(oracle, rows))
+    assert plane.line_masks == expect
+    assert plane.point_lines == rows
+    assert plane.point_masks == expect
 
 
 @pytest.mark.parametrize("source", ["built", "loaded"])
