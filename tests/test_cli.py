@@ -198,14 +198,14 @@ def test_out_of_range_messages(capsys):
 
 
 def test_search_randomized_outputs_are_pinned(capsys):
-    pinned = json.loads((FIXTURES / "search_random_q4_sha256.json").read_text())
-    for seed, digest in pinned["stdout_sha256"].items():
-        code, out, _ = run(
-            capsys, "search", "--q", "4", "--method", "randomized", "--tmin", "4",
-            "--tmax", "26", "--trials", "8", "--seed", seed,
-        )
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"seed {seed}"
+    """Each fixture names a command whose S is replaced by each pinned seed."""
+    for name in ("search_random_q4_sha256.json", "search_random_q8_sha256.json"):
+        pinned = json.loads((FIXTURES / name).read_text())
+        argv = pinned["command"].split()[1:]
+        for seed, digest in pinned["stdout_sha256"].items():
+            code, out, _ = run(capsys, *(seed if a == "S" else a for a in argv))
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{name} seed {seed}"
 
 
 def test_estimate_subcommand(capsys):
