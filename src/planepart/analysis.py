@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .construct import (
@@ -25,9 +27,7 @@ from .metric import (
     distance_columns,
     is_resolving,
     packed_signatures,
-    pair_count,
     partition_to_doc,
-    signature_groups,
     vertex_at,
 )
 from .plane import IncidencePlane, build_plane
@@ -367,6 +367,152 @@ def exhaustive_pd(
     )
 
 
+def _colliding(counts: Counter) -> int:
+    """Number of unordered vertex pairs that share a signature."""
+    return sum(k * (k - 1) // 2 for k in counts.values())
+
+
+class _Descent:
+    """Signatures of a t-partition of the 2n vertices, kept under single moves.
+
+    Vertex ids are points 0..n-1 and lines n..2n-1. Besides the assignment,
+    the classes and the packed signatures, the state holds ``nb[c][u]``, the
+    number of neighbours of u in class c; ``sides[c]``, the point and line
+    counts of class c; a Counter of the signatures; and ``pairs``, the
+    number of colliding pairs.
+
+    Moving v from class src to class c changes coordinates src and c only,
+    and only for v and its q+1 neighbours, unless src loses its last vertex
+    on v's side or c gains its first one. Then every vertex on v's side may
+    flip between far codes 2 and 3, and both columns are recomputed in full.
+    """
+
+    def __init__(self, plane: IncidencePlane, assign: list[int], t: int):
+        n = plane.n
+        self.plane, self.n, self.assign = plane, n, assign
+        self.adj = [[n + li for li in row] for row in plane.point_lines]
+        self.adj += [list(row) for row in plane.line_points]
+        self.nb = [[0] * (2 * n) for _ in range(t)]
+        self.sides = [[0, 0] for _ in range(t)]
+        for u, c in enumerate(assign):
+            self.sides[c][u >= n] += 1
+            for w in self.adj[u]:
+                self.nb[assign[w]][u] += 1
+        self.classes = _assignment_to_partition(assign, t, n).classes
+        psig, lsig = packed_signatures(plane, self.classes)
+        self.sigs = psig + lsig
+        self.counts = Counter(self.sigs)
+        self.pairs = _colliding(self.counts)
+
+    def _flips(self, v: int, c: int) -> bool:
+        """Whether moving v to c changes a far code on v's side."""
+        have = self.sides
+        side = v >= self.n
+        return have[self.assign[v]][side] == 1 or not have[c][side]
+
+    def _column(self, s: VertexSet) -> list[int]:
+        pcol, lcol = distance_columns(self.plane, s)
+        return pcol + lcol
+
+    def scores(self, v: int, below: int = -1) -> list[tuple[int, int]]:
+        """Colliding pairs after moving v to each other class, ascending.
+
+        Returns (c, pairs) items and stops after the first pair count below
+        ``below``. Empty when v is alone in its class. Without a far-code
+        flip only v and its neighbours are rescored against the Counter:
+        v gets code 0 to c and, to src, 1 when it has a neighbour there,
+        else 2; a neighbour w keeps code 0 to src when it is in src, else
+        gets 1 when another neighbour of it is in src, else its side's far
+        code, and gets code 0 or 1 to c.
+        """
+        assign, sigs, counts, have = self.assign, self.sigs, self.counts, self.sides
+        src = assign[v]
+        if sum(have[src]) == 1:
+            return []
+        near = self.adj[v]
+        nb_src = self.nb[src]
+        shift = 2 * src
+        clear = ~(3 << shift)
+        far = 2 if have[src][v < self.n] else 3  # on the neighbours' side
+        # v and its neighbours with coordinate src already moved.
+        moved = [
+            sigs[w] & clear | (0 if assign[w] == src else 1 if nb_src[w] > 1 else far) << shift
+            for w in near
+        ]
+        moved_v = sigs[v] & clear | (1 if nb_src[v] else 2) << shift
+        # Take the touched vertices out of the count; they go back at the end.
+        touched = near + [v]
+        lost = 0
+        for u in touched:
+            k = counts[sigs[u]] - 1
+            counts[sigs[u]] = k
+            lost += k
+        single = src_col = None
+        zeros = itertools.repeat(0)
+        out = []
+        for c in range(len(have)):
+            if c == src:
+                continue
+            if self._flips(v, c):
+                if single is None:
+                    single = VertexSet.from_vertices([vertex_at(v, self.n)])
+                    src_col = self._column(self.classes[src] ^ single)
+                keep = ~(3 << shift | 3 << 2 * c)
+                col = self._column(self.classes[c] | single)
+                pairs = _colliding(Counter(
+                    sig & keep | a << shift | b << 2 * c for sig, a, b in zip(sigs, src_col, col)
+                ))
+            else:
+                bit = 2 * c
+                keep = ~(3 << bit)
+                new = [s & keep | (assign[w] != c) << bit for w, s in zip(near, moved)]
+                new.append(moved_v & keep)
+                # A new signature shared by k others adds k pairs; equal new
+                # signatures also pair among themselves.
+                gained = sum(map(counts.get, new, zeros))
+                if len(set(new)) < len(new):
+                    gained += _colliding(Counter(new))
+                pairs = self.pairs - lost + gained
+            out.append((c, pairs))
+            if pairs < below:
+                break
+        for u in touched:
+            counts[sigs[u]] += 1
+        return out
+
+    def move(self, v: int, c: int) -> None:
+        """Move v to class c and update every count it changes."""
+        n, assign, counts, sigs = self.n, self.assign, self.counts, self.sigs
+        src = assign[v]
+        touched = range(2 * n) if self._flips(v, c) else sorted(self.adj[v] + [v])
+        single = VertexSet.from_vertices([vertex_at(v, n)])
+        self.classes[src] ^= single
+        self.classes[c] |= single
+        assign[v] = c
+        self.sides[src][v >= n] -= 1
+        self.sides[c][v >= n] += 1
+        for w in self.adj[v]:
+            self.nb[src][w] -= 1
+            self.nb[c][w] += 1
+        pids = [u for u in touched if u < n]
+        lids = [u - n for u in touched if u >= n]
+        ps, ls = distance_columns(self.plane, self.classes[src], pids, lids)
+        pc, lc = distance_columns(self.plane, self.classes[c], pids, lids)
+        keep = ~(3 << 2 * src | 3 << 2 * c)
+        pairs = self.pairs
+        for u, a, b in zip(touched, ps + ls, pc + lc):
+            k = counts[sigs[u]] - 1
+            pairs -= k
+            if k:
+                counts[sigs[u]] = k
+            else:
+                counts.pop(sigs[u])
+            sigs[u] = sigs[u] & keep | a << 2 * src | b << 2 * c
+            pairs += counts[sigs[u]]
+            counts[sigs[u]] += 1
+        self.pairs = pairs
+
+
 def randomized_upper_bound(
     plane: IncidencePlane, t: int, attempts: int = 20, seed: int = 0
 ) -> Partition | None:
@@ -374,10 +520,13 @@ def randomized_upper_bound(
 
     Attempt i draws from its own stream id composed of (seed, i). Each
     attempt starts from a random valid t-partition and relocates one
-    vertex at a time, accepting only moves that strictly reduce the number
-    of colliding pairs. A move changes two classes, so only their two
-    signature coordinates are recomputed. Returns the first verified
-    witness, or None when every attempt stalls at a local minimum.
+    vertex at a time. Vertices are tried in id order and target classes in
+    ascending order; the first move that strictly reduces the number of
+    colliding pairs is taken, and the scan restarts at vertex 0. Each
+    candidate is scored exactly, in O(q) unless it changes a class between
+    having and lacking vertices on the moved vertex's side (see
+    ``_Descent``). Returns the first witness that ``is_resolving`` accepts,
+    or None when every attempt stalls at a local minimum.
     """
     if t < 2:
         raise ValueError(f"need at least 2 classes, got {t}")
@@ -386,53 +535,26 @@ def randomized_upper_bound(
         raise ValueError(f"cannot split {size} vertices into {t} classes")
     if attempts < 1:
         raise ValueError(f"need at least one attempt, got {attempts}")
-    n = plane.n
-    ids = range(size)
     for attempt in range(attempts):
         rng = random.Random((seed << 32) | attempt)
-        order = list(ids)
+        order = list(range(size))
         rng.shuffle(order)
         assign = [0] * size
         for c, v in enumerate(order[:t]):
             assign[v] = c
         for v in order[t:]:
             assign[v] = rng.randrange(t)
-        classes = _assignment_to_partition(assign, t, n).classes
-        psig, lsig = packed_signatures(plane, classes)
-        sigs = psig + lsig
-        current = pair_count(signature_groups(sigs, ids))
-        improved = True
-        while current > 0 and improved:
-            improved = False
-            for v in ids:
-                src = assign[v]
-                if classes[src].size() == 1:
-                    continue
-                one = VertexSet.from_vertices([vertex_at(v, n)])
-                shrunk = classes[src] ^ one
-                pcol, lcol = distance_columns(plane, shrunk)
-                src_col = pcol + lcol
-                for c in range(t):
-                    if c == src:
-                        continue
-                    grown = classes[c] | one
-                    pcol, lcol = distance_columns(plane, grown)
-                    keep = ~(3 << 2 * src | 3 << 2 * c)
-                    cand_sigs = [
-                        sig & keep | a << 2 * src | b << 2 * c
-                        for sig, a, b in zip(sigs, src_col, pcol + lcol)
-                    ]
-                    cand = pair_count(signature_groups(cand_sigs, ids))
-                    if cand < current:
-                        current, sigs = cand, cand_sigs
-                        classes[src], classes[c] = shrunk, grown
-                        assign[v] = c
-                        improved = True
-                        break
-                if improved:
-                    break
-        if current == 0:
-            witness = Partition(classes)
+        state = _Descent(plane, assign, t)
+        v = 0
+        while state.pairs and v < size:
+            scored = state.scores(v, state.pairs)
+            if scored and scored[-1][1] < state.pairs:
+                state.move(v, scored[-1][0])
+                v = 0
+            else:
+                v += 1
+        if state.pairs == 0:
+            witness = Partition(state.classes)
             if is_resolving(plane, witness).resolving:
                 return witness
     return None

@@ -261,11 +261,18 @@ class Verdict:
 
 
 def signature_groups(sigs: Sequence[int], ids: Iterable) -> list[list]:
-    """Ids that share a signature, as groups of two or more in first-seen order."""
-    groups: dict[int, list] = {}
+    """Ids that share a signature, as groups of two or more in first-seen order.
+
+    Signatures are counted first, so lists are built only for repeated ones.
+    """
+    counts = Counter(sigs)
+    if len(counts) == len(sigs):
+        return []
+    groups: dict[int, list] = {sig: [] for sig, k in counts.items() if k > 1}
     for sig, v in zip(sigs, ids):
-        groups.setdefault(sig, []).append(v)
-    return [g for g in groups.values() if len(g) > 1]
+        if sig in groups:
+            groups[sig].append(v)
+    return list(groups.values())
 
 
 def pair_count(groups: Iterable[Sequence]) -> int:

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from planepart import estimate_unseparated, is_resolving, lower_bound
+from planepart import analysis, estimate_unseparated, is_resolving, lower_bound
 from planepart.analysis import (
+    _Descent,
     _assignment_to_partition,
     _rgs_prefixes,
     _scan_completions,
@@ -13,7 +16,7 @@ from planepart.analysis import (
     randomized_upper_bound,
 )
 from planepart.construct import build_conflict_graph, choose_frame, sample_zeta_sets
-from planepart.metric import VertexSet
+from planepart.metric import VertexSet, packed_signatures, pair_count, signature_groups
 
 from conftest import prime_powers
 
@@ -189,6 +192,79 @@ def test_randomized_upper_bound_q3_descent(plane_for):
         t -= 1
     assert best is not None
     assert best >= lb
+
+
+def _recount(plane, assign, t):
+    """Signatures and colliding pairs of an assignment, computed from scratch."""
+    psig, lsig = packed_signatures(plane, _assignment_to_partition(assign, t, plane.n).classes)
+    sigs = psig + lsig
+    return sigs, pair_count(signature_groups(sigs, range(len(sigs))))
+
+
+def _check_scores_then_move(plane, state, v, c):
+    """Every score of v is a full recount; moving v to c keeps the state exact."""
+    t = len(state.sides)
+    src = state.assign[v]
+    before = dict(state.counts)
+    scored = state.scores(v)
+    assert dict(state.counts) == before
+    if state.assign.count(src) == 1:
+        assert scored == []
+        return
+    assert [d for d, _ in scored] == [d for d in range(t) if d != src]
+    for d, pairs in scored:
+        moved = list(state.assign)
+        moved[v] = d
+        assert pairs == _recount(plane, moved, t)[1], (v, d)
+    state.move(v, c)
+    sigs, pairs = _recount(plane, state.assign, t)
+    assert state.sigs == sigs
+    assert state.pairs == pairs
+    assert dict(state.counts) == dict(Counter(sigs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_descent_scores_and_moves_match_a_full_recount(plane_for, data):
+    plane = plane_for(data.draw(st.sampled_from([2, 3, 4]), label="q"))
+    size = 2 * plane.n
+    t = data.draw(st.integers(2, 9), label="t")
+    assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
+    for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
+        assign[v] = c
+    state = _Descent(plane, assign, t)
+    for _ in range(data.draw(st.integers(1, 6))):
+        v = data.draw(st.integers(0, size - 1), label="v")
+        c = data.draw(st.integers(0, t - 2), label="c")
+        _check_scores_then_move(plane, state, v, c + (c >= state.assign[v]))
+
+
+def test_descent_rescans_a_side_whose_far_code_flips(plane_for, monkeypatch):
+    """Moves that empty or first fill a class on one side take the full path.
+
+    On PG(2,2), class 0 holds P0..P5 and L0..L4, class 1 holds P6 and L6,
+    class 2 holds L5 alone. Moving P6 out takes class 1's last point, moving
+    L6 out its last line, and moving P0 into class 2 gives it a first point;
+    L0 has no such move.
+    """
+    plane = plane_for(2)
+    n = plane.n
+    assign = [0] * 6 + [1] + [0] * 5 + [2, 1]
+    calls = []
+    full = analysis.distance_columns
+    monkeypatch.setattr(
+        analysis, "distance_columns", lambda *a: calls.append(len(a)) or full(*a)
+    )
+    state = _Descent(plane, list(assign), 3)
+    expect = {6: True, n + 6: True, 0: True, n: False, n + 5: False}
+    for v, rescans in expect.items():
+        calls.clear()
+        state.scores(v)
+        assert bool(calls) is rescans, v
+        assert all(k == 2 for k in calls)
+    for v, c in ((6, 0), (n + 6, 2), (0, 2), (n, 1)):
+        state = _Descent(plane, list(assign), 3)
+        _check_scores_then_move(plane, state, v, c)
 
 
 def test_randomized_upper_bound_arg_checks(plane_for):
