@@ -484,6 +484,7 @@ class _Descent:
         """Move v to class c and update every count it changes."""
         n, assign, counts, sigs = self.n, self.assign, self.counts, self.sigs
         src = assign[v]
+        # Ascending ids: points, then lines, the order distance_columns returns.
         touched = range(2 * n) if self._flips(v, c) else sorted(self.adj[v] + [v])
         single = VertexSet.from_vertices([vertex_at(v, n)])
         self.classes[src] ^= single
