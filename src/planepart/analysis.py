@@ -24,9 +24,7 @@ from .metric import (
     Partition,
     VertexSet,
     bfs_distance,
-    distance_columns,
     is_resolving,
-    packed_signatures,
     partition_to_doc,
     vertex_at,
 )
@@ -157,15 +155,11 @@ def _all_pairs_distances(plane: IncidencePlane) -> list[list[int]]:
 
 
 def _assignment_to_partition(assign, t: int, n: int) -> Partition:
-    classes = [[] for _ in range(t)]
+    """The partition with vertex v (point v below n, else line v - n) in class assign[v]."""
+    ids = [([], []) for _ in range(t)]
     for v, c in enumerate(assign):
-        classes[c].append(v)
-    sets = []
-    for members in classes:
-        pts = [v for v in members if v < n]
-        lns = [v - n for v in members if v >= n]
-        sets.append(VertexSet.from_indices(pts, lns))
-    return Partition(sets)
+        ids[c][v >= n].append(v % n)
+    return Partition([VertexSet.from_indices(*pair) for pair in ids])
 
 
 def _class_options(size: int, t: int) -> list[list[list[int]]]:
@@ -375,21 +369,24 @@ def _colliding(counts: Counter) -> int:
 class _Descent:
     """Signatures of a t-partition of the 2n vertices, kept under single moves.
 
-    Vertex ids are points 0..n-1 and lines n..2n-1. Besides the assignment,
-    the classes and the packed signatures, the state holds ``nb[c][u]``, the
-    number of neighbours of u in class c; ``sides[c]``, the point and line
-    counts of class c; a Counter of the signatures; and ``pairs``, the
-    number of colliding pairs.
+    Vertex ids are points 0..n-1 and lines n..2n-1. The state is the
+    assignment; ``nb[c][u]``, the number of neighbours of u in class c;
+    ``sides[c]``, the point and line counts of class c; the packed
+    signatures; a Counter of them; and ``pairs``, the number of colliding
+    pairs. No mask is read: u's code to a class c other than its own is 1
+    when nb[c][u] > 0, else 2 when c holds a vertex on u's side (two points
+    share a line, and dually), else 3.
 
     Moving v from class src to class c changes coordinates src and c only,
     and only for v and its q+1 neighbours, unless src loses its last vertex
-    on v's side or c gains its first one. Then every vertex on v's side may
-    flip between far codes 2 and 3, and both columns are recomputed in full.
+    on v's side or c gains its first one. Then vertices on v's side may
+    flip between far codes 2 and 3: ``scores`` makes one O(n) pass over the
+    signature integers, and ``move`` recomputes that whole side.
     """
 
     def __init__(self, plane: IncidencePlane, assign: list[int], t: int):
         n = plane.n
-        self.plane, self.n, self.assign = plane, n, assign
+        self.n, self.assign = n, assign
         self.adj = [[n + li for li in row] for row in plane.point_lines]
         self.adj += [list(row) for row in plane.line_points]
         self.nb = [[0] * (2 * n) for _ in range(t)]
@@ -398,48 +395,47 @@ class _Descent:
             self.sides[c][u >= n] += 1
             for w in self.adj[u]:
                 self.nb[assign[w]][u] += 1
-        self.classes = _assignment_to_partition(assign, t, n).classes
-        psig, lsig = packed_signatures(plane, self.classes)
-        self.sigs = psig + lsig
+        self.sigs = [0] * (2 * n)
+        for c in range(t):
+            self.sigs = [s | self.code(u, c) << 2 * c for u, s in enumerate(self.sigs)]
         self.counts = Counter(self.sigs)
         self.pairs = _colliding(self.counts)
 
-    def _flips(self, v: int, c: int) -> bool:
-        """Whether moving v to c changes a far code on v's side."""
-        have = self.sides
-        side = v >= self.n
-        return have[self.assign[v]][side] == 1 or not have[c][side]
-
-    def _column(self, s: VertexSet) -> list[int]:
-        pcol, lcol = distance_columns(self.plane, s)
-        return pcol + lcol
+    def code(self, u: int, c: int) -> int:
+        """Distance from u to class c, read off the counts."""
+        if self.assign[u] == c:
+            return 0
+        return 1 if self.nb[c][u] else 2 if self.sides[c][u >= self.n] else 3
 
     def scores(self, v: int, below: int = -1) -> list[tuple[int, int]]:
         """Colliding pairs after moving v to each other class, ascending.
 
         Returns (c, pairs) items and stops after the first pair count below
-        ``below``. Empty when v is alone in its class. Without a far-code
-        flip only v and its neighbours are rescored against the Counter:
-        v gets code 0 to c and, to src, 1 when it has a neighbour there,
-        else 2; a neighbour w keeps code 0 to src when it is in src, else
-        gets 1 when another neighbour of it is in src, else its side's far
-        code, and gets code 0 or 1 to c.
+        ``below``. Empty when v is alone in its class. v gets code 0 to c
+        and, to src, 1 when it has a neighbour there, else its side's far
+        code. A neighbour w keeps code 0 to src when it is in src, else gets
+        1 when another neighbour of it is in src, else its side's far code,
+        and gets code 0 or 1 to c. Without a far-code flip only these are
+        rescored against the Counter. With one, a copy of the signatures
+        also turns, on v's side, src's code 2 into 3 or c's code 3 into 2,
+        and its pairs are counted afresh.
         """
-        assign, sigs, counts, have = self.assign, self.sigs, self.counts, self.sides
+        n, assign, sigs, counts, have = self.n, self.assign, self.sigs, self.counts, self.sides
         src = assign[v]
         if sum(have[src]) == 1:
             return []
         near = self.adj[v]
         nb_src = self.nb[src]
+        side = v >= n
         shift = 2 * src
         clear = ~(3 << shift)
-        far = 2 if have[src][v < self.n] else 3  # on the neighbours' side
+        far = 2 if have[src][not side] else 3  # on the neighbours' side
         # v and its neighbours with coordinate src already moved.
         moved = [
             sigs[w] & clear | (0 if assign[w] == src else 1 if nb_src[w] > 1 else far) << shift
             for w in near
         ]
-        moved_v = sigs[v] & clear | (1 if nb_src[v] else 2) << shift
+        moved_v = sigs[v] & clear | (1 if nb_src[v] else 2 if have[src][side] > 1 else 3) << shift
         # Take the touched vertices out of the count; they go back at the end.
         touched = near + [v]
         lost = 0
@@ -447,26 +443,27 @@ class _Descent:
             k = counts[sigs[u]] - 1
             counts[sigs[u]] = k
             lost += k
-        single = src_col = None
+        lo, hi = side * n, side * n + n
+        up = 1 << shift if have[src][side] == 1 else 0
         zeros = itertools.repeat(0)
         out = []
         for c in range(len(have)):
             if c == src:
                 continue
-            if self._flips(v, c):
-                if single is None:
-                    single = VertexSet.from_vertices([vertex_at(v, self.n)])
-                    src_col = self._column(self.classes[src] ^ single)
-                keep = ~(3 << shift | 3 << 2 * c)
-                col = self._column(self.classes[c] | single)
-                pairs = _colliding(Counter(
-                    sig & keep | a << shift | b << 2 * c for sig, a, b in zip(sigs, src_col, col)
-                ))
+            bit = 2 * c
+            keep = ~(3 << bit)
+            new = [s & keep | (assign[w] != c) << bit for w, s in zip(near, moved)]
+            new.append(moved_v & keep)
+            down = 0 if have[c][side] else 1 << bit
+            if up or down:
+                full = sigs[:lo] + [
+                    s + (up if s >> shift & 3 == 2 else 0) - (down if s >> bit & 3 == 3 else 0)
+                    for s in sigs[lo:hi]
+                ] + sigs[hi:]
+                for u, s in zip(touched, new):
+                    full[u] = s
+                pairs = _colliding(Counter(full))
             else:
-                bit = 2 * c
-                keep = ~(3 << bit)
-                new = [s & keep | (assign[w] != c) << bit for w, s in zip(near, moved)]
-                new.append(moved_v & keep)
                 # A new signature shared by k others adds k pairs; equal new
                 # signatures also pair among themselves.
                 gained = sum(map(counts.get, new, zeros))
@@ -483,32 +480,26 @@ class _Descent:
     def move(self, v: int, c: int) -> None:
         """Move v to class c and update every count it changes."""
         n, assign, counts, sigs = self.n, self.assign, self.counts, self.sigs
-        src = assign[v]
-        # Ascending ids: points, then lines, the order distance_columns returns.
-        touched = range(2 * n) if self._flips(v, c) else sorted(self.adj[v] + [v])
-        single = VertexSet.from_vertices([vertex_at(v, n)])
-        self.classes[src] ^= single
-        self.classes[c] |= single
+        src, side, have = assign[v], v >= n, self.sides
+        # A far-code flip on v's side rescores that whole side.
+        flips = have[src][side] == 1 or not have[c][side]
+        touched = self.adj[v] + (list(range(side * n, side * n + n)) if flips else [v])
         assign[v] = c
-        self.sides[src][v >= n] -= 1
-        self.sides[c][v >= n] += 1
+        have[src][side] -= 1
+        have[c][side] += 1
         for w in self.adj[v]:
             self.nb[src][w] -= 1
             self.nb[c][w] += 1
-        pids = [u for u in touched if u < n]
-        lids = [u - n for u in touched if u >= n]
-        ps, ls = distance_columns(self.plane, self.classes[src], pids, lids)
-        pc, lc = distance_columns(self.plane, self.classes[c], pids, lids)
         keep = ~(3 << 2 * src | 3 << 2 * c)
         pairs = self.pairs
-        for u, a, b in zip(touched, ps + ls, pc + lc):
+        for u in touched:
             k = counts[sigs[u]] - 1
             pairs -= k
             if k:
                 counts[sigs[u]] = k
             else:
                 counts.pop(sigs[u])
-            sigs[u] = sigs[u] & keep | a << 2 * src | b << 2 * c
+            sigs[u] = sigs[u] & keep | self.code(u, src) << 2 * src | self.code(u, c) << 2 * c
             pairs += counts[sigs[u]]
             counts[sigs[u]] += 1
         self.pairs = pairs
@@ -523,10 +514,12 @@ def randomized_upper_bound(
     attempt starts from a random valid t-partition and relocates one
     vertex at a time. Vertices are tried in id order and target classes in
     ascending order; the first move that strictly reduces the number of
-    colliding pairs is taken, and the scan restarts at vertex 0. Each
-    candidate is scored exactly, in O(q) unless it changes a class between
-    having and lacking vertices on the moved vertex's side (see
-    ``_Descent``). Returns the first witness that ``is_resolving`` accepts,
+    colliding pairs is taken, and the scan restarts at vertex 0. Codes come
+    from counts: a vertex outside class c is at distance 1 from it when it
+    has a neighbour in c, else 2 when c holds a vertex on its side, else 3.
+    Each candidate is scored exactly, in O(q) unless it changes a class
+    between having and lacking vertices on the moved vertex's side; then by
+    one O(n) pass over the signature integers (see ``_Descent``). Returns the first witness that ``is_resolving`` accepts,
     or None when every attempt stalls at a local minimum.
     """
     if t < 2:
@@ -555,7 +548,7 @@ def randomized_upper_bound(
             else:
                 v += 1
         if state.pairs == 0:
-            witness = Partition(state.classes)
+            witness = _assignment_to_partition(state.assign, t, plane.n)
             if is_resolving(plane, witness).resolving:
                 return witness
     return None

@@ -524,6 +524,8 @@ def construct_partition(
                 f"q={q} is too small for the default of {k} zeta sets; pass k <= q explicitly"
             )
         raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
+    if l < default_searching_count(q):
+        raise ValueError(f"need at least {default_searching_count(q)} searching classes for q={q}")
     if min_free_lines(q) <= 0:
         log.warning(
             "q=%d leaves no guaranteed free lines (3q/8 - log2 q - 2 = %.2f); "

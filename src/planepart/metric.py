@@ -5,7 +5,8 @@ n lines, n = q*q + q + 1. The graph is bipartite with diameter 3, so every
 distance to a nonempty vertex set is one of 0, 1, 2, 3 and has a closed
 form; ``bfs_distance`` provides the independent shortest-path oracle.
 
-``distance_columns`` states that rule vertex by vertex. ``packed_signatures``
+``distance_columns`` states that rule vertex by vertex; it is the reference
+form the tests check against, not a search kernel. ``packed_signatures``
 computes the same distances for a family of m sets at once. For each set it
 ORs the incidence rows of the set's members into the mask of vertices at
 distance at most 1 and turns the 0/1/2/3 codes into two n-bit planes: the
@@ -100,9 +101,6 @@ class VertexSet:
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.point_mask | other.point_mask, self.line_mask | other.line_mask)
-
-    def __xor__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.point_mask ^ other.point_mask, self.line_mask ^ other.line_mask)
 
     def dual(self) -> "VertexSet":
         """The same vertices read in the dual plane, points and lines exchanged."""

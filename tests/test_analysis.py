@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planepart import analysis, estimate_unseparated, is_resolving, lower_bound
+from planepart import estimate_unseparated, is_resolving, lower_bound
 from planepart.analysis import (
     _Descent,
     _assignment_to_partition,
@@ -233,35 +233,26 @@ def test_descent_scores_and_moves_match_a_full_recount(plane_for, data):
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
         assign[v] = c
     state = _Descent(plane, assign, t)
+    assert (state.sigs, state.pairs) == _recount(plane, assign, t)
     for _ in range(data.draw(st.integers(1, 6))):
         v = data.draw(st.integers(0, size - 1), label="v")
         c = data.draw(st.integers(0, t - 2), label="c")
         _check_scores_then_move(plane, state, v, c + (c >= state.assign[v]))
 
 
-def test_descent_rescans_a_side_whose_far_code_flips(plane_for, monkeypatch):
-    """Moves that empty or first fill a class on one side take the full path.
+def test_descent_rescans_a_side_whose_far_code_flips(plane_for):
+    """Moves that empty or first fill a class on one side are scored exactly.
 
     On PG(2,2), class 0 holds P0..P5 and L0..L4, class 1 holds P6 and L6,
-    class 2 holds L5 alone. Moving P6 out takes class 1's last point, moving
-    L6 out its last line, and moving P0 into class 2 gives it a first point;
-    L0 has no such move.
+    class 2 holds L5 alone. Moving P6 to class 0 takes class 1's last point
+    and flips the point side; moving L6 to class 2 takes class 1's last
+    line and flips the line side; moving P0 to class 2 gives that class a
+    first point and flips the point side. Moving L0 to class 1 flips no
+    side.
     """
     plane = plane_for(2)
     n = plane.n
     assign = [0] * 6 + [1] + [0] * 5 + [2, 1]
-    calls = []
-    full = analysis.distance_columns
-    monkeypatch.setattr(
-        analysis, "distance_columns", lambda *a: calls.append(len(a)) or full(*a)
-    )
-    state = _Descent(plane, list(assign), 3)
-    expect = {6: True, n + 6: True, 0: True, n: False, n + 5: False}
-    for v, rescans in expect.items():
-        calls.clear()
-        state.scores(v)
-        assert bool(calls) is rescans, v
-        assert all(k == 2 for k in calls)
     for v, c in ((6, 0), (n + 6, 2), (0, 2), (n, 1)):
         state = _Descent(plane, list(assign), 3)
         _check_scores_then_move(plane, state, v, c)

@@ -134,9 +134,18 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert (code, err) == (2, "error: members of class 'C0' must be an array\n")
 
 
-def test_zero_zeta_sets_exit_2_before_any_warning(capsys):
-    code, out, err = run(capsys, "construct", "--q", "4", "--k", "0")
-    assert (code, out, err) == (2, "", "error: zeta set count must be positive, got 0\n")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--q", "4", "--k", "0"], "zeta set count must be positive, got 0"),
+        (["--q", "16", "--l", "3"], "need at least 4 searching classes for q=16"),
+    ],
+    ids=["q4-k0", "q16-l3"],
+)
+def test_zero_zeta_sets_exit_2_before_any_warning(capsys, argv, message):
+    """Bad class counts are rejected before the free-line warning is logged."""
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_rejects_a_plane_id_with_a_trailing_newline(tmp_path, capsys):
