@@ -25,6 +25,7 @@ from .metric import (
     VertexSet,
     bfs_distance,
     is_resolving,
+    pair_count,
     partition_to_doc,
     vertex_at,
 )
@@ -43,7 +44,9 @@ class LowerBoundResult:
 
     r, s and t count pure point classes, pure line classes and mixed
     classes. Feasibility requires 2^(r+t-1) * (s+t) >= n and
-    2^(s+t-1) * (r+t) >= n with n = q*q + q + 1, compared exactly.
+    2^(s+t-1) * (r+t) >= n with n = q*q + q + 1, compared exactly. The
+    optimum is always pure mixed, so r = s = 0 and t = total =
+    pure_mixed_t (see ``lower_bound``).
     """
 
     q: int
@@ -59,49 +62,24 @@ class LowerBoundResult:
         return asdict(self)
 
 
-_BOX_MAX = 64
-
-
 def lower_bound(q: int) -> LowerBoundResult:
-    """Minimize r+s+t over the 0..64 box under the counting inequalities.
+    """Least r+s+t under the counting inequalities: (0, 0, t), t * 2^(t-1) >= n.
 
-    Sides without separating capacity are ruled out by requiring r+t >= 1
-    and s+t >= 1. Ascending totals are tried with r varying slowest, so a
-    reported optimum with r = s = 0 means no split with pure classes does
-    better. Also reports the least t with t * 2^(t-1) >= n, the pure mixed
-    form of the same bound. Like every plane order, q must be a prime power.
+    No split with pure classes does better. If (r, s, t) is feasible and
+    T = r+s+t, then T * 2^(T-1) >= (s+t) * 2^(r+t-1) >= n, and the same
+    holds on the other side, so (0, 0, T) is feasible too. The least
+    feasible total is thus the least t with t * 2^(t-1) >= n, exactly, for
+    every q. Like every plane order, q must be a prime power.
     """
     if q < 2:
         raise ValueError(f"order must be at least 2, got {q}")
     prime_power(q)
     n = q * q + q + 1
-    best = None
-    for total in range(1, 3 * _BOX_MAX + 1):
-        for r in range(0, min(total, _BOX_MAX) + 1):
-            for s in range(0, min(total - r, _BOX_MAX) + 1):
-                t = total - r - s
-                if t > _BOX_MAX:
-                    continue
-                if r + t < 1 or s + t < 1:
-                    continue
-                if (1 << (r + t - 1)) * (s + t) >= n and (1 << (s + t - 1)) * (r + t) >= n:
-                    best = (r, s, t)
-                    break
-            if best:
-                break
-        if best:
-            break
-    if best is None:
-        raise AssertionError(f"no feasible (r, s, t) within the box for q={q}")
-    r, s, t = best
-    pure_t = 1
-    while pure_t * (1 << (pure_t - 1)) < n:
-        pure_t += 1
-    inequalities = {
-        "line_side": {"lhs": (1 << (r + t - 1)) * (s + t), "rhs": n},
-        "point_side": {"lhs": (1 << (s + t - 1)) * (r + t), "rhs": n},
-    }
-    return LowerBoundResult(q, r, s, t, r + s + t, pure_t, inequalities)
+    t = 1
+    while t << (t - 1) < n:
+        t += 1
+    inequalities = {side: {"lhs": t << (t - 1), "rhs": n} for side in ("line_side", "point_side")}
+    return LowerBoundResult(q, 0, 0, t, t, t, inequalities)
 
 
 @dataclass
@@ -361,11 +339,6 @@ def exhaustive_pd(
     )
 
 
-def _colliding(counts: Counter) -> int:
-    """Number of unordered vertex pairs that share a signature."""
-    return sum(k * (k - 1) // 2 for k in counts.values())
-
-
 class _Descent:
     """Signatures of a t-partition of the 2n vertices, kept under single moves.
 
@@ -399,7 +372,7 @@ class _Descent:
         for c in range(t):
             self.sigs = [s | self.code(u, c) << 2 * c for u, s in enumerate(self.sigs)]
         self.counts = Counter(self.sigs)
-        self.pairs = _colliding(self.counts)
+        self.pairs = pair_count(self.counts.values())
 
     def code(self, u: int, c: int) -> int:
         """Distance from u to class c, read off the counts."""
@@ -462,13 +435,13 @@ class _Descent:
                 ] + sigs[hi:]
                 for u, s in zip(touched, new):
                     full[u] = s
-                pairs = _colliding(Counter(full))
+                pairs = pair_count(Counter(full).values())
             else:
                 # A new signature shared by k others adds k pairs; equal new
                 # signatures also pair among themselves.
                 gained = sum(map(counts.get, new, zeros))
                 if len(set(new)) < len(new):
-                    gained += _colliding(Counter(new))
+                    gained += pair_count(Counter(new).values())
                 pairs = self.pairs - lost + gained
             out.append((c, pairs))
             if pairs < below:

@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--retries", type=int, default=20, help="extra attempts after the first")
     c.add_argument("--k", type=int, help="zeta class count override")
-    c.add_argument("--l", type=int, help="searching class count override")
+    c.add_argument("--l", type=int, help="searching class count; only ceil(log2 q) is accepted")
     _add_output(c)
 
     v = sub.add_parser("verify", help="check a partition file against a plane")

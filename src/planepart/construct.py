@@ -246,7 +246,7 @@ class ConflictGraph:
 
 def _collision_cliques(domain, sigs, special):
     cliques = tuple(sorted(tuple(sorted(g)) for g in signature_groups(sigs, domain)))
-    return cliques, pair_count([v for v in c if v != special] for c in cliques)
+    return cliques, pair_count(len(c) - (special in c) for c in cliques)
 
 
 def build_conflict_graph(
@@ -320,7 +320,6 @@ def select_class_lines(
     frame: Frame,
     targets,
     conflict_points,
-    allowed_lines,
     forbidden_points,
     forbidden_lines,
     used: VertexSet,
@@ -343,8 +342,6 @@ def select_class_lines(
     tset = set(targets)
     if not tset <= set(frame.major_points):
         raise ValueError("targets must be major points")
-    if set(allowed_lines) & set(forbidden_lines):
-        raise ValueError("allowed and forbidden lines overlap")
     q_mask = bitmask(conflict_points)
     qc_mask = bitmask(forbidden_points)
     blocked = bitmask(forbidden_lines) | used.line_mask
@@ -444,10 +441,10 @@ def build_h2(
         r_j = r_family[j]
         qc_j = sorted(cpoints.difference(q_j))
         rc_j = sorted(clines.difference(r_j))
-        lines = select_class_lines(plane, frame, t_j, q_j, r_j, qc_j, rc_j, used)
+        lines = select_class_lines(plane, frame, t_j, q_j, qc_j, rc_j, used)
         used = used | VertexSet.from_indices(lines=lines)
         tstar_j = tstar_family[j]
-        points = select_class_lines(dual, dual_frame, tstar_j, r_j, q_j, rc_j, qc_j, used.dual())
+        points = select_class_lines(dual, dual_frame, tstar_j, r_j, rc_j, qc_j, used.dual())
         used = used | VertexSet.from_indices(points=points)
         specs.append(
             H2Spec(
@@ -498,7 +495,6 @@ def construct_partition(
     max_retries: int = 20,
     k: int | None = None,
     l: int | None = None,
-    support: tuple[int, int] | None = None,
 ) -> ConstructionResult:
     """Run the full construction with seeded retries until a partition verifies.
 
@@ -507,6 +503,12 @@ def construct_partition(
     q/8 budget, when a greedy selection exhausts, or when the assembled
     partition fails verification. Raises ConstructionError once retries
     run out, naming the last obstruction.
+
+    The searching class count l can only be ceil(log2 q), its default.
+    Fewer sets cannot give the q major points distinct codewords. With
+    more, set ceil(log2 q) of every family is empty, and so is its class:
+    the q major ranks need only ceil(log2 q) bits, and under the q/8
+    budget the ranks on each conflict side stay below q.
     """
     if max_retries < 0:
         raise ValueError(f"retry count must be nonnegative, got {max_retries}")
@@ -514,8 +516,9 @@ def construct_partition(
     defaults = k is None
     if k is None:
         k = default_zeta_count(q)
+    searching = default_searching_count(q)
     if l is None:
-        l = default_searching_count(q)
+        l = searching
     if k < 1:
         raise ValueError(f"zeta set count must be positive, got {k}")
     if k > q:
@@ -524,8 +527,9 @@ def construct_partition(
                 f"q={q} is too small for the default of {k} zeta sets; pass k <= q explicitly"
             )
         raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
-    if l < default_searching_count(q):
-        raise ValueError(f"need at least {default_searching_count(q)} searching classes for q={q}")
+    if l != searching:
+        bound = "least" if l < searching else "most"
+        raise ValueError(f"need at {bound} {searching} searching classes for q={q}")
     if min_free_lines(q) <= 0:
         log.warning(
             "q=%d leaves no guaranteed free lines (3q/8 - log2 q - 2 = %.2f); "
@@ -533,7 +537,7 @@ def construct_partition(
             q,
             min_free_lines(q),
         )
-    frame = choose_frame(plane, support)
+    frame = choose_frame(plane)
     h0 = VertexSet.from_indices(points=frame.major_points)
     names = ["H0"]
     names += [f"Z{i}" for i in range(1, k + 1)]

@@ -273,9 +273,9 @@ def signature_groups(sigs: Sequence[int], ids: Iterable) -> list[list]:
     return list(groups.values())
 
 
-def pair_count(groups: Iterable[Sequence]) -> int:
-    """Number of unordered pairs within the groups."""
-    return sum(len(g) * (len(g) - 1) // 2 for g in groups)
+def pair_count(sizes: Iterable[int]) -> int:
+    """Number of unordered pairs within groups of the given sizes."""
+    return sum(k * (k - 1) // 2 for k in sizes)
 
 
 def is_resolving(plane: IncidencePlane, partition: Partition) -> Verdict:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import getitem, itemgetter, or_
@@ -164,18 +163,6 @@ def build_plane(q: int) -> IncidencePlane:
     return build_pg2(build_field(p, e))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list[Violation] = field(default_factory=list)
-
-
 # Violation kinds and messages, (size, pair), for the lines of the plane and
 # for the lines of its dual, which are the points of the plane.
 _AXIOMS = (
@@ -190,58 +177,53 @@ _AXIOMS = (
 )
 
 
-def validate_axioms(plane: IncidencePlane, fail_fast: bool = False) -> ValidationReport:
+def _violation(kind: str, message: str) -> ValueError:
+    return ValueError(f"axiom violation ({kind}): {message}")
+
+
+def validate_axioms(plane: IncidencePlane) -> None:
     """Check the projective plane axioms against the plane's declared order.
 
-    Violations are data, not errors: line sizes, point degrees, and the
-    coverage counts of every point pair and line pair are reported, in that
-    order. Each check is written once for lines and run on the plane and on
-    its dual. With ``fail_fast`` the scan stops at the first violation.
+    Raises ValueError("axiom violation (<kind>): <message>") at the first
+    violation, checking the order, line sizes, point degrees, point pairs
+    and line pairs in that order. Each check is written once for lines and
+    run on the plane and on its dual.
 
-    The pair checks count instead of scanning when the order and size
-    checks found nothing. Then each of the q+1 points of line i lies on q
+    The pair checks count instead of scanning, since they run only once the
+    order and sizes hold. Then each of the q+1 points of line i lies on q
     lines other than i, so the union of their line sets has at most
     1 + (q+1)q = n members, and it covers all n lines exactly when every
     other line meets line i in one point. A line whose union is full has no
     pair violation and is skipped; only a line whose union falls short is
-    scanned against the lines after it, so the report is the one a full
-    pair scan gives. After any order or size violation the counting
-    argument does not hold, and every line is scanned. On a valid plane the
-    checks cost O(nq) big-integer ORs instead of n*n/2 ANDs.
+    scanned against the lines after it. A violating pair (i, j) leaves both
+    unions short, so the first violation is the one a full pair scan finds.
+    On a valid plane the checks cost O(nq) big-integer ORs instead of
+    n*n/2 ANDs.
     """
-    violations: list[Violation] = []
-
-    def bad(kind, message):
-        violations.append(Violation(kind, message))
-        return fail_fast
-
     n = plane.n
     if n == 0:
-        bad("order", "order undeterminable: plane has no lines")
-        return ValidationReport(False, violations)
+        raise _violation("order", "order undeterminable: plane has no lines")
     q = plane.q
     if n != q * q + q + 1:
-        if bad("order", f"{n} lines but order {q} requires {q * q + q + 1}"):
-            return ValidationReport(False, violations)
+        raise _violation("order", f"{n} lines but order {q} requires {q * q + q + 1}")
     want = q + 1
     sides = list(zip((plane, plane.dual()), _AXIOMS))
     for side, ((kind, text), _) in sides:
         for i, mask in enumerate(side.line_masks):
             size = mask.bit_count()
-            if size != want and bad(kind, text.format(i, size, want)):
-                return ValidationReport(False, violations)
-    counted, full = not violations, (1 << n) - 1
+            if size != want:
+                raise _violation(kind, text.format(i, size, want))
+    full = (1 << n) - 1
     for side, (_, (kind, text)) in reversed(sides):
         masks, cover = side.line_masks, side.point_masks
         for i, row in enumerate(side.line_points):
-            if counted and reduce(or_, map(cover.__getitem__, row), 0) == full:
+            if reduce(or_, map(cover.__getitem__, row), 0) == full:
                 continue
             mi = masks[i]
             for j in range(i + 1, n):
                 c = (mi & masks[j]).bit_count()
-                if c != 1 and bad(kind, text.format(i, j, c)):
-                    return ValidationReport(False, violations)
-    return ValidationReport(not violations, violations)
+                if c != 1:
+                    raise _violation(kind, text.format(i, j, c))
 
 
 def plane_to_doc(plane: IncidencePlane) -> dict:
@@ -311,8 +293,5 @@ def load_plane(doc: dict) -> IncidencePlane:
             + (f"; unexpected {extra[:5]}" if extra else "")
         )
     plane = IncidencePlane(q, line_points)
-    report = validate_axioms(plane, fail_fast=True)
-    if not report.ok:
-        first = report.violations[0]
-        raise ValueError(f"axiom violation ({first.kind}): {first.message}")
+    validate_axioms(plane)
     return plane

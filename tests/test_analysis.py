@@ -54,6 +54,29 @@ def test_lower_bound_monotone_sample():
     assert totals == sorted(totals)
 
 
+def test_lower_bound_is_the_box_minimum_up_to_q256():
+    # brute force over 0 <= r, s, t <= 16 under both counting inequalities
+    box = range(17)
+    for q in prime_powers(2, 256):
+        n = q * q + q + 1
+        best = min(
+            r + s + t
+            for r in box
+            for s in box
+            for t in box
+            if r + t >= 1 and s + t >= 1
+            and (s + t) << (r + t - 1) >= n and (r + t) << (s + t - 1) >= n
+        )
+        res = lower_bound(q)
+        assert (res.r, res.s, res.total) == (0, 0, best), f"q={q}"
+
+
+def test_lower_bound_at_q_2_40():
+    res = lower_bound(2**40)
+    assert (res.r, res.s, res.t, res.total, res.pure_mixed_t) == (0, 0, 75, 75, 75)
+    assert 74 << 73 < 2**80 + 2**40 + 1 <= 75 << 74
+
+
 def stirling2(n, k):
     table = [[0] * (k + 1) for _ in range(n + 1)]
     table[0][0] = 1
@@ -198,7 +221,7 @@ def _recount(plane, assign, t):
     """Signatures and colliding pairs of an assignment, computed from scratch."""
     psig, lsig = packed_signatures(plane, _assignment_to_partition(assign, t, plane.n).classes)
     sigs = psig + lsig
-    return sigs, pair_count(signature_groups(sigs, range(len(sigs))))
+    return sigs, pair_count(map(len, signature_groups(sigs, range(len(sigs)))))
 
 
 def _check_scores_then_move(plane, state, v, c):

@@ -45,6 +45,14 @@ def test_bounds_q16(capsys):
     assert doc["t"] == 7 and doc["total"] == 7
 
 
+def test_bounds_at_q_2_70(capsys):
+    code, out, err = run(capsys, "bounds", "--q", "1180591620717411303424")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["q"] == 2**70
+    assert doc["total"] == doc["t"] == doc["pure_mixed_t"] == 134
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     plane_file = tmp_path / "plane.json"
     part_file = tmp_path / "partition.json"
@@ -139,8 +147,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     [
         (["--q", "4", "--k", "0"], "zeta set count must be positive, got 0"),
         (["--q", "16", "--l", "3"], "need at least 4 searching classes for q=16"),
+        (["--q", "16", "--l", "5"], "need at most 4 searching classes for q=16"),
     ],
-    ids=["q4-k0", "q16-l3"],
+    ids=["q4-k0", "q16-l3", "q16-l5"],
 )
 def test_zero_zeta_sets_exit_2_before_any_warning(capsys, argv, message):
     """Bad class counts are rejected before the free-line warning is logged."""

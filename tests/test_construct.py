@@ -221,11 +221,11 @@ def test_select_class_lines_q4_against_enumeration(plane_for):
     targets = list(fr.major_points[:2])
     valid = brute_force_valid_line_systems(plane, fr, targets)
     assert len(valid) == 16  # 4 free lines per target, independent choices
-    chosen = select_class_lines(plane, fr, targets, [], [], [], [], VertexSet())
+    chosen = select_class_lines(plane, fr, targets, [], [], [], VertexSet())
     assert tuple(sorted(chosen)) in valid
     assert len(chosen) == len(targets)
     # deterministic, lowest admissible id per target
-    again = select_class_lines(plane, fr, targets, [], [], [], [], VertexSet())
+    again = select_class_lines(plane, fr, targets, [], [], [], VertexSet())
     assert again == chosen
     for t in targets:
         options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
@@ -243,9 +243,7 @@ def test_select_class_lines_on_dual_picks_points_q4(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
     targets = list(fr.major_lines[:2])
-    chosen = select_class_lines(
-        plane.dual(), fr.dual(), targets, [], [], [], [], VertexSet()
-    )
+    chosen = select_class_lines(plane.dual(), fr.dual(), targets, [], [], [], VertexSet())
     assert len(chosen) == len(targets)
     for pt in chosen:
         assert pt in fr.common_points
@@ -260,11 +258,11 @@ def test_select_class_lines_respects_used_and_forbidden(plane_for):
     t = fr.major_points[0]
     options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
     used = VertexSet.from_indices(lines=options[:1])
-    chosen = select_class_lines(plane, fr, [t], [], [], [], [], used)
+    chosen = select_class_lines(plane, fr, [t], [], [], [], used)
     assert chosen == [options[1]]
     forbidden = options
     with pytest.raises(SelectionError, match="target point"):
-        select_class_lines(plane, fr, [t], [], [], [], forbidden, VertexSet())
+        select_class_lines(plane, fr, [t], [], [], forbidden, VertexSet())
 
 
 def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
@@ -277,12 +275,12 @@ def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
     options = [p for p in plane.line_points[t] if p != fr.support_point]
     stuck_target = rf"^no free point on target line L{t}: .* conflict line$"
     with pytest.raises(SelectionError, match=stuck_target):
-        select_class_lines(dual, dual_fr, [t], [], [], [], options, VertexSet())
+        select_class_lines(dual, dual_fr, [t], [], [], options, VertexSet())
     u = fr.common_lines[0]
     used = VertexSet.from_indices(points=plane.line_points[u])
     stuck_conflict = rf"^no free point on conflict line L{u}: .* support point "
     with pytest.raises(SelectionError, match=stuck_conflict):
-        select_class_lines(dual, dual_fr, fr.major_lines, [u], [], [], [], used.dual())
+        select_class_lines(dual, dual_fr, fr.major_lines, [u], [], [], used.dual())
 
 
 def test_select_class_lines_conflict_requirements(plane_for):
@@ -290,7 +288,7 @@ def test_select_class_lines_conflict_requirements(plane_for):
     fr = choose_frame(plane)
     targets = list(fr.major_points)[:4]
     u, other = fr.common_points[0], fr.common_points[1]
-    chosen = select_class_lines(plane, fr, targets, [u], [], [other], [], VertexSet())
+    chosen = select_class_lines(plane, fr, targets, [u], [other], [], VertexSet())
     through_u = [ln for ln in chosen if plane.incident(u, ln)]
     assert len(through_u) == 1
     for ln in chosen:

@@ -42,9 +42,7 @@ def test_triples_are_sorted_and_canonical():
 
 @pytest.mark.parametrize("q", prime_powers(2, 16))
 def test_axioms_hold_for_all_built_planes(q, plane_for):
-    report = validate_axioms(plane_for(q))
-    assert report.ok
-    assert report.violations == []
+    validate_axioms(plane_for(q))
 
 
 @pytest.mark.parametrize("q", prime_powers(2, 9))
@@ -65,7 +63,7 @@ def test_pair_coverage_brute_force(q, plane_for):
 def test_duality(q, plane_for):
     plane = plane_for(q)
     dual = plane.dual()
-    assert validate_axioms(dual).ok
+    validate_axioms(dual)
     # the dual shares the plane's lists, with the two sides swapped
     assert dual.line_points is plane.point_lines and dual.point_lines is plane.line_points
     assert dual.line_masks is plane.point_masks and dual.point_masks is plane.line_masks
@@ -85,22 +83,18 @@ def test_single_flipped_bit_breaks_two_axioms():
     doc["lines"][li]["points"] = [x for x in doc["lines"][li]["points"] if x != f"P{victim}"]
     with pytest.raises(ValueError):
         load_plane(doc)
-    # rebuild without validation to inspect the full report
+    # rebuild without loading: the first violation is the short line
     line_points = [list(pts) for pts in plane.line_points]
     line_points[li].remove(victim)
     mutated = IncidencePlane(plane.q, line_points)
-    report = validate_axioms(mutated)
-    kinds = {v.kind for v in report.violations}
-    assert not report.ok
-    assert "line-size" in kinds
-    assert "point-pair" in kinds
+    with pytest.raises(ValueError, match=r"^axiom violation \(line-size\): line L4 "):
+        validate_axioms(mutated)
 
 
 def test_empty_plane_order_undeterminable():
-    report = validate_axioms(IncidencePlane(0, []))
-    assert not report.ok
-    assert report.violations[0].kind == "order"
-    assert "undeterminable" in report.violations[0].message
+    with pytest.raises(ValueError) as err:
+        validate_axioms(IncidencePlane(0, []))
+    assert str(err.value) == "axiom violation (order): order undeterminable: plane has no lines"
 
 
 def test_roundtrip_through_json():
@@ -309,60 +303,16 @@ def test_rows_are_untracked_tuples_over_one_id_list(source):
 # L4 = P0 P1 P2 P3. Each edit is (line, point removed, point added).
 _AXIOM_CASES = {
     # one incidence dropped: P1 leaves L4
-    "dropped": (
-        [(4, 1, None)],
-        [
-            ("line-size", "line L4 has 3 points, expected 4"),
-            ("point-degree", "point P1 lies on 3 lines, expected 4"),
-            ("point-pair", "points P0 and P1 lie on 0 common lines"),
-            ("point-pair", "points P1 and P2 lie on 0 common lines"),
-            ("point-pair", "points P1 and P3 lie on 0 common lines"),
-            ("line-pair", "lines L0 and L4 meet in 0 points"),
-            ("line-pair", "lines L4 and L5 meet in 0 points"),
-            ("line-pair", "lines L4 and L6 meet in 0 points"),
-        ],
-    ),
+    "dropped": ([(4, 1, None)], ("line-size", "line L4 has 3 points, expected 4")),
     # one incidence moved: P1 leaves L4 and joins L2
-    "moved": (
-        [(4, 1, None), (2, None, 1)],
-        [
-            ("line-size", "line L2 has 5 points, expected 4"),
-            ("line-size", "line L4 has 3 points, expected 4"),
-            ("point-pair", "points P0 and P1 lie on 0 common lines"),
-            ("point-pair", "points P1 and P2 lie on 0 common lines"),
-            ("point-pair", "points P1 and P4 lie on 2 common lines"),
-            ("point-pair", "points P1 and P9 lie on 2 common lines"),
-            ("point-pair", "points P1 and P11 lie on 2 common lines"),
-            ("line-pair", "lines L0 and L2 meet in 2 points"),
-            ("line-pair", "lines L0 and L4 meet in 0 points"),
-            ("line-pair", "lines L2 and L5 meet in 2 points"),
-            ("line-pair", "lines L2 and L6 meet in 2 points"),
-            ("line-pair", "lines L4 and L5 meet in 0 points"),
-            ("line-pair", "lines L4 and L6 meet in 0 points"),
-        ],
-    ),
+    "moved": ([(4, 1, None), (2, None, 1)], ("line-size", "line L2 has 5 points, expected 4")),
+    # one point replaced: P5 takes P1's place on L4, so sizes hold
+    "replaced": ([(4, 1, 5)], ("point-degree", "point P1 lies on 3 lines, expected 4")),
     # two points swapped: P1 moves from L0 to L1 and P5 from L1 to L0, so
     # sizes and degrees hold and both pair axioms break
     "swapped": (
         [(0, 1, 5), (1, 5, 1)],
-        [
-            ("point-pair", "points P0 and P1 lie on 2 common lines"),
-            ("point-pair", "points P0 and P5 lie on 0 common lines"),
-            ("point-pair", "points P1 and P6 lie on 2 common lines"),
-            ("point-pair", "points P1 and P7 lie on 0 common lines"),
-            ("point-pair", "points P1 and P10 lie on 0 common lines"),
-            ("point-pair", "points P5 and P6 lie on 0 common lines"),
-            ("point-pair", "points P5 and P7 lie on 2 common lines"),
-            ("point-pair", "points P5 and P10 lie on 2 common lines"),
-            ("line-pair", "lines L0 and L4 meet in 0 points"),
-            ("line-pair", "lines L0 and L5 meet in 0 points"),
-            ("line-pair", "lines L0 and L9 meet in 2 points"),
-            ("line-pair", "lines L0 and L12 meet in 2 points"),
-            ("line-pair", "lines L1 and L4 meet in 2 points"),
-            ("line-pair", "lines L1 and L5 meet in 2 points"),
-            ("line-pair", "lines L1 and L9 meet in 0 points"),
-            ("line-pair", "lines L1 and L12 meet in 0 points"),
-        ],
+        ("point-pair", "points P0 and P1 lie on 2 common lines"),
     ),
 }
 
@@ -377,11 +327,10 @@ def test_axiom_messages_are_pinned(case):
         if added is not None:
             line_points[li].append(added)
     mutated = IncidencePlane(3, line_points)
-    report = validate_axioms(mutated)
-    assert [(v.kind, v.message) for v in report.violations] == expected
-    first = validate_axioms(mutated, fail_fast=True).violations
-    assert [(v.kind, v.message) for v in first] == expected[:1]
-    kind, message = expected[0]
+    kind, message = expected
+    with pytest.raises(ValueError) as err:
+        validate_axioms(mutated)
+    assert str(err.value) == f"axiom violation ({kind}): {message}"
     with pytest.raises(ValueError) as err:
         load_plane(plane_to_doc(mutated))
     assert str(err.value) == f"axiom violation ({kind}): {message}"
@@ -432,8 +381,8 @@ def _mutate(rng, rows):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_pair_checks_match_a_set_count_oracle(q, plane_for):
-    # the counting shortcut must give the report of a full pair scan, both
-    # when sizes hold (swaps) and when they do not (moves)
+    # the first violation is the oracle's: a size when a move breaks one,
+    # else, after swaps, the first pair a full scan finds
     rng = random.Random(q)
     base = plane_for(q).line_points
     swaps_only = 0
@@ -442,9 +391,11 @@ def test_pair_checks_match_a_set_count_oracle(q, plane_for):
         expected = _oracle_violations(q, rows)
         swaps_only += not any(kind == "line-size" for kind, _ in expected)
         mutated = IncidencePlane(q, rows)
-        report = validate_axioms(mutated)
-        assert [(v.kind, v.message) for v in report.violations] == expected
-        assert report.ok == (not expected)
-        first = validate_axioms(mutated, fail_fast=True).violations
-        assert [(v.kind, v.message) for v in first] == expected[:1]
+        if not expected:
+            validate_axioms(mutated)
+            continue
+        kind, message = expected[0]
+        with pytest.raises(ValueError) as err:
+            validate_axioms(mutated)
+        assert str(err.value) == f"axiom violation ({kind}): {message}"
     assert swaps_only >= 10
