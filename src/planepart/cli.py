@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from typing import Iterable, Iterator
 
 from . import analysis, construct, metric, plane as plane_mod
 
@@ -121,18 +122,35 @@ def _emit(args, doc: dict, text: str) -> None:
     payload = (
         json.dumps(doc, indent=2, sort_keys=True) + "\n" if args.format == "json" else text
     )
+    _write(args, [payload])
+
+
+def _write(args, chunks: Iterable[str]) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
+
+
+def _plane_json(built) -> Iterator[str]:
+    """The text of ``json.dumps(plane_to_doc(built), indent=2, sort_keys=True)``
+    and a newline, one line entry at a time, so the document is never whole
+    in memory."""
+    yield '{\n  "lines": ['
+    sep = "\n"
+    for i, pts in enumerate(built.line_points):
+        points = '",\n        "P'.join(map(str, pts))
+        yield (f'{sep}    {{\n      "id": "L{i}",\n      "points": [\n'
+               f'        "P{points}"\n      ]\n    }}')
+        sep = ",\n"
+    yield f'\n  ],\n  "q": {built.q}\n}}\n'
 
 
 def _cmd_plane(args) -> int:
     built = plane_mod.build_plane(args.q)
-    doc = plane_mod.plane_to_doc(built)
     text = f"plane of order {built.q}: {built.n} points, {built.n} lines, {built.q + 1} points per line\n"
-    _emit(args, doc, text)
+    _write(args, _plane_json(built) if args.format == "json" else [text])
     return EXIT_OK
 
 

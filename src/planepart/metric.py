@@ -345,11 +345,21 @@ def partition_to_doc(plane: IncidencePlane, partition: Partition) -> dict:
 
 
 def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
-    """Parse a partition document and check it covers every vertex once."""
+    """Parse a partition document and check it covers every vertex once.
+
+    Member names are read with one lookup each in a table of the canonical
+    names P0..P(n-1) and L0..L(n-1), which maps them to vertex ids. A class
+    holding any other name, such as "P03", a number or an index of n or
+    more, is parsed member by member with ``VertexId.parse`` and range
+    checked instead, so it gives the same classes and messages.
+    """
     if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise ValueError("partition document must be an object with a 'classes' array")
     if "q" in doc and doc["q"] != plane.q:
         raise ValueError(f"partition order {doc['q']} does not match plane order {plane.q}")
+    n = plane.n
+    full = (1 << n) - 1
+    index = {f"P{i}": i for i in range(n)} | {f"L{i}": n + i for i in range(n)}
     classes = []
     names = []
     for pos, entry in enumerate(doc["classes"]):
@@ -358,15 +368,21 @@ def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
         names.append(str(entry.get("name", f"C{pos}")))
         if not isinstance(entry["members"], list):
             raise ValueError(f"members of class {names[-1]!r} must be an array")
-        members = [VertexId.parse(str(m)) for m in entry["members"]]
-        for v in members:
-            if v.index >= plane.n:
-                raise ValueError(f"vertex {v} out of range for plane with n={plane.n}")
-        cls = VertexSet.from_vertices(members)
-        if cls.size() != len(members):
-            twice = next(v for v, c in Counter(members).items() if c > 1)
-            raise ValueError(f"class {names[-1]!r} lists vertex {twice} more than once")
-        classes.append(cls)
+        try:
+            ids = list(map(index.__getitem__, entry["members"]))
+        except (KeyError, TypeError):
+            members = [VertexId.parse(str(m)) for m in entry["members"]]
+            for v in members:
+                if v.index >= n:
+                    raise ValueError(f"vertex {v} out of range for plane with n={n}")
+            ids = [i if kind == POINT else n + i for kind, i in members]
+        mask = bitmask(ids)
+        if mask.bit_count() != len(ids):
+            twice = next(v for v, c in Counter(ids).items() if c > 1)
+            raise ValueError(
+                f"class {names[-1]!r} lists vertex {vertex_at(twice, n)} more than once"
+            )
+        classes.append(VertexSet(mask & full, mask >> n))
     partition = Partition(classes, names)
     partition.validate(plane)
     return partition

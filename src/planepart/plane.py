@@ -163,17 +163,11 @@ def build_plane(q: int) -> IncidencePlane:
     return build_pg2(build_field(p, e))
 
 
-# Violation kinds and messages, (size, pair), for the lines of the plane and
-# for the lines of its dual, which are the points of the plane.
-_AXIOMS = (
-    (
-        ("line-size", "line L{} has {} points, expected {}"),
-        ("line-pair", "lines L{} and L{} meet in {} points"),
-    ),
-    (
-        ("point-degree", "point P{} lies on {} lines, expected {}"),
-        ("point-pair", "points P{} and P{} lie on {} common lines"),
-    ),
+# Size violation kinds and messages, for the lines of the plane and for the
+# lines of its dual, which are the points of the plane.
+_SIZES = (
+    ("line-size", "line L{} has {} points, expected {}"),
+    ("point-degree", "point P{} lies on {} lines, expected {}"),
 )
 
 
@@ -185,20 +179,28 @@ def validate_axioms(plane: IncidencePlane) -> None:
     """Check the projective plane axioms against the plane's declared order.
 
     Raises ValueError("axiom violation (<kind>): <message>") at the first
-    violation, checking the order, line sizes, point degrees, point pairs
-    and line pairs in that order. Each check is written once for lines and
-    run on the plane and on its dual.
+    violation, checking the order, line sizes, point degrees and point
+    pairs in that order. The size check is written once for lines and run
+    on the plane and on its dual.
 
-    The pair checks count instead of scanning, since they run only once the
-    order and sizes hold. Then each of the q+1 points of line i lies on q
-    lines other than i, so the union of their line sets has at most
-    1 + (q+1)q = n members, and it covers all n lines exactly when every
-    other line meets line i in one point. A line whose union is full has no
-    pair violation and is skipped; only a line whose union falls short is
-    scanned against the lines after it. A violating pair (i, j) leaves both
-    unions short, so the first violation is the one a full pair scan finds.
-    On a valid plane the checks cost O(nq) big-integer ORs instead of
-    n*n/2 ANDs.
+    Lines need no pair check of their own. Once n = q*q + q + 1, every line
+    has q+1 points, every point lies on q+1 lines and every two points
+    share exactly one line, fix a line L. Each of its q+1 points lies on q
+    lines other than L, and these q(q+1) = n-1 lines are pairwise distinct:
+    one line through two points of L would give those points a second
+    common line. So every line other than L is among them exactly once,
+    that is, it meets L in exactly one point.
+
+    The point-pair check counts instead of scanning, since it runs only
+    once the order and sizes hold. Then each of the q+1 lines through
+    point i holds q points other than i, so the union of their point sets
+    has at most 1 + (q+1)q = n members, and it covers all n points exactly
+    when every other point shares one line with point i. A point whose
+    union is full has no pair violation and is skipped; only a point whose
+    union falls short is scanned against the points after it. A violating
+    pair (i, j) leaves both unions short, so the first violation is the one
+    a full pair scan finds. On a valid plane the check costs O(nq)
+    big-integer ORs instead of n*n/2 ANDs.
     """
     n = plane.n
     if n == 0:
@@ -207,23 +209,21 @@ def validate_axioms(plane: IncidencePlane) -> None:
     if n != q * q + q + 1:
         raise _violation("order", f"{n} lines but order {q} requires {q * q + q + 1}")
     want = q + 1
-    sides = list(zip((plane, plane.dual()), _AXIOMS))
-    for side, ((kind, text), _) in sides:
+    for side, (kind, text) in zip((plane, plane.dual()), _SIZES):
         for i, mask in enumerate(side.line_masks):
             size = mask.bit_count()
             if size != want:
                 raise _violation(kind, text.format(i, size, want))
     full = (1 << n) - 1
-    for side, (_, (kind, text)) in reversed(sides):
-        masks, cover = side.line_masks, side.point_masks
-        for i, row in enumerate(side.line_points):
-            if reduce(or_, map(cover.__getitem__, row), 0) == full:
-                continue
-            mi = masks[i]
-            for j in range(i + 1, n):
-                c = (mi & masks[j]).bit_count()
-                if c != 1:
-                    raise _violation(kind, text.format(i, j, c))
+    masks, cover = plane.point_masks, plane.line_masks
+    for i, row in enumerate(plane.point_lines):
+        if reduce(or_, map(cover.__getitem__, row), 0) == full:
+            continue
+        mi = masks[i]
+        for j in range(i + 1, n):
+            c = (mi & masks[j]).bit_count()
+            if c != 1:
+                raise _violation("point-pair", f"points P{i} and P{j} lie on {c} common lines")
 
 
 def plane_to_doc(plane: IncidencePlane) -> dict:
@@ -244,6 +244,12 @@ def load_plane(doc: dict) -> IncidencePlane:
     at least 2; a declared "q" must agree. Point ids are implicit and every
     one of P0..P(n-1) must appear. Raises ValueError on malformed input or
     on the first axiom violation.
+
+    Point names are read with one lookup each in a table of the canonical
+    names P0..P(n-1). A line holding any other name, such as "P007", a
+    number or an id of n or more, is parsed name by name with the point-id
+    pattern instead. Both ways give the same ids, so the table changes
+    only the cost of canonical names, not any result or message.
     """
     if not isinstance(doc, dict) or "lines" not in doc:
         raise ValueError("plane document must be an object with a 'lines' array")
@@ -252,6 +258,7 @@ def load_plane(doc: dict) -> IncidencePlane:
         raise ValueError("plane document has no lines")
     n = len(lines)
     line_points: list[list[int] | None] = [None] * n
+    index = {f"P{i}": i for i in range(n)}
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
@@ -265,12 +272,15 @@ def load_plane(doc: dict) -> IncidencePlane:
             raise ValueError(f"duplicate line id L{li}")
         if not isinstance(entry["points"], list):
             raise ValueError(f"points of line L{li} must be an array")
-        pts = []
-        for name in entry["points"]:
-            pm = _POINT_ID.fullmatch(str(name))
-            if not pm:
-                raise ValueError(f"bad point id {name!r} on line L{li}")
-            pts.append(int(pm.group(1)))
+        try:
+            pts = list(map(index.__getitem__, entry["points"]))
+        except (KeyError, TypeError):
+            pts = []
+            for name in entry["points"]:
+                pm = _POINT_ID.fullmatch(str(name))
+                if not pm:
+                    raise ValueError(f"bad point id {name!r} on line L{li}")
+                pts.append(int(pm.group(1)))
         if len(set(pts)) != len(pts):
             raise ValueError(f"line L{li} repeats a point")
         line_points[li] = pts

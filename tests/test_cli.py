@@ -32,6 +32,14 @@ def test_plane_outputs_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, f"q={q}"
 
 
+def test_plane_out_file_matches_stdout(tmp_path, capsys):
+    out_file = tmp_path / "plane.json"
+    code, out, _ = run(capsys, "plane", "--q", "9")
+    assert code == 0
+    assert run(capsys, "plane", "--q", "9", "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_text() == out
+
+
 def test_plane_text_format(capsys):
     code, out, _ = run(capsys, "plane", "--q", "3", "--format", "text")
     assert code == 0
@@ -70,6 +78,30 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["resolving"] is True
+
+
+def test_verify_reads_zero_padded_names_like_canonical_ones(tmp_path, capsys):
+    # padded names miss both loaders' name tables and take the per-name parse
+    plane_file = tmp_path / "plane.json"
+    part_file = tmp_path / "partition.json"
+    assert run(capsys, "plane", "--q", "16", "--out", str(plane_file))[0] == 0
+    assert run(capsys, "construct", "--q", "16", "--seed", "0", "--out", str(part_file))[0] == 0
+    canonical = run(capsys, "verify", "--plane", str(plane_file), "--partition", str(part_file))
+    assert canonical[0] == 0
+
+    def pad(name):
+        return f"{name[0]}{int(name[1:]):04d}"
+
+    plane_doc = json.loads(plane_file.read_text())
+    for entry in plane_doc["lines"]:
+        entry["id"], entry["points"] = pad(entry["id"]), list(map(pad, entry["points"]))
+    part_doc = json.loads(part_file.read_text())
+    for entry in part_doc["classes"]:
+        entry["members"] = list(map(pad, entry["members"]))
+    plane_file.write_text(json.dumps(plane_doc))
+    part_file.write_text(json.dumps(part_doc))
+    padded = run(capsys, "verify", "--plane", str(plane_file), "--partition", str(part_file))
+    assert padded == canonical
 
 
 def test_verify_single_class_partition_exits_1(tmp_path, capsys):

@@ -358,6 +358,59 @@ def test_partition_doc_rejects_a_member_with_a_trailing_newline(plane_for):
     assert str(err.value) == "bad vertex id 'L0\\n'"
 
 
+def test_non_canonical_members_load_like_canonical_ones(plane_for):
+    # "P03" and "L03" miss the loader's name table and take VertexId.parse,
+    # which must give the classes the canonical names give
+    plane = plane_for(3)
+    doc = partition_to_doc(plane, random_partition(random.Random(5), plane.n, m=5))
+    canonical = partition_from_doc(doc, plane)
+    for entry in doc["classes"]:
+        entry["members"] = [f"{v[0]}{int(v[1:]):02d}" for v in entry["members"]]
+    assert any("P03" in e["members"] for e in doc["classes"])
+    assert any("L03" in e["members"] for e in doc["classes"])
+    padded = partition_from_doc(doc, plane)
+    assert padded.names == canonical.names
+    assert padded.classes == canonical.classes
+
+
+def _split_doc(points):
+    return {"classes": [
+        {"name": "points", "members": points},
+        {"name": "lines", "members": [f"L{i}" for i in range(7)]},
+    ]}
+
+
+_POINTS = [f"P{i}" for i in range(7)]
+
+# Member lists of the first class of a PG(2,2) split that the name table
+# cannot resolve. Each message is the one VertexId.parse and the range and
+# repeat checks give with no table, so the table must not change it.
+_MEMBER_ERRORS = {
+    "letter": (["X0", *_POINTS[1:]], "bad vertex id 'X0'"),
+    "sign": (["P-1", *_POINTS[1:]], "bad vertex id 'P-1'"),
+    "number": ([0, *_POINTS[1:]], "bad vertex id '0'"),
+    "null": ([None, *_POINTS[1:]], "bad vertex id 'None'"),
+    "list": ([["P0"], *_POINTS[1:]], '''bad vertex id "['P0']"'''),
+    "object": ([{"P": 0}, *_POINTS[1:]], '''bad vertex id "{'P': 0}"'''),
+    "beyond": (["P7", *_POINTS[1:]], "vertex P7 out of range for plane with n=7"),
+    "padded beyond": (["L0007", *_POINTS[1:]], "vertex L7 out of range for plane with n=7"),
+    # every member is parsed before any is range checked
+    "parse first": (["P9", "X0", *_POINTS], "bad vertex id 'X0'"),
+    "padded repeat": (["P01", *_POINTS[1:]], "class 'points' lists vertex P1 more than once"),
+    # of two repeated vertices, the one seen first is named
+    "first repeat": (["P0", "P2", "P1", "P01", "P02", *_POINTS[3:]],
+                     "class 'points' lists vertex P2 more than once"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMBER_ERRORS))
+def test_members_the_table_misses_keep_their_messages(plane_for, case):
+    points, message = _MEMBER_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        partition_from_doc(_split_doc(points), plane_for(2))
+    assert str(err.value) == message
+
+
 def test_partition_doc_rejects_wrong_order(plane_for):
     plane = plane_for(2)
     doc = partition_to_doc(plane, random_partition(random.Random(0), plane.n, m=3))

@@ -211,8 +211,54 @@ def test_load_rejects_missing_point():
     doc = plane_to_doc(build_plane(2))
     for entry in doc["lines"]:
         entry["points"] = [x if x != "P6" else "P7" for x in entry["points"]]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         load_plane(doc)
+    assert str(err.value) == "point ids must be exactly P0..P6; missing [6]; unexpected [7]"
+
+
+def test_non_canonical_names_load_like_canonical_ones():
+    # "P007" and "L01" miss the loader's name table and take the per-name
+    # pattern, which must give the plane the canonical names give
+    doc = plane_to_doc(build_plane(4))
+    canonical = load_plane(doc)
+    for entry in doc["lines"]:
+        entry["id"] = f"L{int(entry['id'][1:]):02d}"
+        entry["points"] = [f"P{int(p[1:]):03d}" for p in entry["points"]]
+    assert doc["lines"][1] == {"id": "L01", "points": ["P000", "P005", "P006", "P007", "P008"]}
+    padded = load_plane(doc)
+    assert padded.line_points == canonical.line_points
+    assert padded.point_lines == canonical.point_lines
+    assert padded.line_masks == canonical.line_masks
+    assert padded.point_masks == canonical.point_masks
+
+
+# Each edit puts one point name on L0 of PG(2,2) (P1 P3 P5 before) that the
+# name table cannot resolve. Each message is the one the per-name pattern
+# gives with no table, so the table must not change it.
+_POINT_NAME_ERRORS = {
+    "letter": ("Q1", "bad point id 'Q1' on line L0"),
+    "sign": ("P-1", "bad point id 'P-1' on line L0"),
+    "number": (1, "bad point id 1 on line L0"),
+    "null": (None, "bad point id None on line L0"),
+    "list": (["P1"], "bad point id ['P1'] on line L0"),
+    "object": ({"P": 1}, "bad point id {'P': 1} on line L0"),
+    # ids of n or more parse, and the coverage check rejects them
+    "beyond": ("P7", "point ids must be exactly P0..P6; unexpected [7]"),
+    "padded beyond": ("P0070", "point ids must be exactly P0..P6; unexpected [70]"),
+    # a padded spelling of a point already on the line is a repeat
+    "padded repeat": ("P03", "line L0 repeats a point"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POINT_NAME_ERRORS))
+def test_point_names_the_table_misses_keep_their_messages(case):
+    name, message = _POINT_NAME_ERRORS[case]
+    doc = plane_to_doc(build_plane(2))
+    assert doc["lines"][0]["points"] == ["P1", "P3", "P5"]
+    doc["lines"][0]["points"][0] = name
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == message
 
 
 def test_non_prime_power_order_rejected():
@@ -395,6 +441,8 @@ def test_pair_checks_match_a_set_count_oracle(q, plane_for):
             validate_axioms(mutated)
             continue
         kind, message = expected[0]
+        # a line pair fails only where a size or point pair fails first
+        assert kind != "line-pair"
         with pytest.raises(ValueError) as err:
             validate_axioms(mutated)
         assert str(err.value) == f"axiom violation ({kind}): {message}"
