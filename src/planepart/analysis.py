@@ -155,26 +155,18 @@ def _class_options(size: int, t: int) -> list[list[list[int]]]:
     ]
 
 
-def _rgs_prefixes(size: int, t: int, depth: int):
-    """Restricted growth prefixes of the given depth, canonical order.
+def _rgs_prefixes(size: int, t: int, depth: int) -> list[tuple[int, ...]]:
+    """Restricted growth prefixes of length min(depth, size), canonical order.
 
-    Only prefixes that can still reach exactly t blocks are produced.
+    Each level extends every prefix by the classes its next vertex may
+    join, with max(prefix) + 1 classes open, so only prefixes that can
+    still reach exactly t classes are kept.
     """
-    if size == 0 or t < 1 or t > size:
-        return
     options = _class_options(size, t)
-    depth = min(depth, size)
-    prefix = [0] * depth
-
-    def rec(i, used):
-        if i == depth:
-            yield tuple(prefix)
-            return
-        for c in options[i][used]:
-            prefix[i] = c
-            yield from rec(i + 1, used + (c == used))
-
-    yield from rec(0, 0)
+    prefixes = [()]
+    for v in range(min(depth, size)):
+        prefixes = [p + (c,) for p in prefixes for c in options[v][max(p, default=-1) + 1]]
+    return prefixes
 
 
 def _scan_completions(dist, size, t, limit, prefix):
@@ -258,26 +250,22 @@ def _pooled(workers, fn, args, items, chunksize):
 def _scan_level(dist, size, t, budget, workers):
     """Scan one class count under a budget.
 
-    Results are consumed in canonical prefix order and a witness only
-    counts when it falls within the budget, so the outcome and the node
-    count are identical for every worker count. Returns (nodes, witness);
-    nodes reaching the budget without a witness means it ran out.
+    One worker scans the level in one canonical recursion. A pool splits it
+    into restricted-growth prefixes, about eight per worker, and reads the
+    results in prefix order, which is canonical order; a witness counts only
+    within the budget. So the outcome and the node count are identical for
+    every worker count. Returns (nodes, witness); nodes reaching the budget
+    without a witness means it ran out.
     """
-    depth = 0
-    span = 1
-    while span < 8 * workers and depth < size:
+    depth, span = 0, 1
+    while workers > 1 and span < 8 * workers and depth < size:
         depth += 1
         span *= min(depth, t) + 1
-    prefixes = list(_rgs_prefixes(size, t, depth))
+    prefixes = _rgs_prefixes(size, t, depth)
+    if len(prefixes) <= 1:
+        return _scan_completions(dist, size, t, budget, ())
     nodes = 0
-    if workers <= 1 or len(prefixes) <= 1:
-        # Lazy: each prefix is limited to the budget left when it is reached.
-        scans = contextlib.nullcontext(
-            _scan_completions(dist, size, t, budget - nodes, prefix) for prefix in prefixes
-        )
-    else:
-        scans = _pooled(workers, _scan_completions, (dist, size, t, budget), prefixes, 1)
-    with scans as results:
+    with _pooled(workers, _scan_completions, (dist, size, t, budget), prefixes, 1) as results:
         for count, witness in results:
             nodes += count
             if witness is not None and nodes <= budget:

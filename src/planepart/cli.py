@@ -231,8 +231,7 @@ def _cmd_search(args) -> int:
             )
         _emit(args, doc, text)
         return EXIT_OK
-    if args.workers is not None and args.workers < 1:
-        raise UsageError(f"worker count must be at least 1, got {args.workers}")
+    analysis._worker_count(args.workers)
     size = 2 * target.n
     tmax = min(args.tmax if args.tmax is not None else size, size)
     tmin = max(args.tmin, 2)
@@ -288,7 +287,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -408,20 +408,17 @@ def build_h2(
     conflict: ConflictGraph,
     count: int,
     used: VertexSet,
-) -> list[H2Spec]:
+) -> tuple[list[H2Spec], VertexSet]:
     """Build the separating classes from four searching-set families.
 
     Families run over the major points, the major lines, and the two sides
     of the conflict graph, support excluded. Class j combines the j-th set
     of each family; its lines come from select_class_lines and its points
     from the same selector run on the dual, and both stay disjoint from
-    everything already assigned.
+    everything already assigned. Returns the specs and ``used`` grown by
+    every chosen line and point; a count too small for the families raises
+    SelectionError.
     """
-    q = plane.q
-    if count < default_searching_count(q):
-        raise ValueError(
-            f"need at least {default_searching_count(q)} searching classes for q={q}"
-        )
     excluded_p = [frame.support_point] if frame.support_point in conflict.points else []
     excluded_l = [frame.support_line] if frame.support_line in conflict.lines else []
     try:
@@ -456,7 +453,7 @@ def build_h2(
                 points=tuple(points),
             )
         )
-    return specs
+    return specs, used
 
 
 @dataclass
@@ -560,13 +557,9 @@ def construct_partition(
             used = h0
             for z in zclasses:
                 used = used | z
-            specs = build_h2(plane, frame, conflict, l, used)
+            specs, used = build_h2(plane, frame, conflict, l, used)
             classes = [h0] + zclasses + [s.members() for s in specs]
-            pm = lm = 0
-            for c in classes:
-                pm |= c.point_mask
-                lm |= c.line_mask
-            classes.append(VertexSet(full & ~pm, full & ~lm))
+            classes.append(VertexSet(full & ~used.point_mask, full & ~used.line_mask))
             partition = Partition(classes, names)
             verdict = is_resolving(plane, partition)
             if verdict.resolving:

@@ -82,9 +82,6 @@ class VertexSet:
     def is_empty(self) -> bool:
         return self.point_mask == 0 and self.line_mask == 0
 
-    def size(self) -> int:
-        return self.point_mask.bit_count() + self.line_mask.bit_count()
-
     def point_ids(self) -> list[int]:
         return list(_iter_bits(self.point_mask))
 
@@ -356,7 +353,7 @@ def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
     if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
         raise ValueError("partition document must be an object with a 'classes' array")
     if "q" in doc and doc["q"] != plane.q:
-        raise ValueError(f"partition order {doc['q']} does not match plane order {plane.q}")
+        raise ValueError(f"partition order {doc['q']!r} does not match plane order {plane.q}")
     n = plane.n
     full = (1 << n) - 1
     index = {f"P{i}": i for i in range(n)} | {f"L{i}": n + i for i in range(n)}

@@ -34,23 +34,20 @@ class IncidencePlane:
     holding the line side's row and mask objects. Coordinate triples are
     present only for algebraically built planes. ``dualized`` is true for
     the view returned by ``dual``, whose points are the lines of the plane
-    it came from.
+    it came from. The constructor takes a list of n rows of point ids and
+    does not check that the ids lie in 0..n-1; ``load_plane`` does.
     """
 
     __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks",
                  "point_triples", "line_triples", "dualized")
 
     def __init__(self, q, line_points, point_triples=None, line_triples=None):
-        rows = [sorted(pts) for pts in line_points]
-        n = len(rows)
-        ids = list(range(n))
+        ids = list(range(len(line_points)))
+        rows = [tuple(map(ids.__getitem__, sorted(pts))) for pts in line_points]
         point_lines = [[] for _ in ids]
         for li, pts in zip(ids, rows):
             for p in pts:
-                if not 0 <= p < n:
-                    raise ValueError(f"point id {p} out of range 0..{n - 1}")
                 point_lines[p].append(li)
-        rows = [tuple(map(ids.__getitem__, pts)) for pts in rows]
         cols = list(map(tuple, point_lines))
         self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)),
                   point_triples, line_triples)
@@ -290,7 +287,7 @@ def load_plane(doc: dict) -> IncidencePlane:
     if q < 2:
         raise ValueError(f"plane order must be at least 2, got {q}")
     if "q" in doc and doc["q"] != q:
-        raise ValueError(f"declared order {doc['q']} does not match inferred order {q}")
+        raise ValueError(f"declared order {doc['q']!r} does not match inferred order {q}")
     seen = set()
     for pts in line_points:
         seen.update(pts)

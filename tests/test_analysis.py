@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -97,6 +98,25 @@ def test_enumeration_counts_match_stirling_numbers(size, t):
     assert total == stirling2(size, t)
 
 
+def test_rgs_prefixes_equal_a_brute_force_filter():
+    # restricted growth: each entry opens at most the next class, and the
+    # classes still unopened fit into the vertices left
+    def reachable(prefix, size, t):
+        opened = 0
+        for c in prefix:
+            if c > opened:
+                return False
+            opened += c == opened
+        return opened + size - len(prefix) >= t
+
+    for size in range(1, 10):
+        for t in range(1, size + 1):
+            for depth in range(6):
+                product = itertools.product(range(t), repeat=min(depth, size))
+                expected = [p for p in product if reachable(p, size, t)]
+                assert list(_rgs_prefixes(size, t, depth)) == expected, (size, t, depth)
+
+
 def test_scan_respects_limit():
     dist = [[3] * 8 for _ in range(8)]
     count, witness = _scan_completions(dist, 8, 3, 10, (0,))
@@ -111,6 +131,12 @@ def test_exhaustive_pd_singletons_fast(plane_for):
     assert res.witness is not None
     assert is_resolving(plane, res.witness).resolving
     assert not res.exact  # lower counts were not exhausted
+
+
+def test_exhaustive_pd_rejects_an_empty_class_count_range(plane_for):
+    with pytest.raises(ValueError) as err:
+        exhaustive_pd(plane_for(2), 5, 3)
+    assert str(err.value) == "empty class count range 5..3"
 
 
 def test_exhaustive_pd_t1_is_never_resolving(plane_for):

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from planepart import analysis, build_plane, is_resolving
 from planepart.cli import main
+from planepart.metric import partition_from_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -172,6 +174,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     scalar.write_text(json.dumps({"classes": [{"members": 7}]}))
     code, _, err = run(capsys, "verify", "--q", "2", "--partition", str(scalar))
     assert (code, err) == (2, "error: members of class 'C0' must be an array\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"classes": []}))
+    code, _, err = run(capsys, "verify", "--q", "2", "--partition", str(empty))
+    assert (code, err) == (2, "error: partition has no classes\n")
 
 
 @pytest.mark.parametrize(
@@ -242,6 +248,7 @@ def test_out_of_range_messages(capsys):
         ("search", "--q", "2", "--method", "randomized", "--tmin", "12", "--tmax", "14",
          "--workers", "0"): "worker count must be at least 1, got 0",
         ("plane", "--q", "2097152"): "field order 2097152 exceeds limit 1048576",
+        ("plane", "--q", "1"): "plane order must be at least 2, got 1",
     }
     for argv, message in cases.items():
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
@@ -341,3 +348,80 @@ def test_kernel_outputs_are_pinned(capsys, monkeypatch, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == expect["stdout_sha256"], command
         if "stderr_sha256" in expect:
             assert hashlib.sha256(err.encode()).hexdigest() == expect["stderr_sha256"], command
+
+
+@pytest.mark.parametrize(
+    "plane_q, partition_q, message",
+    [
+        ("2", 2, "declared order '2' does not match inferred order 2"),
+        (2, "2", "partition order '2' does not match plane order 2"),
+    ],
+    ids=["plane", "partition"],
+)
+def test_verify_names_a_string_order(capsys, tmp_path, plane_q, partition_q, message):
+    plane = json.loads(run(capsys, "plane", "--q", "2")[1])
+    plane["q"] = plane_q
+    plane_file = tmp_path / "plane.json"
+    plane_file.write_text(json.dumps(plane))
+    partition = {"q": partition_q, "classes": [
+        {"name": "points", "members": [f"P{i}" for i in range(7)]},
+        {"name": "lines", "members": [f"L{i}" for i in range(7)]},
+    ]}
+    part_file = tmp_path / "partition.json"
+    part_file.write_text(json.dumps(partition))
+    code, out, err = run(
+        capsys, "verify", "--plane", str(plane_file), "--partition", str(part_file)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_search_exact_renders_pd_without_bracket(capsys, monkeypatch):
+    # the full q=2 exhaustion runs once, in the acceptance tests; here its
+    # recorded value and node count are rendered with a witness from a scan
+    # of the t=4 level alone
+    pinned = json.loads((FIXTURES / "exact_pd_q2.json").read_text())
+    plane = build_plane(2)
+    level = analysis.exhaustive_pd(plane, t_min=4, t_max=4, workers=1)
+    result = analysis.SearchResult(
+        q=2, exact=True, lower=pinned["pd"], upper=pinned["pd"], witness=level.witness,
+        nodes=pinned["nodes"], wall_time=3.5,
+    )
+    monkeypatch.setattr(analysis, "exhaustive_pd", lambda *args, **kwargs: result)
+    code, out, _ = run(capsys, "search", "--q", "2")
+    doc = json.loads(out)
+    assert (code, doc["exact"], doc["pd"], doc["nodes"]) == (0, True, 4, 799339)
+    assert "bracket" not in doc
+    assert is_resolving(plane, partition_from_doc(doc["witness"], plane)).resolving
+    assert run(capsys, "search", "--q", "2", "--format", "text") == (
+        0, "pd = 4 for q=2 (799339 partitions verified, 3.50s)\n", ""
+    )
+
+
+def test_search_randomized_without_a_witness(capsys):
+    argv = ["search", "--q", "2", "--method", "randomized", "--tmin", "2", "--tmax", "2",
+            "--trials", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert (code, json.loads(out)) == (0, {"method": "randomized", "q": 2, "upper": None})
+    assert run(capsys, *argv, "--format", "text") == (
+        0, "no witness found for q=2 in 2..2\n", ""
+    )
+
+
+def test_verify_text_cuts_the_group_list_at_20(capsys, tmp_path):
+    # PG(2,7) split by point and line id mod 5 leaves 27 colliding groups
+    n = 57
+    classes = [
+        {"name": f"C{c}", "members": [f"P{i}" for i in range(c, n, 5)]
+         + [f"L{i}" for i in range(c, n, 5)]}
+        for c in range(5)
+    ]
+    part_file = tmp_path / "mod5.json"
+    part_file.write_text(json.dumps({"q": 7, "classes": classes}))
+    code, out, _ = run(
+        capsys, "verify", "--q", "7", "--partition", str(part_file), "--format", "text"
+    )
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == "not resolving: 27 colliding groups"
+    assert len(lines) == 22
+    assert lines[-1] == "  ... 7 more groups"

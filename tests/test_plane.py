@@ -196,6 +196,28 @@ def test_load_rejects_points_that_are_not_an_array():
         load_plane(doc)
 
 
+def _fano_with_line_id(pos, line_id):
+    doc = plane_to_doc(build_plane(2))
+    doc["lines"][pos]["id"] = line_id
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "plane document must be an object with a 'lines' array"),
+        ({"q": 2}, "plane document must be an object with a 'lines' array"),
+        (_fano_with_line_id(0, "L7"), "line id L7 out of range for 7 lines"),
+        (_fano_with_line_id(1, "L0"), "duplicate line id L0"),
+    ],
+    ids=["array", "no-lines", "line-beyond", "line-twice"],
+)
+def test_load_boundary_messages_are_pinned(doc, message):
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == message
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_load_plane_rejects_any_malformed_field_with_value_error(data):
