@@ -239,10 +239,15 @@ def _worker_call(item):
 
 @contextlib.contextmanager
 def _pooled(workers, fn, args, items, chunksize):
-    """Yield the results of fn(*args, item) over items, in order, from a pool.
+    """Yield the results of fn(*args, item) over items, in order.
 
-    Leaving the block terminates the pool, abandoning unread tasks.
+    With one worker or at most one item they are computed lazily in this
+    process. Otherwise a pool computes them, and leaving the block
+    terminates it, abandoning unread tasks.
     """
+    if workers <= 1 or len(items) <= 1:
+        yield (fn(*args, item) for item in items)
+        return
     with multiprocessing.Pool(workers, initializer=_worker_init, initargs=(fn, args)) as pool:
         yield pool.imap(_worker_call, items, chunksize)
 
@@ -262,8 +267,6 @@ def _scan_level(dist, size, t, budget, workers):
         depth += 1
         span *= min(depth, t) + 1
     prefixes = _rgs_prefixes(size, t, depth)
-    if len(prefixes) <= 1:
-        return _scan_completions(dist, size, t, budget, ())
     nodes = 0
     with _pooled(workers, _scan_completions, (dist, size, t, budget), prefixes, 1) as results:
         for count, witness in results:
@@ -480,8 +483,9 @@ def randomized_upper_bound(
     has a neighbour in c, else 2 when c holds a vertex on its side, else 3.
     Each candidate is scored exactly, in O(q) unless it changes a class
     between having and lacking vertices on the moved vertex's side; then by
-    one O(n) pass over the signature integers (see ``_Descent``). Returns the first witness that ``is_resolving`` accepts,
-    or None when every attempt stalls at a local minimum.
+    one O(n) pass over the signature integers (see ``_Descent``). Returns
+    the first witness that ``is_resolving`` accepts, or None when every
+    attempt stalls at a local minimum.
     """
     if t < 2:
         raise ValueError(f"need at least 2 classes, got {t}")
@@ -559,16 +563,11 @@ def estimate_unseparated(
         raise ValueError(f"need at least one trial, got {trials}")
     workers = _worker_count(workers)
     plane = build_plane(q)
-    if k > q:
-        raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
     frame = choose_frame(plane)
     args = (plane, frame, VertexSet.from_indices(points=frame.major_points), k, seed)
-    if workers <= 1 or trials == 1:
-        counts = [_estimate_trial(*args, t) for t in range(trials)]
-    else:
-        chunk = max(1, trials // (4 * workers))
-        with _pooled(min(workers, trials), _estimate_trial, args, range(trials), chunk) as results:
-            counts = list(results)
+    chunk = max(1, trials // (4 * workers))
+    with _pooled(min(workers, trials), _estimate_trial, args, range(trials), chunk) as results:
+        counts = list(results)
     mean = sum(counts) / trials
     if trials > 1:
         var = sum((c - mean) ** 2 for c in counts) / (trials - 1)

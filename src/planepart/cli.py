@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=_seed, default=0)
     c.add_argument("--retries", type=int, default=20, help="extra attempts after the first")
     c.add_argument("--k", type=int, help="zeta class count override")
-    c.add_argument("--l", type=int, help="searching class count; only ceil(log2 q) is accepted")
     _add_output(c)
 
     v = sub.add_parser("verify", help="check a partition file against a plane")
@@ -149,7 +148,8 @@ def _plane_json(built) -> Iterator[str]:
 
 def _cmd_plane(args) -> int:
     built = plane_mod.build_plane(args.q)
-    text = f"plane of order {built.q}: {built.n} points, {built.n} lines, {built.q + 1} points per line\n"
+    n, q = built.n, built.q
+    text = f"plane of order {q}: {n} points, {n} lines, {q + 1} points per line\n"
     _write(args, _plane_json(built) if args.format == "json" else [text])
     return EXIT_OK
 
@@ -158,7 +158,7 @@ def _cmd_construct(args) -> int:
     target = _resolve_plane(args)
     try:
         result = construct.construct_partition(
-            target, seed=args.seed, max_retries=args.retries, k=args.k, l=args.l
+            target, seed=args.seed, max_retries=args.retries, k=args.k
         )
     except construct.ConstructionError as exc:
         report = exc.report()
@@ -222,13 +222,11 @@ def _cmd_search(args) -> int:
         )
         log.info("search finished in %.2fs after %d partitions", result.wall_time, result.nodes)
         doc = result.to_doc(target)
-        if result.exact:
-            text = f"pd = {result.lower} for q={target.q} ({result.nodes} partitions verified, {result.wall_time:.2f}s)\n"
-        else:
-            text = (
-                f"pd in [{result.lower}, {result.upper}] for q={target.q} "
-                f"({result.nodes} partitions verified, {result.wall_time:.2f}s)\n"
-            )
+        pd = f"pd = {result.lower}" if result.exact else f"pd in [{result.lower}, {result.upper}]"
+        text = (
+            f"{pd} for q={target.q} "
+            f"({result.nodes} partitions verified, {result.wall_time:.2f}s)\n"
+        )
         _emit(args, doc, text)
         return EXIT_OK
     analysis._worker_count(args.workers)

@@ -66,7 +66,13 @@ def default_zeta_count(q: int) -> int:
 
 
 def default_searching_count(q: int) -> int:
-    """Default number of searching classes, ceil(log2(q)), exactly."""
+    """Number of searching classes, ceil(log2(q)), exactly; no other count works.
+
+    Fewer sets cannot give the q major points distinct codewords. With
+    more, set ceil(log2 q) of every family is empty, and so is its class:
+    the q major ranks need only ceil(log2 q) bits, and under the q/8
+    budget the ranks on each conflict side stay below q.
+    """
     return (q - 1).bit_length()
 
 
@@ -326,13 +332,14 @@ def select_class_lines(
 ) -> list[int]:
     """Greedy choice of common lines for one searching class.
 
-    Each target major point ends up on exactly one chosen line and no other
-    point of the support line does. Each conflict point gets exactly one
-    chosen line; forbidden points are never met, forbidden lines and lines
-    already assigned are never picked. Conflict points go first, each
-    taking a line whose support-line meet is a still uncovered target and
-    which avoids the other conflict points; remaining targets then receive
-    lines clear of every conflict point. Ties break to the lowest line id.
+    Targets must be major points of ``frame``; this is not checked. Each
+    target ends up on exactly one chosen line and no other point of the
+    support line does. Each conflict point gets exactly one chosen line;
+    forbidden points are never met, forbidden lines and lines already
+    assigned are never picked. Conflict points go first, each taking a
+    line whose support-line meet is a still uncovered target and which
+    avoids the other conflict points; remaining targets then receive lines
+    clear of every conflict point. Ties break to the lowest line id.
     Raises SelectionError when a step has no admissible line.
 
     Run on ``plane.dual()`` with ``frame.dual()`` and ``used.dual()``, the
@@ -340,8 +347,6 @@ def select_class_lines(
     name points on lines.
     """
     tset = set(targets)
-    if not tset <= set(frame.major_points):
-        raise ValueError("targets must be major points")
     q_mask = bitmask(conflict_points)
     qc_mask = bitmask(forbidden_points)
     blocked = bitmask(forbidden_lines) | used.line_mask
@@ -406,19 +411,19 @@ def build_h2(
     plane: IncidencePlane,
     frame: Frame,
     conflict: ConflictGraph,
-    count: int,
     used: VertexSet,
 ) -> tuple[list[H2Spec], VertexSet]:
-    """Build the separating classes from four searching-set families.
+    """Build the ``default_searching_count(q)`` separating classes.
 
-    Families run over the major points, the major lines, and the two sides
-    of the conflict graph, support excluded. Class j combines the j-th set
-    of each family; its lines come from select_class_lines and its points
-    from the same selector run on the dual, and both stay disjoint from
-    everything already assigned. Returns the specs and ``used`` grown by
-    every chosen line and point; a count too small for the families raises
-    SelectionError.
+    Four searching-set families run over the major points, the major
+    lines, and the two sides of the conflict graph, support excluded.
+    Class j combines the j-th set of each family; its lines come from
+    select_class_lines and its points from the same selector run on the
+    dual, and both stay disjoint from everything already assigned. Returns
+    the specs and ``used`` grown by every chosen line and point; a conflict
+    side too large for the count raises SelectionError.
     """
+    count = default_searching_count(plane.q)
     excluded_p = [frame.support_point] if frame.support_point in conflict.points else []
     excluded_l = [frame.support_line] if frame.support_line in conflict.lines else []
     try:
@@ -485,13 +490,11 @@ class ConstructionResult:
         return out
 
 
-
 def construct_partition(
     plane: IncidencePlane,
     seed: int = 0,
     max_retries: int = 20,
     k: int | None = None,
-    l: int | None = None,
 ) -> ConstructionResult:
     """Run the full construction with seeded retries until a partition verifies.
 
@@ -499,13 +502,8 @@ def construct_partition(
     attempt aborts early when the surviving unseparated pairs exceed the
     q/8 budget, when a greedy selection exhausts, or when the assembled
     partition fails verification. Raises ConstructionError once retries
-    run out, naming the last obstruction.
-
-    The searching class count l can only be ceil(log2 q), its default.
-    Fewer sets cannot give the q major points distinct codewords. With
-    more, set ceil(log2 q) of every family is empty, and so is its class:
-    the q major ranks need only ceil(log2 q) bits, and under the q/8
-    budget the ranks on each conflict side stay below q.
+    run out, naming the last obstruction. The searching class count is
+    always ``default_searching_count(q)``.
     """
     if max_retries < 0:
         raise ValueError(f"retry count must be nonnegative, got {max_retries}")
@@ -513,9 +511,7 @@ def construct_partition(
     defaults = k is None
     if k is None:
         k = default_zeta_count(q)
-    searching = default_searching_count(q)
-    if l is None:
-        l = searching
+    l = default_searching_count(q)
     if k < 1:
         raise ValueError(f"zeta set count must be positive, got {k}")
     if k > q:
@@ -524,9 +520,6 @@ def construct_partition(
                 f"q={q} is too small for the default of {k} zeta sets; pass k <= q explicitly"
             )
         raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
-    if l != searching:
-        bound = "least" if l < searching else "most"
-        raise ValueError(f"need at {bound} {searching} searching classes for q={q}")
     if min_free_lines(q) <= 0:
         log.warning(
             "q=%d leaves no guaranteed free lines (3q/8 - log2 q - 2 = %.2f); "
@@ -557,7 +550,7 @@ def construct_partition(
             used = h0
             for z in zclasses:
                 used = used | z
-            specs, used = build_h2(plane, frame, conflict, l, used)
+            specs, used = build_h2(plane, frame, conflict, used)
             classes = [h0] + zclasses + [s.members() for s in specs]
             classes.append(VertexSet(full & ~used.point_mask, full & ~used.line_mask))
             partition = Partition(classes, names)

@@ -140,7 +140,7 @@ def test_verify_text_lists_collisions(tmp_path, capsys):
 
 def test_construct_failure_exits_3_and_names_obstruction(capsys):
     code, _, err = run(
-        capsys, "construct", "--q", "4", "--k", "2", "--l", "2", "--retries", "1", "--seed", "0"
+        capsys, "construct", "--q", "4", "--k", "2", "--retries", "1", "--seed", "0"
     )
     assert code == 3
     report = json.loads(err[err.index("{") :])  # a feasibility warning precedes it
@@ -154,6 +154,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "construct", "--q", "8")[0] == 2  # defaults infeasible
     assert run(capsys, "construct", "--q", "16", "--seed", "-1")[0] == 2
+    code, out, err = run(capsys, "construct", "--q", "16", "--l", "4")  # l is derived from q
+    assert (code, out) == (2, "")
+    assert err.endswith("\nplanepart: error: unrecognized arguments: --l 4\n")
     assert run(capsys, "verify", "--q", "2", "--partition", str(tmp_path / "gone.json"))[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -184,10 +187,8 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     "argv, message",
     [
         (["--q", "4", "--k", "0"], "zeta set count must be positive, got 0"),
-        (["--q", "16", "--l", "3"], "need at least 4 searching classes for q=16"),
-        (["--q", "16", "--l", "5"], "need at most 4 searching classes for q=16"),
     ],
-    ids=["q4-k0", "q16-l3", "q16-l5"],
+    ids=["q4-k0"],
 )
 def test_zero_zeta_sets_exit_2_before_any_warning(capsys, argv, message):
     """Bad class counts are rejected before the free-line warning is logged."""
@@ -250,6 +251,13 @@ def test_out_of_range_messages(capsys):
         ("plane", "--q", "2097152"): "field order 2097152 exceeds limit 1048576",
         ("plane", "--q", "1"): "plane order must be at least 2, got 1",
     }
+    for workers in ("1", "2"):
+        cases[("estimate", "--q", "8", "--workers", workers)] = (
+            "order too small for construction: k=12 zeta sets need k <= q=8"
+        )
+        cases[("estimate", "--q", "8", "--k", "0", "--workers", workers)] = (
+            "zeta set count must be positive, got 0"
+        )
     for argv, message in cases.items():
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 

@@ -1,10 +1,11 @@
+import logging
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planepart import construct_partition, is_resolving
+from planepart import construct, construct_partition, is_resolving
 from planepart.construct import (
     ConstructionError,
     SelectionError,
@@ -20,7 +21,7 @@ from planepart.construct import (
     select_class_lines,
     separation_probability_bound,
 )
-from planepart.metric import LINE, POINT, VertexId, VertexSet
+from planepart.metric import LINE, POINT, Verdict, VertexId, VertexSet
 
 
 @pytest.fixture(scope="module")
@@ -482,8 +483,30 @@ def test_construct_too_small_orders():
 def test_construct_failure_reports_obstruction(plane_for):
     plane = plane_for(4)
     with pytest.raises(ConstructionError) as err:
-        construct_partition(plane, seed=0, max_retries=2, k=2, l=2)
+        construct_partition(plane, seed=0, max_retries=2, k=2)
     report = err.value.report()
     assert report["attempts"] == 3
     assert report["obstruction"]
     assert report["q"] == 4
+
+
+def test_construct_retries_after_a_failed_verification(plane_for, monkeypatch, caplog):
+    """An assembled partition that does not verify costs one retry."""
+    plane = plane_for(16)
+    real = construct.is_resolving
+    collide = Verdict(False, [[VertexId(POINT, 0), VertexId(POINT, 1)]])
+    calls = []
+
+    def first_collides(plane, partition):
+        calls.append(partition)
+        return collide if len(calls) == 1 else real(plane, partition)
+
+    monkeypatch.setattr(construct, "is_resolving", first_collides)
+    caplog.set_level(logging.INFO, logger="planepart.construct")
+    result = construct_partition(plane, seed=0, max_retries=2)
+    assert result.retries == 1
+    assert "attempt 0 for q=16: verification failed: 1 colliding groups" in caplog.messages
+    monkeypatch.setattr(construct, "is_resolving", lambda plane, partition: collide)
+    with pytest.raises(ConstructionError) as err:
+        construct_partition(plane, seed=0, max_retries=1)
+    assert err.value.obstruction == "verification failed: 1 colliding groups"

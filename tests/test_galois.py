@@ -65,6 +65,12 @@ def test_order_limit_enforced():
         build_field(2, 21)
 
 
+def test_extension_degree_must_be_positive():
+    with pytest.raises(ValueError) as err:
+        build_field(2, 0)
+    assert str(err.value) == "extension degree must be positive, got 0"
+
+
 def test_gf4_product_against_polynomial_oracle():
     f = build_field(2, 2)
     assert f.mul(2, 3) == 1

@@ -177,6 +177,20 @@ def test_single_class_partition_does_not_resolve(plane_for):
             assert (VertexId(LINE, i), VertexId(LINE, j)) in pairs
 
 
+def test_partition_boundary_messages_are_pinned(plane_for):
+    plane = plane_for(2)
+    full = (1 << plane.n) - 1
+    cases = [
+        (Partition([VertexSet(full, 0), VertexSet(0, full)], ["a"]),
+         "class name count does not match class count"),
+        (Partition([VertexSet(full | 1 << plane.n, full)]), "class 0 has vertices out of range"),
+    ]
+    for partition, message in cases:
+        with pytest.raises(ValueError) as err:
+            is_resolving(plane, partition)
+        assert str(err.value) == message
+
+
 def test_unseparated_pairs_empty_family(plane_for):
     plane = plane_for(2)
     pairs = unseparated_pairs(plane, [])

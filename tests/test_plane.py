@@ -95,6 +95,9 @@ def test_empty_plane_order_undeterminable():
     with pytest.raises(ValueError) as err:
         validate_axioms(IncidencePlane(0, []))
     assert str(err.value) == "axiom violation (order): order undeterminable: plane has no lines"
+    with pytest.raises(ValueError) as err:
+        validate_axioms(IncidencePlane(3, build_plane(2).line_points))
+    assert str(err.value) == "axiom violation (order): 7 lines but order 3 requires 13"
 
 
 def test_roundtrip_through_json():
