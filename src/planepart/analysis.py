@@ -6,6 +6,7 @@ import contextlib
 import itertools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import time
@@ -224,17 +225,35 @@ def _worker_count(workers: int | None) -> int:
     return workers
 
 
-# Set once per pool worker, so each task ships only its item.
-_WORKER: dict = {}
+def _serve(conn, fn, args):
+    """Pool worker: answer each chunk of items with its fn(*args, item) list."""
+    while True:
+        chunk = conn.recv()
+        try:
+            conn.send((True, [fn(*args, item) for item in chunk]))
+        except Exception as err:
+            conn.send((False, err))
 
 
-def _worker_init(fn, args):
-    _WORKER["call"] = fn, args
-
-
-def _worker_call(item):
-    fn, args = _WORKER["call"]
-    return fn(*args, item)
+def _in_order(conns, chunks):
+    """Hand chunks to idle workers and yield their results in chunk order."""
+    pending = iter(range(len(chunks)))
+    owner, done = {}, {}
+    for conn, i in zip(conns, pending):
+        conn.send(chunks[i])
+        owner[conn] = i
+    for i in range(len(chunks)):
+        while i not in done:
+            for conn in multiprocessing.connection.wait(list(owner)):
+                done[owner.pop(conn)] = conn.recv()
+                j = next(pending, None)
+                if j is not None:
+                    conn.send(chunks[j])
+                    owner[conn] = j
+        ok, results = done.pop(i)
+        if not ok:
+            raise results
+        yield from results
 
 
 @contextlib.contextmanager
@@ -242,14 +261,35 @@ def _pooled(workers, fn, args, items, chunksize):
     """Yield the results of fn(*args, item) over items, in order.
 
     With one worker or at most one item they are computed lazily in this
-    process. Otherwise a pool computes them, and leaving the block
-    terminates it, abandoning unread tasks.
+    process. Otherwise worker processes take chunks of chunksize items in
+    turn, an exception raised by fn is re-raised here in item order, and
+    leaving the block kills the workers, abandoning unread chunks. Each
+    worker has a pipe of its own and shares no lock, so a kill in the middle
+    of sending a result cannot hang this process, as it can with the shared
+    result queue of multiprocessing.Pool; a worker that dies surfaces here
+    as EOFError.
     """
     if workers <= 1 or len(items) <= 1:
         yield (fn(*args, item) for item in items)
         return
-    with multiprocessing.Pool(workers, initializer=_worker_init, initargs=(fn, args)) as pool:
-        yield pool.imap(_worker_call, items, chunksize)
+    chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
+    conns, procs = [], []
+    try:
+        for _ in range(min(workers, len(chunks))):
+            here, there = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_serve, args=(there, fn, args), daemon=True)
+            proc.start()
+            there.close()
+            conns.append(here)
+            procs.append(proc)
+        yield _in_order(conns, chunks)
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _scan_level(dist, size, t, budget, workers):

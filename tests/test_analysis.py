@@ -1,4 +1,6 @@
 import itertools
+import multiprocessing
+import os
 import random
 from collections import Counter
 
@@ -9,6 +11,7 @@ from planepart import estimate_unseparated, is_resolving, lower_bound
 from planepart.analysis import (
     _Descent,
     _assignment_to_partition,
+    _pooled,
     _rgs_prefixes,
     _scan_completions,
     _scan_level,
@@ -180,6 +183,32 @@ def test_scan_level_budget_rule_is_worker_independent():
         assert results[0] == results[1]
         count, witness = results[0]
         assert (count, witness is not None) == (nodes, found)
+
+
+def _fail_at_three(item):
+    if item == 3:
+        raise ValueError(f"bad item {item}")
+    return item * item
+
+
+def _die_at_three(item):
+    if item == 3:
+        os._exit(1)
+    return item
+
+
+def test_pooled_reraises_in_order_and_leaves_no_worker():
+    got = []
+    with _pooled(2, _fail_at_three, (), range(6), 1) as results:
+        with pytest.raises(ValueError, match="^bad item 3$"):
+            got.extend(results)
+    assert got == [0, 1, 4]
+    with _pooled(2, abs, (), [-1, -2, -3, -4], 1) as results:
+        assert next(results) == 1  # leave with chunks unread
+    with _pooled(2, _die_at_three, (), range(6), 2) as results:
+        with pytest.raises(EOFError):
+            list(results)
+    assert multiprocessing.active_children() == []
 
 
 def test_rejected_partitions_audit_against_closed_form(plane_for):
