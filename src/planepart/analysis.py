@@ -16,11 +16,10 @@ from dataclasses import asdict, dataclass
 from .construct import (
     build_conflict_graph,
     choose_frame,
-    default_zeta_count,
     expected_unseparated_bound,
     sample_zeta_sets,
+    zeta_count,
 )
-from .galois import prime_power
 from .metric import (
     Partition,
     VertexSet,
@@ -30,7 +29,7 @@ from .metric import (
     partition_to_doc,
     vertex_at,
 )
-from .plane import IncidencePlane, build_plane
+from .plane import IncidencePlane, build_plane, plane_order
 
 LOWER_BOUND_CAVEAT = (
     "with no pure point or line classes the two vertex families are not "
@@ -72,9 +71,7 @@ def lower_bound(q: int) -> LowerBoundResult:
     feasible total is thus the least t with t * 2^(t-1) >= n, exactly, for
     every q. Like every plane order, q must be a prime power.
     """
-    if q < 2:
-        raise ValueError(f"order must be at least 2, got {q}")
-    prime_power(q)
+    plane_order(q)
     n = q * q + q + 1
     t = 1
     while t << (t - 1) < n:
@@ -217,12 +214,13 @@ def _scan_completions(dist, size, t, limit, prefix):
 
 
 def _worker_count(workers: int | None) -> int:
-    """The pool size: os.cpu_count() for None, else at least 1."""
+    """The pool size: os.cpu_count() for None, else workers capped at it."""
+    cpus = os.cpu_count() or 1
     if workers is None:
-        return os.cpu_count() or 1
+        return cpus
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    return workers
+    return min(workers, cpus)
 
 
 def _serve(conn, fn, args):
@@ -597,8 +595,8 @@ def estimate_unseparated(
     worker count. Pairs are counted among common points and among common
     lines only, the domains the expectation bound speaks about.
     """
-    if k is None:
-        k = default_zeta_count(q)
+    plane_order(q)
+    k = zeta_count(q, k)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     workers = _worker_count(workers)

@@ -95,10 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("exhaustive", "randomized"), default="exhaustive")
     s.add_argument("--tmin", type=int, default=1)
     s.add_argument("--tmax", type=int)
-    s.add_argument("--budget", type=int, default=10**8, help="partitions verified at most")
-    s.add_argument("--trials", type=int, default=20, help="randomized restarts per class count")
-    s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--workers", type=int)
+    s.add_argument(
+        "--budget", type=int, default=10**8, help="exhaustive only: partitions verified at most"
+    )
+    s.add_argument(
+        "--trials", type=int, default=20, help="randomized only: restarts per class count"
+    )
+    s.add_argument("--seed", type=_seed, default=0, help="randomized only: seed of the restarts")
+    s.add_argument(
+        "--workers", type=int, help="exhaustive only: pool size; default and cap: the CPU count"
+    )
     _add_output(s)
 
     e = sub.add_parser("estimate", help="Monte Carlo unseparated-pair estimate")

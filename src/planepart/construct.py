@@ -18,7 +18,6 @@ from .metric import (
     Partition,
     VertexSet,
     _iter_bits,
-    check_disjoint,
     is_resolving,
     packed_signatures,
     pair_count,
@@ -65,6 +64,21 @@ def default_zeta_count(q: int) -> int:
     return (q * q * q - 1).bit_length() + 3
 
 
+def zeta_count(q: int, k: int | None) -> int:
+    """k, or the default for None; raises ValueError unless 1 <= k <= q."""
+    if k is None:
+        k = default_zeta_count(q)
+        if k > q:
+            raise ValueError(
+                f"q={q} is too small for the default of {k} zeta sets; pass k <= q explicitly"
+            )
+    if k < 1:
+        raise ValueError(f"zeta set count must be positive, got {k}")
+    if k > q:
+        raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
+    return k
+
+
 def default_searching_count(q: int) -> int:
     """Number of searching classes, ceil(log2(q)), exactly; no other count works.
 
@@ -83,21 +97,6 @@ def min_free_lines(q: int) -> float:
     and may exhaust its retries.
     """
     return 3.0 * q / 8.0 - math.log2(q) - 2.0
-
-
-def separation_probability_bound(q: int, k: int) -> tuple[float, float]:
-    """Probability that k random zeta sets miss a fixed common pair.
-
-    Returns (lhs, rhs) where lhs is the exact case-split expression and rhs
-    is the power bound (1/2)**k that dominates it.
-    """
-    if not 1 <= k <= q:
-        raise ValueError(f"need 1 <= k <= q, got k={k}, q={q}")
-    ratio = (q - 2) / (2 * q - 2)
-    lhs = ((q - k + 1) / (q + 1)) * ratio**k + (k / (q + 1)) * ((q - 1) / q) * ratio ** (
-        k - 1
-    )
-    return lhs, 0.5**k
 
 
 def expected_unseparated_bound(q: int, k: int) -> float:
@@ -156,19 +155,12 @@ def _frame_side(plane: IncidencePlane, p0: int, l0: int):
     return majors, commons, tuple(meet)
 
 
-def choose_frame(plane: IncidencePlane, support: tuple[int, int] | None = None) -> Frame:
+def choose_frame(plane: IncidencePlane) -> Frame:
     """Label the plane relative to an incident support point and line.
 
-    The default support is the lowest point id with its lowest incident
-    line. An explicit override pair must be incident.
+    The support is the lowest point id with its lowest incident line.
     """
-    if support is None:
-        p0 = 0
-        l0 = plane.point_lines[0][0]
-    else:
-        p0, l0 = support
-        if not plane.incident(p0, l0):
-            raise ValueError(f"support override P{p0}, L{l0} is not an incident pair")
+    p0, l0 = 0, plane.point_lines[0][0]
     major_points, common_points, line_meet = _frame_side(plane, p0, l0)
     major_lines, common_lines, point_join = _frame_side(plane.dual(), l0, p0)
     return Frame(
@@ -193,9 +185,6 @@ class ZetaSet:
     def members(self) -> VertexSet:
         return VertexSet.from_indices(self.point_half, self.line_half)
 
-    def size(self) -> int:
-        return len(self.point_half) + len(self.line_half)
-
 
 def sample_zeta_sets(
     plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
@@ -204,13 +193,10 @@ def sample_zeta_sets(
 
     Bases are sampled without replacement and paired by sampling order;
     each point half is a uniform floor(q/2) subset of its base line. The
-    returned sets are pairwise disjoint and avoid the major points.
+    returned sets are pairwise disjoint and avoid the major points. k is
+    not checked here; ``zeta_count`` checks it.
     """
     q = plane.q
-    if k > q:
-        raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
-    if k < 1:
-        raise ValueError(f"zeta set count must be positive, got {k}")
     base_points = rng.sample(frame.major_points, k)
     base_lines = rng.sample(frame.major_lines, k)
     p0 = frame.support_point
@@ -245,10 +231,6 @@ class ConflictGraph:
     lines: tuple[int, ...]
     x_edge_count: int
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.points) + len(self.lines)
-
 
 def _collision_cliques(domain, sigs, special):
     cliques = tuple(sorted(tuple(sorted(g)) for g in signature_groups(sigs, domain)))
@@ -258,11 +240,12 @@ def _collision_cliques(domain, sigs, special):
 def build_conflict_graph(
     plane: IncidencePlane, frame: Frame, family: list[VertexSet]
 ) -> ConflictGraph:
-    """Group common and support vertices by representation under a family."""
-    check_disjoint(family)
+    """Group common and support vertices by representation under a disjoint family."""
     pdomain = list(frame.common_points) + [frame.support_point]
     ldomain = list(frame.common_lines) + [frame.support_line]
-    psig, lsig = packed_signatures(plane, family, pdomain, ldomain)
+    psig, lsig = packed_signatures(plane, family)
+    psig = list(map(psig.__getitem__, pdomain))
+    lsig = list(map(lsig.__getitem__, ldomain))
     point_cliques, xp = _collision_cliques(pdomain, psig, frame.support_point)
     line_cliques, xl = _collision_cliques(ldomain, lsig, frame.support_line)
     points = tuple(sorted(v for c in point_cliques for v in c))
@@ -276,13 +259,11 @@ def searching_family(domain, count: int, excluded=()) -> list[list]:
     Element ranks are assigned in domain order and subset j collects the
     elements whose rank has bit j set. Excluded elements are pinned to rank
     zero, the all-zero codeword; when nothing is excluded rank zero is used
-    by the first element instead. Raises ValueError when count is too small
-    for distinct codewords.
+    by the first element instead. Excluded elements must lie in the domain.
+    Raises ValueError when count is too small for distinct codewords.
     """
     domain = list(domain)
     excluded = set(excluded)
-    if not excluded.issubset(domain):
-        raise ValueError("excluded elements must belong to the domain")
     free = len(domain) - len(excluded)
     max_rank = free - 1 if not excluded else free
     needed = max(max_rank, 0).bit_length()
@@ -508,18 +489,8 @@ def construct_partition(
     if max_retries < 0:
         raise ValueError(f"retry count must be nonnegative, got {max_retries}")
     q = plane.q
-    defaults = k is None
-    if k is None:
-        k = default_zeta_count(q)
+    k = zeta_count(q, k)
     l = default_searching_count(q)
-    if k < 1:
-        raise ValueError(f"zeta set count must be positive, got {k}")
-    if k > q:
-        if defaults:
-            raise ValueError(
-                f"q={q} is too small for the default of {k} zeta sets; pass k <= q explicitly"
-            )
-        raise ValueError(f"order too small for construction: k={k} zeta sets need k <= q={q}")
     if min_free_lines(q) <= 0:
         log.warning(
             "q=%d leaves no guaranteed free lines (3q/8 - log2 q - 2 = %.2f); "

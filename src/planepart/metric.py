@@ -5,15 +5,13 @@ n lines, n = q*q + q + 1. The graph is bipartite with diameter 3, so every
 distance to a nonempty vertex set is one of 0, 1, 2, 3 and has a closed
 form; ``bfs_distance`` provides the independent shortest-path oracle.
 
-``distance_columns`` states that rule vertex by vertex; it is the reference
-form the tests check against, not a search kernel. ``packed_signatures``
-computes the same distances for a family of m sets at once. For each set it
-ORs the incidence rows of the set's members into the mask of vertices at
-distance at most 1 and turns the 0/1/2/3 codes into two n-bit planes: the
-low bit (codes 1 and 3) and the high bit (codes 2 and 3). It then
-transposes the 2m planes of a side into one integer per vertex, in lanes of
-ceil(2m / 8) bytes (at least one), so any family size fits. Set j occupies
-bits 2j and 2j+1 of that integer.
+``packed_signatures`` applies that rule to a family of m sets at once. For
+each set it ORs the incidence rows of the set's members into the mask of
+vertices at distance at most 1 and turns the 0/1/2/3 codes into two n-bit
+planes: the low bit (codes 1 and 3) and the high bit (codes 2 and 3). It
+then transposes the 2m planes of a side into one integer per vertex, in
+lanes of ceil(2m / 8) bytes (at least one), so any family size fits. Set j
+occupies bits 2j and 2j+1 of that integer.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .plane import IncidencePlane, bitmask
@@ -72,13 +69,6 @@ class VertexSet:
     def from_indices(cls, points: Iterable[int] = (), lines: Iterable[int] = ()) -> "VertexSet":
         return cls(bitmask(points), bitmask(lines))
 
-    @classmethod
-    def from_vertices(cls, vertices: Iterable[VertexId]) -> "VertexSet":
-        ids: tuple[list[int], list[int]] = ([], [])
-        for kind, i in vertices:
-            ids[kind != POINT].append(i)
-        return cls.from_indices(*ids)
-
     def is_empty(self) -> bool:
         return self.point_mask == 0 and self.line_mask == 0
 
@@ -87,14 +77,6 @@ class VertexSet:
 
     def line_ids(self) -> list[int]:
         return list(_iter_bits(self.line_mask))
-
-    def vertices(self) -> list[VertexId]:
-        out = [VertexId(POINT, i) for i in _iter_bits(self.point_mask)]
-        out.extend(VertexId(LINE, i) for i in _iter_bits(self.line_mask))
-        return out
-
-    def intersects(self, other: "VertexSet") -> bool:
-        return bool(self.point_mask & other.point_mask or self.line_mask & other.line_mask)
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         return VertexSet(self.point_mask | other.point_mask, self.line_mask | other.line_mask)
@@ -141,46 +123,6 @@ class Partition:
             raise ValueError("classes do not cover every vertex")
 
 
-def distance_to_set(plane: IncidencePlane, v: VertexId, s: VertexSet) -> int:
-    """Distance from a vertex to a nonempty vertex set; see distance_columns."""
-    kind, i = v
-    pcol, lcol = distance_columns(plane, s, *(([i], []) if kind == POINT else ([], [i])))
-    return (pcol or lcol)[0]
-
-
-def distance_columns(
-    plane: IncidencePlane,
-    s: VertexSet,
-    point_ids: Sequence[int] | None = None,
-    line_ids: Sequence[int] | None = None,
-) -> tuple[list[int], list[int]]:
-    """Distances from points and lines to one nonempty vertex set.
-
-    0 when the vertex belongs to the set. A point is at distance 1 exactly
-    when the set holds a line through it, else 2 when the set holds any
-    point, else 3; lines behave dually. This equals the minimum graph
-    distance to a member and applies unchanged to vertices outside every
-    set of a family. Ids default to every point and every line.
-    """
-    if s.point_mask == 0 and s.line_mask == 0:
-        raise ValueError("distance to an empty set is undefined")
-    prange = range(plane.n) if point_ids is None else point_ids
-    lrange = range(plane.n) if line_ids is None else line_ids
-    far_point = 2 if s.point_mask else 3
-    far_line = 2 if s.line_mask else 3
-    pmasks = plane.point_masks
-    lmasks = plane.line_masks
-    lm = s.line_mask
-    pm = s.point_mask
-    pcol = [
-        0 if pm >> p & 1 else (1 if pmasks[p] & lm else far_point) for p in prange
-    ]
-    lcol = [
-        0 if lm >> li & 1 else (1 if lmasks[li] & pm else far_line) for li in lrange
-    ]
-    return pcol, lcol
-
-
 _SPREAD = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -211,18 +153,15 @@ def _point_signatures(plane: IncidencePlane, family: Sequence[VertexSet]) -> lis
 
 
 def packed_signatures(
-    plane: IncidencePlane,
-    family: Sequence[VertexSet],
-    point_ids: Sequence[int] | None = None,
-    line_ids: Sequence[int] | None = None,
+    plane: IncidencePlane, family: Sequence[VertexSet]
 ) -> tuple[list[int], list[int]]:
     """Distance vectors to a set family, packed 2 bits per coordinate.
 
-    Bits 2j and 2j+1 of a vertex's integer hold its distance to family[j].
-    ``distance_columns`` is the reference form of the distance rule; this
-    computes the same values for the whole family with whole-integer
-    operations. Packed integers compare exactly, so equal values mean equal
-    vectors.
+    Bits 2j and 2j+1 of a vertex's integer hold its distance to family[j]:
+    0 when the vertex belongs to the set; for a point, 1 when the set holds
+    a line through it, else 2 when the set holds any point, else 3; dually
+    for a line. This equals the minimum graph distance to a member. Packed
+    integers compare exactly, so equal values mean equal vectors.
 
     Each set gives two n-bit planes per side. The points at distance at
     most 1 (the OR of the incidence rows of the set's lines), less the
@@ -233,17 +172,13 @@ def packed_signatures(
     shifted into one byte per vertex, and byte k of vertex v's lane holds
     planes 8k..8k+7. A lane is ceil(2m / 8) bytes (at least one), so any
     family size fits; the lanes are cut into integers at the end. Lines are
-    the points of the dual plane. Ids default to every point and every
-    line; given ids pick from the full lists in the order given.
+    the points of the dual plane. The lists hold every point and every line
+    in id order.
     """
     if any(s.is_empty() for s in family):
         raise ValueError("distance to an empty set is undefined")
     psig = _point_signatures(plane, family)
     lsig = _point_signatures(plane.dual(), [s.dual() for s in family])
-    if point_ids is not None:
-        psig = [psig[p] for p in point_ids]
-    if line_ids is not None:
-        lsig = [lsig[li] for li in line_ids]
     return psig, lsig
 
 
@@ -283,31 +218,6 @@ def is_resolving(plane: IncidencePlane, partition: Partition) -> Verdict:
     groups = signature_groups(psig + lsig, range(2 * n))
     collisions = [[vertex_at(v, n) for v in g] for g in groups]
     return Verdict(not collisions, collisions)
-
-
-def check_disjoint(family: Sequence[VertexSet]) -> None:
-    """Raise ValueError naming the first two sets of a family that share a vertex."""
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            if family[i].intersects(family[j]):
-                raise ValueError(f"family sets {i} and {j} are not disjoint")
-
-
-def unseparated_pairs(
-    plane: IncidencePlane, family: Sequence[VertexSet]
-) -> list[tuple[VertexId, VertexId]]:
-    """All vertex pairs with equal distance to every set of a disjoint family.
-
-    The family need not cover the vertex set; an empty family leaves every
-    pair unseparated. Output is normalized to lexicographic order.
-    """
-    sets = list(family)
-    check_disjoint(sets)
-    n = plane.n
-    psig, lsig = packed_signatures(plane, sets)
-    groups = signature_groups(psig + lsig, range(2 * n))
-    pairs = sorted(uw for g in groups for uw in combinations(g, 2))
-    return [(vertex_at(u, n), vertex_at(w, n)) for u, w in pairs]
 
 
 def bfs_distance(plane: IncidencePlane, u: VertexId, w: VertexId) -> int:

@@ -63,9 +63,6 @@ class IncidencePlane:
     def __repr__(self) -> str:
         return f"IncidencePlane(q={self.q}, n={self.n})"
 
-    def incident(self, point: int, line: int) -> bool:
-        return bool(self.line_masks[line] >> point & 1)
-
     def dual(self) -> "IncidencePlane":
         """Plane with the roles of points and lines exchanged, sharing all storage."""
         return object.__new__(IncidencePlane)._set(
@@ -152,12 +149,16 @@ def build_pg2(f: Field) -> IncidencePlane:
     )
 
 
-def build_plane(q: int) -> IncidencePlane:
-    """Build PG(2,q) for a prime power q."""
+def plane_order(q: int) -> tuple[int, int]:
+    """(p, e) with q = p**e; ValueError unless q is a prime power of at least 2."""
     if q < 2:
         raise ValueError(f"plane order must be at least 2, got {q}")
-    p, e = prime_power(q)
-    return build_pg2(build_field(p, e))
+    return prime_power(q)
+
+
+def build_plane(q: int) -> IncidencePlane:
+    """Build PG(2,q) for a prime power q."""
+    return build_pg2(build_field(*plane_order(q)))
 
 
 # Size violation kinds and messages, for the lines of the plane and for the

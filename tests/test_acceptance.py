@@ -21,11 +21,12 @@ from planepart import (
 )
 from planepart.analysis import _all_pairs_distances, exhaustive_pd
 from planepart.cli import main as cli_main
-from planepart.construct import ConstructionError, default_zeta_count, separation_probability_bound
-from planepart.metric import LINE, POINT, Partition, VertexId, VertexSet, distance_to_set
+from planepart.construct import ConstructionError, default_zeta_count
+from planepart.metric import LINE, POINT, Partition, VertexId, VertexSet
 from planepart.plane import validate_axioms
 
 from conftest import prime_powers
+from oracles import distance_to_set, separation_probability_bound
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

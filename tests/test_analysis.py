@@ -12,6 +12,7 @@ from planepart.analysis import (
     _Descent,
     _assignment_to_partition,
     _pooled,
+    _worker_count,
     _rgs_prefixes,
     _scan_completions,
     _scan_level,
@@ -209,6 +210,16 @@ def test_pooled_reraises_in_order_and_leaves_no_worker():
         with pytest.raises(EOFError):
             list(results)
     assert multiprocessing.active_children() == []
+
+
+def test_worker_count_is_capped_at_the_cpu_count():
+    # computes a size only: no process is started
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10**6) == cpus
+    assert _worker_count(None) == cpus
+    assert _worker_count(1) == 1
+    with pytest.raises(ValueError, match="^worker count must be at least 1, got 0$"):
+        _worker_count(0)
 
 
 def test_rejected_partitions_audit_against_closed_form(plane_for):

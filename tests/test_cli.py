@@ -253,11 +253,13 @@ def test_out_of_range_messages(capsys):
     }
     for workers in ("1", "2"):
         cases[("estimate", "--q", "8", "--workers", workers)] = (
-            "order too small for construction: k=12 zeta sets need k <= q=8"
+            "q=8 is too small for the default of 12 zeta sets; pass k <= q explicitly"
         )
         cases[("estimate", "--q", "8", "--k", "0", "--workers", workers)] = (
             "zeta set count must be positive, got 0"
         )
+        # the order is checked before the zeta count it decides
+        cases[("estimate", "--q", "6", "--workers", workers)] = "6 is not a prime power"
     for argv, message in cases.items():
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 

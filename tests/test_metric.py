@@ -13,17 +13,22 @@ from planepart.metric import (
     VertexId,
     VertexSet,
     bfs_distance,
-    distance_columns,
-    distance_to_set,
     packed_signatures,
     pair_count,
     partition_from_doc,
     partition_to_doc,
     signature_groups,
-    unseparated_pairs,
 )
 
 from conftest import replace_one_field
+from oracles import (
+    distance_columns,
+    distance_to_set,
+    incident,
+    unseparated_pairs,
+    vertex_set_from_vertices,
+    vertices_of,
+)
 
 
 def random_partition(rng, n, m=None):
@@ -67,7 +72,7 @@ def test_distance_cases_on_frame_sets(plane_for):
 def test_point_far_from_pure_line_class(plane_for):
     plane = plane_for(2)
     p = VertexId(POINT, 0)
-    off = [li for li in range(plane.n) if not plane.incident(0, li)]
+    off = [li for li in range(plane.n) if not incident(plane, 0, li)]
     s = VertexSet.from_indices(lines=off[:2])
     assert distance_to_set(plane, p, s) == 3
 
@@ -96,13 +101,6 @@ def _vertex_sets(n):
     )
 
 
-def _id_subset(n):
-    """Every id by default, else a subset of ids in any order."""
-    return st.none() | st.permutations(range(n)).flatmap(
-        lambda order: st.integers(0, n).map(lambda k: order[:k])
-    )
-
-
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_signatures_equal_the_distance_column_fold(data, plane_for):
@@ -111,20 +109,18 @@ def test_packed_signatures_equal_the_distance_column_fold(data, plane_for):
     n = plane.n
     size = data.draw(st.integers(0, 40), label="size")
     family = data.draw(st.lists(_vertex_sets(n), min_size=size, max_size=size), label="family")
-    point_ids = data.draw(_id_subset(n), label="point_ids")
-    line_ids = data.draw(_id_subset(n), label="line_ids")
-    psig = [0] * (n if point_ids is None else len(point_ids))
-    lsig = [0] * (n if line_ids is None else len(line_ids))
+    psig = [0] * n
+    lsig = [0] * n
     for j, s in enumerate(family):
-        pcol, lcol = distance_columns(plane, s, point_ids, line_ids)
+        pcol, lcol = distance_columns(plane, s)
         psig = [sig | d << 2 * j for sig, d in zip(psig, pcol)]
         lsig = [sig | d << 2 * j for sig, d in zip(lsig, lcol)]
-    assert packed_signatures(plane, family, point_ids, line_ids) == (psig, lsig)
+    assert packed_signatures(plane, family) == (psig, lsig)
     if family:
         at = data.draw(st.integers(0, len(family)), label="empty set at")
         with_empty = family[:at] + [VertexSet()] + family[at:]
         with pytest.raises(ValueError, match="^distance to an empty set is undefined$"):
-            packed_signatures(plane, with_empty, point_ids, line_ids)
+            packed_signatures(plane, with_empty)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -136,7 +132,7 @@ def test_closed_form_equals_bfs_minimum(q, plane_for):
         for i in range(plane.n):
             for v in (VertexId(POINT, i), VertexId(LINE, i)):
                 for cls in partition.classes:
-                    best = min(bfs_distance(plane, v, w) for w in cls.vertices())
+                    best = min(bfs_distance(plane, v, w) for w in vertices_of(cls))
                     assert distance_to_set(plane, v, cls) == best
 
 
@@ -223,11 +219,6 @@ def test_unseparated_pairs_rejects_overlap(plane_for):
     b = VertexSet.from_indices(points=[1, 2])
     with pytest.raises(ValueError, match="family sets 0 and 1 are not disjoint"):
         unseparated_pairs(plane, [a, b])
-    # the conflict graph applies the same check
-    from planepart.construct import build_conflict_graph, choose_frame
-
-    with pytest.raises(ValueError, match="family sets 0 and 1 are not disjoint"):
-        build_conflict_graph(plane, choose_frame(plane), [a, b])
 
 
 def test_is_resolving_agrees_with_unseparated_pairs(plane_for):
@@ -265,7 +256,7 @@ def test_bfs_examples(plane_for):
     plane = plane_for(3)
     ln = 5
     on = plane.line_points[ln][0]
-    off = next(p for p in range(plane.n) if not plane.incident(p, ln))
+    off = next(p for p in range(plane.n) if not incident(plane, p, ln))
     assert bfs_distance(plane, VertexId(POINT, on), VertexId(LINE, ln)) == 1
     assert bfs_distance(plane, VertexId(POINT, 0), VertexId(POINT, 1)) == 2
     assert bfs_distance(plane, VertexId(POINT, off), VertexId(LINE, ln)) == 3
@@ -294,12 +285,12 @@ def test_splitting_a_set_never_loses_separation(data, plane_for):
         return
     idx = data.draw(st.integers(min_value=0, max_value=len(family) - 1))
     victim = family[idx]
-    vertices = victim.vertices()
+    vertices = vertices_of(victim)
     if len(vertices) < 2:
         return
     cut = data.draw(st.integers(min_value=1, max_value=len(vertices) - 1))
-    left = VertexSet.from_vertices(vertices[:cut])
-    right = VertexSet.from_vertices(vertices[cut:])
+    left = vertex_set_from_vertices(vertices[:cut])
+    right = vertex_set_from_vertices(vertices[cut:])
     refined = family[:idx] + [left, right] + family[idx + 1 :]
     before = set(unseparated_pairs(plane, family))
     after = set(unseparated_pairs(plane, refined))
