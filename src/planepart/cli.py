@@ -55,8 +55,16 @@ def _resolve_plane(args):
         raise UsageError("exactly one of --q and --plane is required")
     if args.q is not None:
         return plane_mod.build_plane(args.q)
-    with open(args.plane, encoding="utf-8") as fh:
-        return plane_mod.load_plane(json.load(fh))
+    return plane_mod.load_plane(_read_json(args.plane))
+
+
+def _read_json(path: str):
+    """The JSON document in a file; ValueError when it nests too deeply to decode."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply to read") from None
 
 
 class UsageError(Exception):
@@ -181,8 +189,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     target = _resolve_plane(args)
-    with open(args.partition, encoding="utf-8") as fh:
-        partition = metric.partition_from_doc(json.load(fh), target)
+    partition = metric.partition_from_doc(_read_json(args.partition), target)
     verdict = metric.is_resolving(target, partition)
     doc = {
         "q": target.q,

@@ -60,3 +60,20 @@ def replace_one_field(doc, data):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = data.draw(JSON_VALUES)
+
+
+def relabelled(doc, points, lines):
+    """A plane or partition document with every Pi renamed P(points[i]) and
+    every Li renamed L(lines[i]); entries keep their order."""
+
+    def rename(name):
+        return f"{name[0]}{(points if name[0] == 'P' else lines)[int(name[1:])]}"
+
+    if "lines" in doc:
+        return {"q": doc["q"], "lines": [
+            {"id": rename(e["id"]), "points": list(map(rename, e["points"]))}
+            for e in doc["lines"]
+        ]}
+    return {**doc, "classes": [
+        {**c, "members": list(map(rename, c["members"]))} for c in doc["classes"]
+    ]}

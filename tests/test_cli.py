@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from planepart import analysis, build_plane, is_resolving
 from planepart.cli import main
 from planepart.metric import partition_from_doc
+
+from conftest import relabelled
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -104,6 +108,44 @@ def test_verify_reads_zero_padded_names_like_canonical_ones(tmp_path, capsys):
     part_file.write_text(json.dumps(part_doc))
     padded = run(capsys, "verify", "--plane", str(plane_file), "--partition", str(part_file))
     assert padded == canonical
+
+
+def test_plane_files_and_relabelled_ones_give_the_outputs_of_q(tmp_path, capsys):
+    # the tool's own file loads as the built plane; one relabelled by a
+    # permutation, with its partition, takes the general loader
+    plane_file = tmp_path / "plane.json"
+    part_file = tmp_path / "partition.json"
+    assert run(capsys, "plane", "--q", "16", "--out", str(plane_file))[0] == 0
+    built = run(capsys, "construct", "--q", "16", "--seed", "1")
+    assert built[0] == 0
+    assert run(capsys, "construct", "--plane", str(plane_file), "--seed", "1") == built
+    part_file.write_text(built[1])
+    verdict = run(capsys, "verify", "--q", "16", "--partition", str(part_file))
+    assert verdict[0] == 0 and json.loads(verdict[1])["resolving"] is True
+    from_file = ("verify", "--plane", str(plane_file), "--partition", str(part_file))
+    assert run(capsys, *from_file) == verdict
+    points, lines = list(range(273)), list(range(273))
+    random.Random(0).shuffle(points)
+    random.Random(1).shuffle(lines)
+    for path in (plane_file, part_file):
+        path.write_text(json.dumps(relabelled(json.loads(path.read_text()), points, lines)))
+    assert run(capsys, *from_file) == verdict
+
+
+@pytest.mark.parametrize("deep", ["--plane", "--partition"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, deep):
+    # the decoder's RecursionError is an input error, not a traceback with
+    # exit 1, which would read as "not resolving"
+    files = {flag: tmp_path / f"{flag[2:]}.json" for flag in ("--plane", "--partition")}
+    assert run(capsys, "plane", "--q", "2", "--out", str(files["--plane"]))[0] == 0
+    files["--partition"].write_text(json.dumps({"classes": [
+        {"name": "points", "members": [f"P{i}" for i in range(7)]},
+        {"name": "lines", "members": [f"L{i}" for i in range(7)]},
+    ]}))
+    files[deep].write_text("[" * 200000 + "]" * 200000)
+    argv = chain.from_iterable((flag, str(path)) for flag, path in files.items())
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {files[deep]}: JSON nests too deeply to read\n")
 
 
 def test_verify_single_class_partition_exits_1(tmp_path, capsys):

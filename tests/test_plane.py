@@ -10,11 +10,12 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planepart import build_plane, plane_to_doc
+from planepart import build_plane, is_resolving, plane_to_doc
 from planepart.galois import build_field, prime_power
+from planepart.metric import partition_from_doc
 from planepart.plane import IncidencePlane, load_plane, validate_axioms
 
-from conftest import prime_powers, replace_one_field
+from conftest import prime_powers, relabelled, replace_one_field
 from oracles import incident
 
 
@@ -41,8 +42,10 @@ def test_triples_are_sorted_and_canonical():
         assert next(x for x in t if x) == 1
 
 
-@pytest.mark.parametrize("q", prime_powers(2, 16))
+@pytest.mark.parametrize("q", prime_powers(2, 81))
 def test_axioms_hold_for_all_built_planes(q, plane_for):
+    # load_plane returns the built plane for a document equal to it without
+    # checking the axioms, so the built planes must pass them
     validate_axioms(plane_for(q))
 
 
@@ -187,11 +190,62 @@ def test_load_rejects_order_one():
         assert str(err.value) == "plane order must be at least 2, got 1"
 
 
+def _reversed_doc(plane):
+    """The plane's document with Pi and Li renamed P(n-1-i) and L(n-1-i), so
+    that it is not the built plane and loads through the general path."""
+    back = range(plane.n - 1, -1, -1)
+    return relabelled(plane_to_doc(plane), back, back)
+
+
 def test_q64_document_loads(plane_for):
     # the pair checks are O(nq) on a valid plane; the n*n/2 pair scan took
     # about 9 s at this order, so a return to it shows in the test durations
     plane = plane_for(64)
-    assert load_plane(plane_to_doc(plane)).line_points == plane.line_points
+    loaded = load_plane(_reversed_doc(plane))
+    assert loaded.point_triples is None
+    last = plane.n - 1
+    assert loaded.line_points[::-1] == [
+        tuple(sorted(last - p for p in pts)) for pts in plane.line_points
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_only_the_built_incidence_skips_the_general_loader(data):
+    q = data.draw(st.sampled_from(prime_powers(2, 9)), label="q")
+    plane = build_plane(q)
+    n = plane.n
+    # a canonical document loads as the built plane
+    canonical = load_plane(plane_to_doc(plane))
+    assert canonical.point_triples == plane.point_triples
+    for side in ("line_points", "point_lines", "line_masks", "point_masks"):
+        assert getattr(canonical, side) == getattr(plane, side)
+    # a relabelled one takes the general path unless the relabelling
+    # happens to give back every built row in its order
+    points = data.draw(st.permutations(range(n)), label="points")
+    lines = data.draw(st.permutations(range(n)), label="lines")
+    rows = [None] * n
+    for li, pts in enumerate(plane.line_points):
+        rows[lines[li]] = tuple(points[p] for p in pts)
+    loaded = load_plane(relabelled(plane_to_doc(plane), points, lines))
+    assert (loaded.point_triples is None) == (rows != plane.line_points)
+    assert loaded.line_points == [tuple(sorted(r)) for r in rows]
+    # and a relabelled partition gets the relabelled verdict
+    t = data.draw(st.integers(1, 16), label="classes")
+    labels = data.draw(st.lists(st.integers(0, t - 1), min_size=2 * n, max_size=2 * n))
+    classes = {}
+    for v, c in enumerate(labels):
+        classes.setdefault(c, []).append(f"P{v}" if v < n else f"L{v - n}")
+    doc = {"q": q, "classes": [{"name": f"C{c}", "members": m} for c, m in classes.items()]}
+    moved = relabelled(doc, points, lines)
+    rename = dict(zip(chain.from_iterable(c["members"] for c in doc["classes"]),
+                      chain.from_iterable(c["members"] for c in moved["classes"])))
+    before = is_resolving(plane, partition_from_doc(doc, plane))
+    after = is_resolving(loaded, partition_from_doc(moved, loaded))
+    assert after.resolving == before.resolving
+    assert {frozenset(map(str, g)) for g in after.collision_groups} == {
+        frozenset(rename[str(v)] for v in g) for g in before.collision_groups
+    }
 
 
 def test_load_rejects_points_that_are_not_an_array():
@@ -357,7 +411,8 @@ def test_rows_are_untracked_tuples_over_one_id_list(source):
     # q=17 has ids above 256, which CPython does not cache
     plane = build_plane(17)
     if source == "loaded":
-        plane = load_plane(plane_to_doc(plane))
+        plane = load_plane(_reversed_doc(plane))
+        assert plane.point_triples is None
     gc.collect()
     for side in (plane.line_points, plane.point_lines):
         assert all(type(row) is tuple and not gc.is_tracked(row) for row in side)
