@@ -395,11 +395,20 @@ class _Descent:
         self.sides = [[0, 0] for _ in range(t)]
         for u, c in enumerate(assign):
             self.sides[c][u >= n] += 1
+        # Each side's far codes, then per vertex code 1 to every class a
+        # neighbour is in and 0 to its own.
+        far = [
+            sum((2 if h[side] else 3) << 2 * c for c, h in enumerate(self.sides))
+            for side in (0, 1)
+        ]
+        ones = (4**t - 1) // 3  # 1 in every coordinate
+        self.sigs = []
+        for u, c in enumerate(assign):
+            met = 0
             for w in self.adj[u]:
                 self.nb[assign[w]][u] += 1
-        self.sigs = [0] * (2 * n)
-        for c in range(t):
-            self.sigs = [s | self.code(u, c) << 2 * c for u, s in enumerate(self.sigs)]
+                met |= 3 << 2 * assign[w]
+            self.sigs.append((far[u >= n] & ~met | met & ones) & ~(3 << 2 * c))
         self.counts = Counter(self.sigs)
         self.pairs = pair_count(self.counts.values())
 
@@ -413,31 +422,27 @@ class _Descent:
         """Colliding pairs after moving v to each other class, ascending.
 
         Returns (c, pairs) items and stops after the first pair count below
-        ``below``. Empty when v is alone in its class. v gets code 0 to c
-        and, to src, 1 when it has a neighbour there, else its side's far
-        code. A neighbour w keeps code 0 to src when it is in src, else gets
-        1 when another neighbour of it is in src, else its side's far code,
-        and gets code 0 or 1 to c. Without a far-code flip only these are
-        rescored against the Counter. With one, a copy of the signatures
-        also turns, on v's side, src's code 2 into 3 or c's code 3 into 2,
-        and its pairs are counted afresh.
+        ``below``. Empty when v is alone in its class. Also empty, unscored,
+        when 0 < below <= pairs and no move of v can go below the count: v
+        and its neighbours collide with no vertex, and v is not the last
+        vertex of src on its side (see ``randomized_upper_bound``).
+
+        v gets code 0 to c and, to src, 1 when it has a neighbour there,
+        else its side's far code. A neighbour w keeps code 0 to src when it
+        is in src, else gets 1 when another neighbour of it is in src, else
+        its side's far code, and gets code 0 or 1 to c. Without a far-code
+        flip only these are rescored against the Counter. With one, a copy
+        of the signatures also turns, on v's side, src's code 2 into 3 or
+        c's code 3 into 2, and its pairs are counted afresh.
         """
         n, assign, sigs, counts, have = self.n, self.assign, self.sigs, self.counts, self.sides
         src = assign[v]
         if sum(have[src]) == 1:
             return []
         near = self.adj[v]
-        nb_src = self.nb[src]
         side = v >= n
         shift = 2 * src
-        clear = ~(3 << shift)
-        far = 2 if have[src][not side] else 3  # on the neighbours' side
-        # v and its neighbours with coordinate src already moved.
-        moved = [
-            sigs[w] & clear | (0 if assign[w] == src else 1 if nb_src[w] > 1 else far) << shift
-            for w in near
-        ]
-        moved_v = sigs[v] & clear | (1 if nb_src[v] else 2 if have[src][side] > 1 else 3) << shift
+        up = 1 << shift if have[src][side] == 1 else 0
         # Take the touched vertices out of the count; they go back at the end.
         touched = near + [v]
         lost = 0
@@ -445,8 +450,23 @@ class _Descent:
             k = counts[sigs[u]] - 1
             counts[sigs[u]] = k
             lost += k
+        # Nothing touched collides and src keeps v's side: no class can go
+        # below the count (see randomized_upper_bound).
+        if not (lost or up) and 0 < below <= self.pairs:
+            for u in touched:
+                counts[sigs[u]] += 1
+            return []
+        nb_src = self.nb[src]
+        clear = ~(3 << shift)
+        far = 2 if have[src][not side] else 3  # on the neighbours' side
+        # v and its neighbours with coordinate src already moved.
+        cls = [assign[w] for w in near]
+        moved = [
+            sigs[w] & clear | (0 if d == src else 1 if nb_src[w] > 1 else far) << shift
+            for w, d in zip(near, cls)
+        ]
+        moved_v = sigs[v] & clear | (1 if nb_src[v] else 3 if up else 2) << shift
         lo, hi = side * n, side * n + n
-        up = 1 << shift if have[src][side] == 1 else 0
         zeros = itertools.repeat(0)
         out = []
         for c in range(len(have)):
@@ -454,7 +474,7 @@ class _Descent:
                 continue
             bit = 2 * c
             keep = ~(3 << bit)
-            new = [s & keep | (assign[w] != c) << bit for w, s in zip(near, moved)]
+            new = [s & keep | (d != c) << bit for d, s in zip(cls, moved)]
             new.append(moved_v & keep)
             down = 0 if have[c][side] else 1 << bit
             if up or down:
@@ -469,8 +489,9 @@ class _Descent:
                 # A new signature shared by k others adds k pairs; equal new
                 # signatures also pair among themselves.
                 gained = sum(map(counts.get, new, zeros))
-                if len(set(new)) < len(new):
-                    gained += pair_count(Counter(new).values())
+                distinct = set(new)
+                if len(distinct) < len(new):
+                    gained += pair_count(map(new.count, distinct))
                 pairs = self.pairs - lost + gained
             out.append((c, pairs))
             if pairs < below:
@@ -521,9 +542,20 @@ def randomized_upper_bound(
     has a neighbour in c, else 2 when c holds a vertex on its side, else 3.
     Each candidate is scored exactly, in O(q) unless it changes a class
     between having and lacking vertices on the moved vertex's side; then by
-    one O(n) pass over the signature integers (see ``_Descent``). Returns
-    the first witness that ``is_resolving`` accepts, or None when every
-    attempt stalls at a local minimum.
+    one O(n) pass over the signature integers (see ``_Descent``).
+
+    A vertex v is skipped unscored when it and its q+1 neighbours each have
+    a signature no other vertex shares and v is not the last vertex of its
+    class on its side. No move of v can then lower the count, so the scan
+    would have gone on to the next vertex anyway. A move lowers the count
+    only by separating a colliding pair, and the touched vertices are in
+    none. The untouched ones change only if the target class c had no
+    vertex on v's side: then every untouched vertex on that side turns code
+    3 to c into 2 alike, which separates none of their pairs, and a pair
+    across the sides was already apart at c (codes 1 or 3 against 0 or 2).
+
+    Returns the first witness that ``is_resolving`` accepts, or None when
+    every attempt stalls at a local minimum.
     """
     if t < 2:
         raise ValueError(f"need at least 2 classes, got {t}")

@@ -59,12 +59,14 @@ def _resolve_plane(args):
 
 
 def _read_json(path: str):
-    """The JSON document in a file; ValueError when it nests too deeply to decode."""
+    """The JSON document in a file; ValueError naming the file when it cannot be decoded."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deeply to read") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 class UsageError(Exception):

@@ -315,9 +315,12 @@ def _check_scores_then_move(plane, state, v, c):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_descent_scores_and_moves_match_a_full_recount(plane_for, data):
-    plane = plane_for(data.draw(st.sampled_from([2, 3, 4]), label="q"))
+    q = data.draw(st.sampled_from([2, 3, 4]), label="q")
+    plane = plane_for(q)
     size = 2 * plane.n
-    t = data.draw(st.integers(2, 9), label="t")
+    # At q=2 up to one class per vertex, so that many classes lack a point or
+    # a line and start at far code 3.
+    t = data.draw(st.integers(2, size if q == 2 else 9), label="t")
     assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
         assign[v] = c
@@ -345,6 +348,99 @@ def test_descent_rescans_a_side_whose_far_code_flips(plane_for):
     for v, c in ((6, 0), (n + 6, 2), (0, 2), (n, 1)):
         state = _Descent(plane, list(assign), 3)
         _check_scores_then_move(plane, state, v, c)
+
+
+def _skip_rule(plane, state, v):
+    """The documented skip rule, restated from a recount of the state's assignment.
+
+    v and its neighbours each have a signature no other vertex shares, and
+    v is not the last vertex of its class on its side.
+    """
+    n, assign = plane.n, state.assign
+    side = v >= n
+    near = [n + li for li in plane.point_lines[v]] if side == 0 else plane.line_points[v - n]
+    sigs, _ = _recount(plane, assign, len(state.sides))
+    counts = Counter(sigs)
+    on_side = assign[side * n : side * n + n].count(assign[v])
+    return all(counts[sigs[u]] == 1 for u in [v, *near]) and on_side > 1
+
+
+def _descend(state, steps):
+    """Take up to `steps` first-improvement moves, as randomized_upper_bound does."""
+    for _ in range(steps):
+        for v in range(len(state.assign)):
+            scored = state.scores(v, state.pairs)
+            if scored and scored[-1][1] < state.pairs:
+                state.move(v, scored[-1][0])
+                break
+        else:
+            return
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_descent_skips_exactly_the_scans_that_cannot_improve(plane_for, data):
+    """scores(v, pairs) is the full scoring cut at the first improvement,
+    except that it is empty exactly when the skip rule holds, and then no
+    class brings the count below pairs."""
+    plane = plane_for(data.draw(st.sampled_from([2, 3, 4]), label="q"))
+    size = 2 * plane.n
+    t = data.draw(st.integers(2, 9), label="t")
+    assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
+    for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
+        assign[v] = c
+    state = _Descent(plane, assign, t)
+    for _ in range(data.draw(st.integers(0, 4), label="random moves")):
+        v = data.draw(st.integers(0, size - 1), label="v")
+        if state.assign.count(state.assign[v]) > 1:
+            c = data.draw(st.integers(0, t - 2), label="c")
+            state.move(v, c + (c >= state.assign[v]))
+    _descend(state, data.draw(st.integers(0, 30), label="descent steps"))
+    for v in range(size):
+        full = state.scores(v)
+        alone = state.assign.count(state.assign[v]) == 1
+        skip = state.pairs and not alone and _skip_rule(plane, state, v)
+        if skip:
+            assert min(pairs for _, pairs in full) >= state.pairs, v
+        for below in (state.pairs, state.pairs + 1):
+            cut = next((i for i, (_, pairs) in enumerate(full) if pairs < below), len(full) - 1)
+            expect = [] if skip and below == state.pairs else full[: cut + 1]
+            assert state.scores(v, below) == expect, (v, below)
+
+
+def test_descent_scores_a_move_that_empties_a_side(plane_for):
+    """The skip needs more than no touched vertex colliding.
+
+    On PG(2,2) with t=4, P0, L1, L3 and L5 each have a signature of their
+    own, and the state has 3 colliding pairs. But P0 is class 1's only
+    point, so moving it flips class 1's far code on the point side from 2
+    to 3, and moving it to class 0 leaves 1 pair. So scores must not skip P0.
+    """
+    plane = plane_for(2)
+    state = _Descent(plane, [1, 2, 0, 0, 2, 0, 3, 2, 3, 2, 1, 3, 3, 0], 4)
+    assert state.pairs == 3
+    assert all(state.counts[state.sigs[u]] == 1 for u in [0, *state.adj[0]])
+    assert state.scores(0, state.pairs) == [(0, 1)]
+    assert state.scores(0) == [(0, 1), (2, 3), (3, 1)]
+
+
+def test_descent_skips_a_move_that_first_fills_a_side(plane_for):
+    """A class with no vertex on v's side does not stop the skip.
+
+    On PG(2,2) with t=4, L1 and its points P0, P3 and P4 each have a
+    signature of their own, L1 is one of three lines of class 2, and class 0
+    holds P3 and P4 but no line. Moving L1 there turns every other line's
+    code 3 to class 0 into 2 alike, and the points, at code 0 or 2 there,
+    were already apart from every line, at 1 or 3. So no pair comes apart,
+    and the state's 1 pair cannot drop.
+    """
+    plane = plane_for(2)
+    state = _Descent(plane, [3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 3, 2], 4)
+    n = plane.n
+    assert state.pairs == 1 and state.sides[0] == [2, 0]
+    assert all(state.counts[state.sigs[u]] == 1 for u in [n + 1, *state.adj[n + 1]])
+    assert state.scores(n + 1, state.pairs) == []
+    assert state.scores(n + 1) == [(0, 2), (1, 1), (3, 1)]
 
 
 def test_randomized_upper_bound_arg_checks(plane_for):

@@ -132,20 +132,34 @@ def test_plane_files_and_relabelled_ones_give_the_outputs_of_q(tmp_path, capsys)
     assert run(capsys, *from_file) == verdict
 
 
-@pytest.mark.parametrize("deep", ["--plane", "--partition"])
-def test_deeply_nested_json_exits_2(tmp_path, capsys, deep):
-    # the decoder's RecursionError is an input error, not a traceback with
-    # exit 1, which would read as "not resolving"
+def _verify_with_bad_file(tmp_path, capsys, bad, content):
+    """Run verify on a valid q=2 plane and partition, with the `bad` file's bytes replaced."""
     files = {flag: tmp_path / f"{flag[2:]}.json" for flag in ("--plane", "--partition")}
     assert run(capsys, "plane", "--q", "2", "--out", str(files["--plane"]))[0] == 0
     files["--partition"].write_text(json.dumps({"classes": [
         {"name": "points", "members": [f"P{i}" for i in range(7)]},
         {"name": "lines", "members": [f"L{i}" for i in range(7)]},
     ]}))
-    files[deep].write_text("[" * 200000 + "]" * 200000)
+    files[bad].write_bytes(content)
     argv = chain.from_iterable((flag, str(path)) for flag, path in files.items())
-    code, out, err = run(capsys, "verify", *argv)
-    assert (code, out, err) == (2, "", f"error: {files[deep]}: JSON nests too deeply to read\n")
+    return files[bad], run(capsys, "verify", *argv)
+
+
+@pytest.mark.parametrize("deep", ["--plane", "--partition"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, deep):
+    # the decoder's RecursionError is an input error, not a traceback with
+    # exit 1, which would read as "not resolving"
+    path, result = _verify_with_bad_file(tmp_path, capsys, deep, b"[" * 200000 + b"]" * 200000)
+    assert result == (2, "", f"error: {path}: JSON nests too deeply to read\n")
+
+
+@pytest.mark.parametrize("bad", ["--plane", "--partition"])
+@pytest.mark.parametrize("content", [b"{not json", b'{"q": "\xff"}'], ids=["syntax", "utf8"])
+def test_undecodable_json_names_its_file(tmp_path, capsys, bad, content):
+    # with two input files, the message must say which one is at fault
+    path, (code, out, err) = _verify_with_bad_file(tmp_path, capsys, bad, content)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: "), err
 
 
 def test_verify_single_class_partition_exits_1(tmp_path, capsys):
