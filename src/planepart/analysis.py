@@ -9,6 +9,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -23,11 +24,9 @@ from .construct import (
 from .metric import (
     Partition,
     VertexSet,
-    bfs_distance,
     is_resolving,
     pair_count,
     partition_to_doc,
-    vertex_at,
 )
 from .plane import IncidencePlane, build_plane, plane_order
 
@@ -113,21 +112,11 @@ class SearchResult:
         return doc
 
 
-def _all_pairs_distances(plane: IncidencePlane) -> list[list[int]]:
-    """Dense distance matrix from the BFS oracle.
-
-    Vertex v < n is point v, otherwise line v - n.
-    """
+def _incidence_graph(plane: IncidencePlane) -> list[list[int]]:
+    """Adjacency lists of the incidence graph: points 0..n-1, lines n..2n-1."""
     n = plane.n
-    size = 2 * n
-    dist = [[0] * size for _ in range(size)]
-    for i in range(size):
-        u = vertex_at(i, n)
-        row = dist[i]
-        for j in range(size):
-            if j != i:
-                row[j] = bfs_distance(plane, u, vertex_at(j, n))
-    return dist
+    graph = [[n + li for li in row] for row in plane.point_lines]
+    return graph + [list(row) for row in plane.line_points]
 
 
 def _assignment_to_partition(assign, t: int, n: int) -> Partition:
@@ -167,19 +156,27 @@ def _rgs_prefixes(size: int, t: int, depth: int) -> list[tuple[int, ...]]:
     return prefixes
 
 
-def _scan_completions(dist, size, t, limit, prefix):
+def _scan_completions(graph, t, limit, prefix):
     """Verify completions of a restricted-growth prefix, canonical order.
 
-    Distance vectors are maintained incrementally, packed 2 bits per class
-    with empty slots at 3, so a leaf check is one set-cardinality test.
-    Levels inside the prefix allow only the prefix's class. Returns
-    (verified, witness) where verified counts partitions checked, stopping
-    at the limit or at the first resolving assignment.
+    Codes are packed 2 bits per class, 3 while a class is empty, so a leaf
+    check is one set-cardinality test. They follow the count rule of
+    ``_Descent``: placing v in class c sets v's code to c to 0 and lowers
+    each neighbour's to at most 1; if c had no vertex on v's side, every
+    code 3 to c on that side becomes 2 (two points share a line, and
+    dually). Each level restores the codes it found, and the point and line
+    count of c, on the way back. Levels inside the prefix allow only the
+    prefix's class. Returns (verified, witness) where verified counts
+    partitions checked, stopping at the limit or at the first resolving
+    assignment.
     """
+    size = len(graph)
+    n = size // 2
     options = _class_options(size, t)
     for v, c in enumerate(prefix):
         options[v] = [[c]] * (t + 1)
     dvec = [(1 << (2 * t)) - 1] * size
+    sides = [[0, 0] for _ in range(t)]
     assign = [0] * size
     verified = 0
     witness = None
@@ -191,20 +188,24 @@ def _scan_completions(dist, size, t, limit, prefix):
             if len(set(dvec)) == size:
                 witness = list(assign)
             return witness is not None or verified >= limit
-        drow = dist[v]
+        side = v >= n
+        lo, hi = side * n, side * n + n
+        saved = dvec[:]
         for c in options[v][used]:
             assign[v] = c
             base = 2 * c
-            trail = []
-            for u in range(size):
-                cur = dvec[u] >> base & 3
-                d = drow[u]
-                if d < cur:
-                    trail.append((u, dvec[u]))
-                    dvec[u] -= (cur - d) << base
+            dvec[v] &= ~(3 << base)
+            for w in graph[v]:
+                if dvec[w] >> base & 2:  # code 2 or 3 becomes 1
+                    dvec[w] -= (dvec[w] >> base & 3) - 1 << base
+            have = sides[c]
+            if not have[side]:
+                one = 1 << base
+                dvec[lo:hi] = [d - one if d >> base & 3 == 3 else d for d in dvec[lo:hi]]
+            have[side] += 1
             stop = rec(v + 1, used + (c == used))
-            for u, packed in trail:
-                dvec[u] = packed
+            have[side] -= 1
+            dvec[:] = saved
             if stop:
                 return True
         return False
@@ -290,7 +291,7 @@ def _pooled(workers, fn, args, items, chunksize):
             conn.close()
 
 
-def _scan_level(dist, size, t, budget, workers):
+def _scan_level(graph, t, budget, workers):
     """Scan one class count under a budget.
 
     One worker scans the level in one canonical recursion. A pool splits it
@@ -300,13 +301,14 @@ def _scan_level(dist, size, t, budget, workers):
     every worker count. Returns (nodes, witness); nodes reaching the budget
     without a witness means it ran out.
     """
+    size = len(graph)
     depth, span = 0, 1
     while workers > 1 and span < 8 * workers and depth < size:
         depth += 1
         span *= min(depth, t) + 1
     prefixes = _rgs_prefixes(size, t, depth)
     nodes = 0
-    with _pooled(workers, _scan_completions, (dist, size, t, budget), prefixes, 1) as results:
+    with _pooled(workers, _scan_completions, (graph, t, budget), prefixes, 1) as results:
         for count, witness in results:
             nodes += count
             if witness is not None and nodes <= budget:
@@ -314,6 +316,10 @@ def _scan_level(dist, size, t, budget, workers):
             if nodes >= budget:
                 return budget, None
     return nodes, None
+
+
+# Stack frames left to exhaustive_pd's callers below the recursion limit.
+_CALLER_FRAMES = 100
 
 
 def exhaustive_pd(
@@ -326,11 +332,14 @@ def exhaustive_pd(
     """Exact partition dimension by canonical enumeration of set partitions.
 
     Partitions into exactly t classes are enumerated as restricted growth
-    strings (vertex 0 pinned to class 0) for t ascending from t_min. The
+    strings (vertex 0 pinned to class 0) for t ascending from t_min, with
+    codes kept as the vertices are placed (see ``_scan_completions``). The
     first witness gives the exact value provided t_min is 1, since every
     smaller class count was exhausted first. The budget caps the number of
     partitions verified; when it runs out the result is a bracket whose
-    upper end is the trivial singleton witness.
+    upper end is the trivial singleton witness. The scan recurses once per
+    vertex, so a plane whose 2n vertices, with a margin for the caller's
+    frames, exceed the recursion limit is rejected before any scan.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -338,17 +347,23 @@ def exhaustive_pd(
         raise ValueError(f"smallest class count must be at least 1, got {t_min}")
     workers = _worker_count(workers)
     start = time.monotonic()
-    size = 2 * plane.n
+    graph = _incidence_graph(plane)
+    size = len(graph)
     if t_max is None:
         t_max = size
     t_max = min(t_max, size)
     if t_min > t_max:
         raise ValueError(f"empty class count range {t_min}..{t_max}")
-    dist = _all_pairs_distances(plane)
+    limit = sys.getrecursionlimit()
+    if size + _CALLER_FRAMES > limit:
+        raise ValueError(
+            f"exhaustive search recurses once per vertex: {size} vertices and "
+            f"{_CALLER_FRAMES} caller frames exceed the recursion limit {limit}"
+        )
     nodes = 0
     lower, upper, found = t_max + 1, None, None
     for t in range(t_min, t_max + 1):
-        count, witness = _scan_level(dist, size, t, budget - nodes, workers)
+        count, witness = _scan_level(graph, t, budget - nodes, workers)
         nodes += count
         if witness is not None:
             lower, upper, found = t, t, _assignment_to_partition(witness, t, plane.n)
@@ -386,11 +401,9 @@ class _Descent:
     signature integers, and ``move`` recomputes that whole side.
     """
 
-    def __init__(self, plane: IncidencePlane, assign: list[int], t: int):
-        n = plane.n
-        self.n, self.assign = n, assign
-        self.adj = [[n + li for li in row] for row in plane.point_lines]
-        self.adj += [list(row) for row in plane.line_points]
+    def __init__(self, graph: list[list[int]], assign: list[int], t: int):
+        n = len(graph) // 2
+        self.n, self.assign, self.adj = n, assign, graph
         self.nb = [[0] * (2 * n) for _ in range(t)]
         self.sides = [[0, 0] for _ in range(t)]
         for u, c in enumerate(assign):
@@ -559,7 +572,8 @@ def randomized_upper_bound(
     """
     if t < 2:
         raise ValueError(f"need at least 2 classes, got {t}")
-    size = 2 * plane.n
+    graph = _incidence_graph(plane)
+    size = len(graph)
     if t > size:
         raise ValueError(f"cannot split {size} vertices into {t} classes")
     if attempts < 1:
@@ -573,7 +587,7 @@ def randomized_upper_bound(
             assign[v] = c
         for v in order[t:]:
             assign[v] = rng.randrange(t)
-        state = _Descent(plane, assign, t)
+        state = _Descent(graph, assign, t)
         v = 0
         while state.pairs and v < size:
             scored = state.scores(v, state.pairs)

@@ -3,7 +3,7 @@
 Vertices of the incidence graph of a plane of order q are its n points and
 n lines, n = q*q + q + 1. The graph is bipartite with diameter 3, so every
 distance to a nonempty vertex set is one of 0, 1, 2, 3 and has a closed
-form; ``bfs_distance`` provides the independent shortest-path oracle.
+form.
 
 ``packed_signatures`` applies that rule to a family of m sets at once. For
 each set it ORs the incidence rows of the set's members into the mask of
@@ -17,7 +17,7 @@ occupies bits 2j and 2j+1 of that integer.
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -218,26 +218,6 @@ def is_resolving(plane: IncidencePlane, partition: Partition) -> Verdict:
     groups = signature_groups(psig + lsig, range(2 * n))
     collisions = [[vertex_at(v, n) for v in g] for g in groups]
     return Verdict(not collisions, collisions)
-
-
-def bfs_distance(plane: IncidencePlane, u: VertexId, w: VertexId) -> int:
-    """Exact shortest-path distance in the bipartite incidence graph."""
-    if u == w:
-        return 0
-    seen = {u}
-    frontier = deque([(u, 0)])
-    while frontier:
-        (kind, i), d = frontier.popleft()
-        neighbors = plane.point_lines[i] if kind == POINT else plane.line_points[i]
-        nkind = LINE if kind == POINT else POINT
-        for j in neighbors:
-            nv = VertexId(nkind, j)
-            if nv == w:
-                return d + 1
-            if nv not in seen:
-                seen.add(nv)
-                frontier.append((nv, d + 1))
-    raise ValueError("vertices are not connected")
 
 
 def partition_to_doc(plane: IncidencePlane, partition: Partition) -> dict:

@@ -1,16 +1,21 @@
 """Reference forms that the tests check the package against.
 
 The package computes distances only in batch (``packed_signatures``) and
-incrementally (``analysis._Descent``). The helpers here state the same
-things plainly, vertex by vertex or pair by pair, and are imported by the
-tests only.
+incrementally from class counts (``analysis._Descent`` and the exact
+search's ``_scan_completions``). The helpers here state the same things
+plainly, vertex by vertex or pair by pair, and are imported by the tests
+only.
 
+- ``bfs_distance`` is the independent oracle: shortest paths found by
+  breadth-first search, with no use of the closed form.
+  ``all_pairs_distances`` tabulates it over every vertex pair.
 - ``distance_columns`` is the closed-form distance rule, one set and one
   vertex at a time, with ``distance_to_set`` as its single-vertex case.
   It is checked against ``bfs_distance`` minima (test_metric) and against
   the all-pairs BFS table (acceptance criterion 1). ``packed_signatures``
-  is checked against it, and ``_Descent`` against recounts made with
-  ``packed_signatures``.
+  is checked against it, ``_Descent`` against recounts made with
+  ``packed_signatures``, and ``_scan_completions`` against
+  ``is_resolving``.
 - ``unseparated_pairs`` lists the pairs a disjoint family leaves
   together; ``is_resolving``'s collision groups are checked against it,
   and ``check_disjoint`` guards it.
@@ -24,6 +29,7 @@ tests only.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -43,6 +49,40 @@ from planepart.plane import IncidencePlane
 
 def incident(plane: IncidencePlane, point: int, line: int) -> bool:
     return bool(plane.line_masks[line] >> point & 1)
+
+
+def bfs_distance(plane: IncidencePlane, u: VertexId, w: VertexId) -> int:
+    """Exact shortest-path distance in the bipartite incidence graph."""
+    if u == w:
+        return 0
+    seen = {u}
+    frontier = deque([(u, 0)])
+    while frontier:
+        (kind, i), d = frontier.popleft()
+        neighbors = plane.point_lines[i] if kind == POINT else plane.line_points[i]
+        nkind = LINE if kind == POINT else POINT
+        for j in neighbors:
+            nv = VertexId(nkind, j)
+            if nv == w:
+                return d + 1
+            if nv not in seen:
+                seen.add(nv)
+                frontier.append((nv, d + 1))
+    raise ValueError("vertices are not connected")
+
+
+def all_pairs_distances(plane: IncidencePlane) -> list[list[int]]:
+    """Dense BFS distance matrix; vertex v < n is point v, otherwise line v - n."""
+    n = plane.n
+    size = 2 * n
+    dist = [[0] * size for _ in range(size)]
+    for i in range(size):
+        u = vertex_at(i, n)
+        row = dist[i]
+        for j in range(size):
+            if j != i:
+                row[j] = bfs_distance(plane, u, vertex_at(j, n))
+    return dist
 
 
 def vertex_set_from_vertices(vertices: Iterable[VertexId]) -> VertexSet:

@@ -19,14 +19,14 @@ from planepart import (
     is_resolving,
     lower_bound,
 )
-from planepart.analysis import _all_pairs_distances, exhaustive_pd
+from planepart.analysis import exhaustive_pd
 from planepart.cli import main as cli_main
 from planepart.construct import ConstructionError, default_zeta_count
 from planepart.metric import LINE, POINT, Partition, VertexId, VertexSet
 from planepart.plane import validate_axioms
 
 from conftest import prime_powers
-from oracles import distance_to_set, separation_probability_bound
+from oracles import all_pairs_distances, distance_to_set, separation_probability_bound
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,7 +62,7 @@ def test_criterion_1_distance_oracle_equivalence(plane_for):
     for q in (2, 3, 4, 5):
         plane = plane_for(q)
         n = plane.n
-        dist = _all_pairs_distances(plane)
+        dist = all_pairs_distances(plane)
         rng = random.Random(1000 + q)
         for _ in range(100):
             partition = _random_partition(rng, n)

@@ -11,12 +11,12 @@ from planepart import estimate_unseparated, is_resolving, lower_bound
 from planepart.analysis import (
     _Descent,
     _assignment_to_partition,
+    _incidence_graph,
     _pooled,
     _worker_count,
     _rgs_prefixes,
     _scan_completions,
     _scan_level,
-    _all_pairs_distances,
     exhaustive_pd,
     randomized_upper_bound,
 )
@@ -24,6 +24,7 @@ from planepart.construct import build_conflict_graph, choose_frame, sample_zeta_
 from planepart.metric import VertexSet, packed_signatures, pair_count, signature_groups
 
 from conftest import prime_powers
+from oracles import all_pairs_distances
 
 
 def test_lower_bound_q2():
@@ -91,13 +92,13 @@ def stirling2(n, k):
     return table[n][k]
 
 
-@pytest.mark.parametrize("size,t", [(6, 1), (6, 2), (6, 3), (8, 3), (10, 4), (9, 9)])
+@pytest.mark.parametrize("size,t", [(6, 1), (6, 2), (6, 3), (8, 3), (10, 4), (10, 10)])
 def test_enumeration_counts_match_stirling_numbers(size, t):
-    # fake distance matrix; only the partition count matters here
-    dist = [[3] * size for _ in range(size)]
+    # an edgeless graph; only the partition count matters here
+    graph = [[] for _ in range(size)]
     total = 0
     for prefix in _rgs_prefixes(size, t, 3):
-        count, witness = _scan_completions(dist, size, t, 10**9, prefix)
+        count, witness = _scan_completions(graph, t, 10**9, prefix)
         total += count
     assert total == stirling2(size, t)
 
@@ -122,9 +123,32 @@ def test_rgs_prefixes_equal_a_brute_force_filter():
 
 
 def test_scan_respects_limit():
-    dist = [[3] * 8 for _ in range(8)]
-    count, witness = _scan_completions(dist, 8, 3, 10, (0,))
+    graph = [[] for _ in range(8)]
+    count, witness = _scan_completions(graph, 3, 10, (0,))
     assert count == 10 and witness is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3]))
+def test_scan_codes_agree_with_is_resolving(data, q, plane_for):
+    # a scan pinned to a whole assignment verifies that one partition; its
+    # codes come from class counts, is_resolving's from packed_signatures.
+    # Singletons and other classes lacking one side exercise the 3 -> 2 rule.
+    plane = plane_for(q)
+    graph = _incidence_graph(plane)
+    size = len(graph)
+    t = data.draw(st.integers(2, size), label="t")
+    order = data.draw(st.permutations(range(size)), label="order")
+    assign = [0] * size
+    for c, v in enumerate(order[:t]):
+        assign[v] = c
+    for v in order[t:]:
+        assign[v] = data.draw(st.integers(0, t - 1))
+    count, witness = _scan_completions(graph, t, 1, assign)
+    resolving = is_resolving(plane, _assignment_to_partition(assign, t, plane.n)).resolving
+    assert count == 1
+    assert (witness is not None) == resolving
+    assert witness in (None, assign)
 
 
 def test_exhaustive_pd_singletons_fast(plane_for):
@@ -169,21 +193,20 @@ def test_exhaustive_pd_budget_bracket(plane_for, workers, t_min, t_max, budget, 
 
 
 def test_scan_level_budget_rule_is_worker_independent():
-    # a fixed random distance table whose first 3-class witness is the
-    # 545th partition, 33 into the fourth of five depth-3 prefixes; at
-    # budget 540 the pool sees that witness but it lies past the budget
-    rng = random.Random(42)
-    size = 8
-    dist = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            dist[i][j] = dist[j][i] = rng.choice((1, 2, 3))
-    cases = [(100, 100, False), (540, 540, False), (545, 545, True), (600, 545, True)]
+    # points P0..P3 and lines L0..L3 (ids 4..7) with only P0 and P1 on L0;
+    # its first 3-class witness is the 410th partition, 109 into the third
+    # of five depth-3 prefixes; at budget 405 the pool sees that witness
+    # but it lies past the budget
+    graph = [[4], [4], [], [], [0, 1], [], [], []]
+    cases = [(100, 100, False), (405, 405, False), (410, 410, True), (500, 410, True)]
     for budget, nodes, found in cases:
-        results = [_scan_level(dist, size, 3, budget, workers) for workers in (1, 2)]
+        results = [_scan_level(graph, 3, budget, workers) for workers in (1, 2)]
         assert results[0] == results[1]
         count, witness = results[0]
         assert (count, witness is not None) == (nodes, found)
+    prefixes = _rgs_prefixes(8, 3, 3)
+    counts = [_scan_completions(graph, 3, 10**9, p)[0] for p in prefixes[:3]]
+    assert len(prefixes) == 5 and sum(counts[:2]) == 301 < 405 and counts[2] == 109
 
 
 def _fail_at_three(item):
@@ -324,7 +347,7 @@ def test_descent_scores_and_moves_match_a_full_recount(plane_for, data):
     assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
         assign[v] = c
-    state = _Descent(plane, assign, t)
+    state = _Descent(_incidence_graph(plane), assign, t)
     assert (state.sigs, state.pairs) == _recount(plane, assign, t)
     for _ in range(data.draw(st.integers(1, 6))):
         v = data.draw(st.integers(0, size - 1), label="v")
@@ -346,7 +369,7 @@ def test_descent_rescans_a_side_whose_far_code_flips(plane_for):
     n = plane.n
     assign = [0] * 6 + [1] + [0] * 5 + [2, 1]
     for v, c in ((6, 0), (n + 6, 2), (0, 2), (n, 1)):
-        state = _Descent(plane, list(assign), 3)
+        state = _Descent(_incidence_graph(plane), list(assign), 3)
         _check_scores_then_move(plane, state, v, c)
 
 
@@ -389,7 +412,7 @@ def test_descent_skips_exactly_the_scans_that_cannot_improve(plane_for, data):
     assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
         assign[v] = c
-    state = _Descent(plane, assign, t)
+    state = _Descent(_incidence_graph(plane), assign, t)
     for _ in range(data.draw(st.integers(0, 4), label="random moves")):
         v = data.draw(st.integers(0, size - 1), label="v")
         if state.assign.count(state.assign[v]) > 1:
@@ -417,7 +440,7 @@ def test_descent_scores_a_move_that_empties_a_side(plane_for):
     to 3, and moving it to class 0 leaves 1 pair. So scores must not skip P0.
     """
     plane = plane_for(2)
-    state = _Descent(plane, [1, 2, 0, 0, 2, 0, 3, 2, 3, 2, 1, 3, 3, 0], 4)
+    state = _Descent(_incidence_graph(plane), [1, 2, 0, 0, 2, 0, 3, 2, 3, 2, 1, 3, 3, 0], 4)
     assert state.pairs == 3
     assert all(state.counts[state.sigs[u]] == 1 for u in [0, *state.adj[0]])
     assert state.scores(0, state.pairs) == [(0, 1)]
@@ -435,7 +458,7 @@ def test_descent_skips_a_move_that_first_fills_a_side(plane_for):
     and the state's 1 pair cannot drop.
     """
     plane = plane_for(2)
-    state = _Descent(plane, [3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 3, 2], 4)
+    state = _Descent(_incidence_graph(plane), [3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 3, 2], 4)
     n = plane.n
     assert state.pairs == 1 and state.sides[0] == [2, 0]
     assert all(state.counts[state.sigs[u]] == 1 for u in [n + 1, *state.adj[n + 1]])
@@ -496,7 +519,7 @@ def test_more_zeta_sets_never_unseparate(plane_for):
 
 def test_all_pairs_distances_diameter(plane_for):
     plane = plane_for(2)
-    dist = _all_pairs_distances(plane)
+    dist = all_pairs_distances(plane)
     flat = [d for row in dist for d in row]
     assert max(flat) == 3
     assert all(dist[i][i] == 0 for i in range(len(dist)))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from itertools import chain
 from pathlib import Path
 
@@ -380,6 +381,21 @@ def test_search_exhaustive_bracket(capsys):
     assert doc["exact"] is False
     assert doc["nodes"] == 50
     assert doc["bracket"]["upper"] == 14  # singletons over the 14 vertices
+
+
+def test_search_rejects_planes_too_deep_for_the_recursive_scan(capsys):
+    # the scan recurses once per vertex: PG(2,32) has 2114 vertices, over
+    # the default limit, and PG(2,19), with 762, is the largest that runs
+    limit = sys.getrecursionlimit()
+    assert run(capsys, "search", "--q", "32", "--budget", "10") == (
+        2,
+        "",
+        "error: exhaustive search recurses once per vertex: 2114 vertices and "
+        f"100 caller frames exceed the recursion limit {limit}\n",
+    )
+    code, out, _ = run(capsys, "search", "--q", "19", "--budget", "10", "--workers", "1")
+    doc = json.loads(out)
+    assert (code, doc["nodes"], doc["bracket"]) == (0, 10, {"lower": 2, "upper": 762})
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

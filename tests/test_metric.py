@@ -12,7 +12,6 @@ from planepart.metric import (
     Partition,
     VertexId,
     VertexSet,
-    bfs_distance,
     packed_signatures,
     pair_count,
     partition_from_doc,
@@ -22,6 +21,7 @@ from planepart.metric import (
 
 from conftest import replace_one_field
 from oracles import (
+    bfs_distance,
     distance_columns,
     distance_to_set,
     incident,
