@@ -14,13 +14,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .construct import (
-    build_conflict_graph,
-    choose_frame,
-    expected_unseparated_bound,
-    sample_zeta_sets,
-    zeta_count,
-)
+from .construct import choose_frame, draw_conflict, expected_unseparated_bound, zeta_count
 from .metric import (
     Partition,
     VertexSet,
@@ -620,11 +614,8 @@ class EstimateReport:
         return asdict(self)
 
 
-def _estimate_trial(plane, frame, h0, k, seed, trial) -> int:
-    rng = random.Random((seed << 32) | trial)
-    zetas = sample_zeta_sets(plane, frame, k, rng)
-    family = [h0] + [z.members() for z in zetas]
-    return build_conflict_graph(plane, frame, family).x_edge_count
+def _estimate_trial(plane, frame, k, seed, trial) -> int:
+    return draw_conflict(plane, frame, k, random.Random((seed << 32) | trial))[2].x_edge_count
 
 
 def estimate_unseparated(
@@ -636,10 +627,10 @@ def estimate_unseparated(
 ) -> EstimateReport:
     """Sample the number of unseparated common pairs left by k zeta sets.
 
-    Each trial draws a fresh batch of zeta sets from its own integer
-    stream id composed of (seed, trial), so results do not depend on the
-    worker count. Pairs are counted among common points and among common
-    lines only, the domains the expectation bound speaks about.
+    Each trial runs the construction's first stage, ``draw_conflict``, on
+    its own integer stream id composed of (seed, trial), so results do not
+    depend on the worker count. Pairs are counted among common points and
+    among common lines only, the domains the expectation bound speaks about.
     """
     plane_order(q)
     k = zeta_count(q, k)
@@ -648,7 +639,7 @@ def estimate_unseparated(
     workers = _worker_count(workers)
     plane = build_plane(q)
     frame = choose_frame(plane)
-    args = (plane, frame, VertexSet.from_indices(points=frame.major_points), k, seed)
+    args = (plane, frame, k, seed)
     chunk = max(1, trials // (4 * workers))
     with _pooled(min(workers, trials), _estimate_trial, args, range(trials), chunk) as results:
         counts = list(results)

@@ -32,8 +32,8 @@ log = logging.getLogger("planepart.construct")
 class SelectionError(Exception):
     """A greedy selection step ran out of admissible vertices.
 
-    The message names the violated requirement; the construction driver
-    treats this as a signal to restart the attempt with fresh randomness.
+    The message names the violated requirement; the attempt that meets it
+    ends with the message as its obstruction, and the next one draws afresh.
     """
 
 
@@ -471,6 +471,49 @@ class ConstructionResult:
         return out
 
 
+def draw_conflict(
+    plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
+) -> tuple[list[VertexSet], list[ZetaSet], ConflictGraph]:
+    """First stage of a construction attempt, the one ``estimate`` samples.
+
+    Draws k zeta sets and returns the family H0, Z1..Zk, the zeta sets and
+    the conflict graph of the pairs that family leaves unseparated.
+    """
+    zetas = sample_zeta_sets(plane, frame, k, rng)
+    family = [VertexSet.from_indices(points=frame.major_points)] + [z.members() for z in zetas]
+    return family, zetas, build_conflict_graph(plane, frame, family)
+
+
+def _attempt(
+    plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
+) -> tuple[Partition, list[ZetaSet], list[H2Spec]] | str:
+    """One attempt: its verified partition, zeta sets and specs, or its obstruction."""
+    q = plane.q
+    family, zetas, conflict = draw_conflict(plane, frame, k, rng)
+    if conflict.x_edge_count * 8 > q:
+        return (
+            f"unseparated pair budget exceeded: {conflict.x_edge_count} pairs "
+            f"among common vertices, allowed q/8 = {q / 8:g}"
+        )
+    used = family[0]
+    for z in family[1:]:
+        used = used | z
+    try:
+        specs, used = build_h2(plane, frame, conflict, used)
+    except SelectionError as exc:
+        return str(exc)
+    full = (1 << plane.n) - 1
+    classes = family + [s.members() for s in specs]
+    classes.append(VertexSet(full & ~used.point_mask, full & ~used.line_mask))
+    names = ["H0"] + [f"Z{i}" for i in range(1, k + 1)]
+    names += [f"S{i}" for i in range(1, len(specs) + 1)] + ["Hrest"]
+    partition = Partition(classes, names)
+    verdict = is_resolving(plane, partition)
+    if not verdict.resolving:
+        return f"verification failed: {len(verdict.collision_groups)} colliding groups"
+    return partition, zetas, specs
+
+
 def construct_partition(
     plane: IncidencePlane,
     seed: int = 0,
@@ -490,64 +533,28 @@ def construct_partition(
         raise ValueError(f"retry count must be nonnegative, got {max_retries}")
     q = plane.q
     k = zeta_count(q, k)
-    l = default_searching_count(q)
-    if min_free_lines(q) <= 0:
+    slack = min_free_lines(q)
+    if slack <= 0:
         log.warning(
             "q=%d leaves no guaranteed free lines (3q/8 - log2 q - 2 = %.2f); "
             "the greedy phase may exhaust its retries",
             q,
-            min_free_lines(q),
+            slack,
         )
     frame = choose_frame(plane)
-    h0 = VertexSet.from_indices(points=frame.major_points)
-    names = ["H0"]
-    names += [f"Z{i}" for i in range(1, k + 1)]
-    names += [f"S{i}" for i in range(1, l + 1)]
-    names.append("Hrest")
-    full = (1 << plane.n) - 1
-    obstruction = "no attempt ran"
     for attempt in range(max_retries + 1):
-        rng = random.Random(seed + attempt)
-        try:
-            zetas = sample_zeta_sets(plane, frame, k, rng)
-            zclasses = [z.members() for z in zetas]
-            family = [h0] + zclasses
-            conflict = build_conflict_graph(plane, frame, family)
-            if conflict.x_edge_count * 8 > q:
-                raise SelectionError(
-                    f"unseparated pair budget exceeded: {conflict.x_edge_count} pairs "
-                    f"among common vertices, allowed q/8 = {q / 8:g}"
-                )
-            used = h0
-            for z in zclasses:
-                used = used | z
-            specs, used = build_h2(plane, frame, conflict, used)
-            classes = [h0] + zclasses + [s.members() for s in specs]
-            classes.append(VertexSet(full & ~used.point_mask, full & ~used.line_mask))
-            partition = Partition(classes, names)
-            verdict = is_resolving(plane, partition)
-            if verdict.resolving:
-                if attempt:
-                    log.info("construction for q=%d succeeded after %d retries", q, attempt)
-                return ConstructionResult(
-                    partition=partition,
-                    frame=frame,
-                    zeta_sets=zetas,
-                    h2=specs,
-                    q=q,
-                    k=k,
-                    l=l,
-                    seed=seed,
-                    retries=attempt,
-                )
-            obstruction = (
-                f"verification failed: {len(verdict.collision_groups)} colliding groups"
-            )
-            log.info("attempt %d for q=%d: %s", attempt, q, obstruction)
-        except SelectionError as exc:
-            obstruction = str(exc)
-            log.info("attempt %d for q=%d: %s", attempt, q, obstruction)
-    raise ConstructionError(q, seed, max_retries + 1, obstruction)
+        outcome = _attempt(plane, frame, k, random.Random(seed + attempt))
+        if not isinstance(outcome, str):
+            break
+        log.info("attempt %d for q=%d: %s", attempt, q, outcome)
+    else:
+        raise ConstructionError(q, seed, max_retries + 1, outcome)
+    if attempt:
+        log.info("construction for q=%d succeeded after %d retries", q, attempt)
+    partition, zetas, specs = outcome
+    return ConstructionResult(
+        partition, frame, zetas, specs, q=q, k=k, l=len(specs), seed=seed, retries=attempt
+    )
 
 
 def result_to_doc(result: ConstructionResult, plane: IncidencePlane) -> dict:

@@ -31,17 +31,18 @@ class IncidencePlane:
     tuples of ints are not tracked by the garbage collector. A built plane
     is its own dual under the polarity of its coordinates, so line j and
     point j have the same row: its point-side lists are separate lists
-    holding the line side's row and mask objects. Coordinate triples are
-    present only for algebraically built planes. ``dualized`` is true for
+    holding the line side's row and mask objects. ``dualized`` is true for
     the view returned by ``dual``, whose points are the lines of the plane
-    it came from. The constructor takes a list of n rows of point ids and
-    does not check that the ids lie in 0..n-1; ``load_plane`` does.
+    it came from. The constructor takes only q and a list of n rows of
+    point ids, and does not check that the ids lie in 0..n-1; ``load_plane``
+    does. Its planes have no coordinates: ``point_triples`` and
+    ``line_triples`` are None, and only ``build_pg2`` sets them.
     """
 
     __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks",
                  "point_triples", "line_triples", "dualized")
 
-    def __init__(self, q, line_points, point_triples=None, line_triples=None):
+    def __init__(self, q, line_points):
         ids = list(range(len(line_points)))
         rows = [tuple(map(ids.__getitem__, sorted(pts))) for pts in line_points]
         point_lines = [[] for _ in ids]
@@ -49,8 +50,7 @@ class IncidencePlane:
             for p in pts:
                 point_lines[p].append(li)
         cols = list(map(tuple, point_lines))
-        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)),
-                  point_triples, line_triples)
+        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)), None, None)
 
     def _set(self, q, line_points, point_lines, line_masks, point_masks,
              point_triples, line_triples, dualized=False):

@@ -20,7 +20,7 @@ from planepart.analysis import (
     exhaustive_pd,
     randomized_upper_bound,
 )
-from planepart.construct import build_conflict_graph, choose_frame, sample_zeta_sets
+from planepart.construct import build_conflict_graph, choose_frame, draw_conflict, sample_zeta_sets
 from planepart.metric import VertexSet, packed_signatures, pair_count, signature_groups
 
 from conftest import prime_powers
@@ -480,6 +480,13 @@ def test_estimate_deterministic_single_trial():
     assert a.to_doc() == b.to_doc()
     assert a.k == 15
     assert a.std_error is None
+
+
+def test_estimate_samples_the_first_stage_of_construct(plane_for):
+    """Trial 0 of seed 0 draws from the stream of construct's attempt 0 of seed 0."""
+    plane = plane_for(16)
+    _, _, conflict = draw_conflict(plane, choose_frame(plane), 15, random.Random(0))
+    assert estimate_unseparated(16, trials=1, seed=0).counts[0] == conflict.x_edge_count
 
 
 def test_estimate_worker_independence():

@@ -471,14 +471,42 @@ def test_construct_too_small_orders():
         construct_partition(plane, k=9)
 
 
-def test_construct_failure_reports_obstruction(plane_for):
+def test_construct_failure_reports_obstruction(plane_for, caplog):
     plane = plane_for(4)
+    caplog.set_level(logging.INFO, logger="planepart.construct")
     with pytest.raises(ConstructionError) as err:
         construct_partition(plane, seed=0, max_retries=2, k=2)
-    report = err.value.report()
-    assert report["attempts"] == 3
-    assert report["obstruction"]
-    assert report["q"] == 4
+    budget = "unseparated pair budget exceeded: {} pairs among common vertices, allowed q/8 = 0.5"
+    assert err.value.report() == {
+        "q": 4,
+        "seed": 0,
+        "attempts": 3,
+        "obstruction": budget.format(40),
+    }
+    attempts = [m for m in caplog.messages if m.startswith("attempt ")]
+    assert attempts == [
+        f"attempt {i} for q=4: {budget.format(pairs)}" for i, pairs in enumerate((26, 26, 40))
+    ]
+
+
+def test_construct_reports_a_selection_failure(plane_for, monkeypatch, caplog):
+    """A SelectionError from build_h2 ends its attempt and names the last obstruction."""
+    plane = plane_for(32)
+    stuck = "no free line through target point P3: every candidate is used"
+    calls = []
+
+    def stall(*args):
+        calls.append(args)
+        raise SelectionError(stuck)
+
+    monkeypatch.setattr(construct, "build_h2", stall)
+    caplog.set_level(logging.INFO, logger="planepart.construct")
+    with pytest.raises(ConstructionError) as err:
+        construct_partition(plane, seed=0, max_retries=2)
+    assert err.value.obstruction == stuck
+    assert err.value.attempts == 3
+    assert len(calls) == 3
+    assert caplog.messages == [f"attempt {i} for q=32: {stuck}" for i in range(3)]
 
 
 def test_construct_retries_after_a_failed_verification(plane_for, monkeypatch, caplog):
