@@ -24,53 +24,48 @@ from .metric import (
 )
 from .plane import IncidencePlane, build_plane, plane_order
 
-LOWER_BOUND_CAVEAT = (
-    "with no pure point or line classes the two vertex families are not "
-    "automatically distinguished; the total is the formula value and may be "
-    "off by one in edge cases"
-)
-
 
 @dataclass
 class LowerBoundResult:
-    """Minimal class counts satisfying the two counting inequalities.
+    """The counting lower bound on the partition dimension of a plane of order q.
 
-    r, s and t count pure point classes, pure line classes and mixed
-    classes. Feasibility requires 2^(r+t-1) * (s+t) >= n and
-    2^(s+t-1) * (r+t) >= n with n = q*q + q + 1, compared exactly. The
-    optimum is always pure mixed, so r = s = 0 and t = total =
-    pure_mixed_t (see ``lower_bound``).
+    ``total`` is the least class count t with t * 2^(t-1) >= n, where
+    n = q*q + q + 1, and ``inequality`` holds both sides of that count,
+    compared exactly (see ``lower_bound``).
     """
 
     q: int
-    r: int
-    s: int
-    t: int
     total: int
-    pure_mixed_t: int
-    inequalities: dict
-    caveat: str = LOWER_BOUND_CAVEAT
+    inequality: dict
 
     def to_doc(self) -> dict:
         return asdict(self)
 
 
 def lower_bound(q: int) -> LowerBoundResult:
-    """Least r+s+t under the counting inequalities: (0, 0, t), t * 2^(t-1) >= n.
+    """Least class count t of a resolving partition by counting: t * 2^(t-1) >= n.
 
-    No split with pure classes does better. If (r, s, t) is feasible and
-    T = r+s+t, then T * 2^(T-1) >= (s+t) * 2^(r+t-1) >= n, and the same
-    holds on the other side, so (0, 0, T) is feasible too. The least
-    feasible total is thus the least t with t * 2^(t-1) >= n, exactly, for
-    every q. Like every plane order, q must be a prime power.
+    The n = q*q + q + 1 points need pairwise distinct distance vectors. A
+    point has code 0 to its own class. To any other class it has code 1
+    when the class holds a line through it, else the class's far code,
+    which is fixed: 2 when the class holds a point, else 3. With t classes
+    the points of one class thus have at most 2^(t-1) vectors, so
+    t * 2^(t-1) >= n.
+
+    Pure classes never help. With r classes of points only, s of lines only
+    and t mixed ones, a point has code 2 to every pure point class other
+    than its own, so the points number at most 2^(s+t-1) * (t + 2r) and, by
+    duality, the lines at most 2^(r+t-1) * (t + 2s). For T = r+s+t,
+    2^r * T >= 2^r * (t+r) >= t + 2r, so T * 2^(T-1) >= 2^(s+t-1) * (t+2r)
+    >= n: no split brings the total below the least such t. Like every
+    plane order, q must be a prime power.
     """
     plane_order(q)
     n = q * q + q + 1
     t = 1
     while t << (t - 1) < n:
         t += 1
-    inequalities = {side: {"lhs": t << (t - 1), "rhs": n} for side in ("line_side", "point_side")}
-    return LowerBoundResult(q, 0, 0, t, t, t, inequalities)
+    return LowerBoundResult(q, t, {"lhs": t << (t - 1), "rhs": n})
 
 
 @dataclass

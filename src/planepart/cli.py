@@ -216,10 +216,10 @@ def _cmd_verify(args) -> int:
 def _cmd_bounds(args) -> int:
     result = analysis.lower_bound(args.q)
     doc = result.to_doc()
+    t, ineq = result.total, result.inequality
     text = (
-        f"lower bound for q={args.q}: {result.total} classes "
-        f"(r={result.r}, s={result.s}, t={result.t}); "
-        f"pure mixed t={result.pure_mixed_t}\n"
+        f"lower bound for q={args.q}: {t} classes "
+        f"({t} * 2^{t - 1} = {ineq['lhs']} >= n = {ineq['rhs']})\n"
     )
     _emit(args, doc, text)
     return EXIT_OK

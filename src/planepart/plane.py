@@ -35,12 +35,11 @@ class IncidencePlane:
     the view returned by ``dual``, whose points are the lines of the plane
     it came from. The constructor takes only q and a list of n rows of
     point ids, and does not check that the ids lie in 0..n-1; ``load_plane``
-    does. Its planes have no coordinates: ``point_triples`` and
-    ``line_triples`` are None, and only ``build_pg2`` sets them.
+    does. A plane keeps no coordinates: ``build_pg2`` places its rows by
+    homogeneous triples and drops them.
     """
 
-    __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks",
-                 "point_triples", "line_triples", "dualized")
+    __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks", "dualized")
 
     def __init__(self, q, line_points):
         ids = list(range(len(line_points)))
@@ -50,14 +49,12 @@ class IncidencePlane:
             for p in pts:
                 point_lines[p].append(li)
         cols = list(map(tuple, point_lines))
-        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)), None, None)
+        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)))
 
-    def _set(self, q, line_points, point_lines, line_masks, point_masks,
-             point_triples, line_triples, dualized=False):
+    def _set(self, q, line_points, point_lines, line_masks, point_masks, dualized=False):
         self.q, self.n, self.dualized = q, len(line_points), dualized
         self.line_points, self.point_lines = line_points, point_lines
         self.line_masks, self.point_masks = line_masks, point_masks
-        self.point_triples, self.line_triples = point_triples, line_triples
         return self
 
     def __repr__(self) -> str:
@@ -66,8 +63,8 @@ class IncidencePlane:
     def dual(self) -> "IncidencePlane":
         """Plane with the roles of points and lines exchanged, sharing all storage."""
         return object.__new__(IncidencePlane)._set(
-            self.q, self.point_lines, self.line_points, self.point_masks,
-            self.line_masks, self.line_triples, self.point_triples, not self.dualized,
+            self.q, self.point_lines, self.line_points, self.point_masks, self.line_masks,
+            not self.dualized,
         )
 
 
@@ -144,9 +141,7 @@ def build_pg2(f: Field) -> IncidencePlane:
     ]
     rows = list(map(table_rows.__getitem__, entries))
     masks = list(map(table_masks.__getitem__, entries))
-    return object.__new__(IncidencePlane)._set(
-        q, rows, list(rows), masks, list(masks), triples, triples
-    )
+    return object.__new__(IncidencePlane)._set(q, rows, list(rows), masks, list(masks))
 
 
 def plane_order(q: int) -> tuple[int, int]:

@@ -22,7 +22,8 @@ only.
 - ``separation_probability_bound`` is the paper's case split for a pair
   that k zeta sets miss, checked against its power bound 2**-k.
 - ``incident`` reads one incidence bit; test_plane checks it against dot
-  products of coordinate triples computed without the field's tables.
+  products of the ``pg2_triples`` coordinates computed without the
+  field's tables.
 - ``vertex_set_from_vertices``, ``vertices_of``, ``zeta_size`` and
   ``conflict_vertex_count`` convert or count, for the assertions.
 """
@@ -30,7 +31,7 @@ only.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from planepart.construct import ConflictGraph, ZetaSet
@@ -49,6 +50,13 @@ from planepart.plane import IncidencePlane
 
 def incident(plane: IncidencePlane, point: int, line: int) -> bool:
     return bool(plane.line_masks[line] >> point & 1)
+
+
+def pg2_triples(q: int) -> list[tuple[int, int, int]]:
+    """Homogeneous triples of PG(2,q) whose first nonzero coordinate is 1, in
+    ascending lexicographic order: triple i is point i and line i of
+    ``build_plane(q)``, as ``build_pg2`` assigns the ids."""
+    return sorted(t for t in product(range(q), repeat=3) if next(filter(None, t), 0) == 1)
 
 
 def bfs_distance(plane: IncidencePlane, u: VertexId, w: VertexId) -> int:

@@ -167,12 +167,12 @@ def test_criterion_6_lower_bound():
     count = 0
     for q in prime_powers(2, 1024):
         res = lower_bound(q)
-        assert res.r == 0 and res.s == 0, f"q={q}: optimum not pure mixed"
-        assert res.total == res.pure_mixed_t
-        assert res.total >= previous, f"q={q}: total decreased"
-        previous = res.total
+        t, n = res.total, q * q + q + 1
+        assert (t - 1) << (t - 2) < n <= t << (t - 1), f"q={q}: not the least count"
+        assert t >= previous, f"q={q}: total decreased"
+        previous = t
         count += 1
-    _announce(6, f"totals 3 and 7 at q=2,16; r=s=0 optimal and non-decreasing over {count} prime powers")
+    _announce(6, f"totals 3 and 7 at q=2,16; least t * 2^(t-1) >= n, non-decreasing over {count} prime powers")
 
 
 def test_criterion_7_exact_pd_q2(plane_for):

@@ -54,18 +54,22 @@ def test_plane_text_format(capsys):
 
 
 def test_bounds_q16(capsys):
-    code, out, _ = run(capsys, "bounds", "--q", "16")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["t"] == 7 and doc["total"] == 7
+    assert run(capsys, "bounds", "--q", "16") == (0, (
+        '{\n  "inequality": {\n    "lhs": 448,\n    "rhs": 273\n  },\n'
+        '  "q": 16,\n  "total": 7\n}\n'
+    ), "")
+    assert run(capsys, "bounds", "--q", "16", "--format", "text") == (
+        0, "lower bound for q=16: 7 classes (7 * 2^6 = 448 >= n = 273)\n", ""
+    )
 
 
 def test_bounds_at_q_2_70(capsys):
-    code, out, err = run(capsys, "bounds", "--q", "1180591620717411303424")
+    q = 2**70
+    code, out, err = run(capsys, "bounds", "--q", str(q))
     assert (code, err) == (0, "")
-    doc = json.loads(out)
-    assert doc["q"] == 2**70
-    assert doc["total"] == doc["t"] == doc["pure_mixed_t"] == 134
+    assert json.loads(out) == {
+        "inequality": {"lhs": 134 << 133, "rhs": q * q + q + 1}, "q": q, "total": 134,
+    }
 
 
 def test_construct_verify_roundtrip(tmp_path, capsys):

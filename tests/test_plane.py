@@ -6,6 +6,7 @@ import random
 import sys
 from array import array
 from itertools import chain, combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,15 @@ from planepart.metric import partition_from_doc
 from planepart.plane import IncidencePlane, load_plane, validate_axioms
 
 from conftest import prime_powers, relabelled, replace_one_field
-from oracles import incident
+from oracles import incident, pg2_triples
+
+
+def _load_counting_checks(doc):
+    """``load_plane(doc)`` and how often it ran ``validate_axioms``: 0 when the
+    document loaded as the built plane, 1 when it took the full loader."""
+    with mock.patch("planepart.plane.validate_axioms", wraps=validate_axioms) as check:
+        plane = load_plane(doc)
+    return plane, check.call_count
 
 
 def test_counts_q2_and_q4():
@@ -30,16 +39,8 @@ def test_counts_q2_and_q4():
 
 def test_incidence_by_dot_product_q3():
     p3 = build_plane(3)
-    pt = p3.point_triples.index((1, 0, 0))
-    ln = p3.line_triples.index((0, 0, 1))
-    assert incident(p3, pt, ln)
-
-
-def test_triples_are_sorted_and_canonical():
-    p = build_plane(5)
-    assert p.point_triples == sorted(p.point_triples)
-    for t in p.point_triples:
-        assert next(x for x in t if x) == 1
+    triples = pg2_triples(3)
+    assert incident(p3, triples.index((1, 0, 0)), triples.index((0, 0, 1)))
 
 
 @pytest.mark.parametrize("q", prime_powers(2, 81))
@@ -71,7 +72,6 @@ def test_duality(q, plane_for):
     # the dual shares the plane's lists, with the two sides swapped
     assert dual.line_points is plane.point_lines and dual.point_lines is plane.line_points
     assert dual.line_masks is plane.point_masks and dual.point_masks is plane.line_masks
-    assert dual.point_triples is plane.line_triples
     assert dual.dualized and not plane.dualized
     again = dual.dual()
     assert not again.dualized
@@ -201,8 +201,8 @@ def test_q64_document_loads(plane_for):
     # the pair checks are O(nq) on a valid plane; the n*n/2 pair scan took
     # about 9 s at this order, so a return to it shows in the test durations
     plane = plane_for(64)
-    loaded = load_plane(_reversed_doc(plane))
-    assert loaded.point_triples is None
+    loaded, checks = _load_counting_checks(_reversed_doc(plane))
+    assert checks == 1
     last = plane.n - 1
     assert loaded.line_points[::-1] == [
         tuple(sorted(last - p for p in pts)) for pts in plane.line_points
@@ -216,8 +216,8 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     plane = build_plane(q)
     n = plane.n
     # a canonical document loads as the built plane
-    canonical = load_plane(plane_to_doc(plane))
-    assert canonical.point_triples == plane.point_triples
+    canonical, checks = _load_counting_checks(plane_to_doc(plane))
+    assert checks == 0
     for side in ("line_points", "point_lines", "line_masks", "point_masks"):
         assert getattr(canonical, side) == getattr(plane, side)
     # a relabelled one takes the general path unless the relabelling
@@ -227,8 +227,8 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     rows = [None] * n
     for li, pts in enumerate(plane.line_points):
         rows[lines[li]] = tuple(points[p] for p in pts)
-    loaded = load_plane(relabelled(plane_to_doc(plane), points, lines))
-    assert (loaded.point_triples is None) == (rows != plane.line_points)
+    loaded, checks = _load_counting_checks(relabelled(plane_to_doc(plane), points, lines))
+    assert checks == (rows != plane.line_points)
     assert loaded.line_points == [tuple(sorted(r)) for r in rows]
     # and a relabelled partition gets the relabelled verdict
     t = data.draw(st.integers(1, 16), label="classes")
@@ -356,9 +356,10 @@ def test_pg2_matches_field_dot_product_oracle(q, plane_for):
     p, e, elems = f.p, f.e, range(q)
     digits = [[v // p**i % p for i in range(e)] for v in elems]
     raw = [[digits[f._raw_mul(a, x)] for x in elems] for a in elems]
+    triples = pg2_triples(q)
     for li in range(0, plane.n, 1 if q <= 16 else 3):
-        a, b, c = plane.line_triples[li]
-        for pi, (x, y, z) in enumerate(plane.point_triples):
+        a, b, c = triples[li]
+        for pi, (x, y, z) in enumerate(triples):
             on = all((u + v + w) % p == 0 for u, v, w in zip(raw[a][x], raw[b][y], raw[c][z]))
             assert incident(plane, pi, li) == on, (li, pi)
     # the point side is the transpose of the line side, not assumed from it
@@ -411,8 +412,8 @@ def test_rows_are_untracked_tuples_over_one_id_list(source):
     # q=17 has ids above 256, which CPython does not cache
     plane = build_plane(17)
     if source == "loaded":
-        plane = load_plane(_reversed_doc(plane))
-        assert plane.point_triples is None
+        plane, checks = _load_counting_checks(_reversed_doc(plane))
+        assert checks == 1
     gc.collect()
     for side in (plane.line_points, plane.point_lines):
         assert all(type(row) is tuple and not gc.is_tracked(row) for row in side)
