@@ -216,6 +216,39 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
+    def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """(products, sums): ``products[a][b]`` is a*b and ``sums[a][b]`` is a+b.
+
+        Built whole, without the per-element checks of ``mul`` and ``add``.
+        In an extension field, row a != 0 of the products is the exp table
+        rotated by log a and read at log b. Sums are XOR for p = 2; for odd p
+        they are built one base-p digit at a time: with q' = p**j, the sum of
+        lo + q'*d and lo' + q'*d' is sums'[lo][lo'] + q'*((d + d') % p).
+        """
+        p, q = self.p, self.q
+        elems = range(q)
+        if self.e == 1:
+            products = [tuple(a * b % p for b in elems) for a in elems]
+        else:
+            exp, log = self._exp, self._log
+            twice = exp + exp
+            logs = log[1:]
+            products = [(0,) * q]
+            for a in range(1, q):
+                rotated = twice[log[a] : log[a] + q - 1]
+                products.append((0, *map(rotated.__getitem__, logs)))
+        if p == 2:
+            return products, [tuple(a ^ b for b in elems) for a in elems]
+        sums, size = [(0,)], 1
+        for _ in range(self.e):
+            sums = [
+                tuple(s + size * ((d + d2) % p) for d2 in range(p) for s in row)
+                for d in range(p)
+                for row in sums
+            ]
+            size *= p
+        return products, sums
+
 
 def build_field(p: int, e: int) -> Field:
     """Construct GF(p^e) on the deterministic minimal irreducible modulus."""

@@ -22,6 +22,18 @@ def bitmask(ids) -> int:
     return m
 
 
+def _rows_and_cols(line_points):
+    """Ascending id tuples of the lines and of their transpose, the lines
+    through each point, with every id taken from one list of ints."""
+    ids = list(range(len(line_points)))
+    rows = [tuple(map(ids.__getitem__, sorted(pts))) for pts in line_points]
+    point_lines = [[] for _ in ids]
+    for li, pts in zip(ids, rows):
+        for p in pts:
+            point_lines[p].append(li)
+    return rows, list(map(tuple, point_lines))
+
+
 class IncidencePlane:
     """Immutable incidence structure of a projective plane of order q.
 
@@ -42,14 +54,10 @@ class IncidencePlane:
     __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks", "dualized")
 
     def __init__(self, q, line_points):
-        ids = list(range(len(line_points)))
-        rows = [tuple(map(ids.__getitem__, sorted(pts))) for pts in line_points]
-        point_lines = [[] for _ in ids]
-        for li, pts in zip(ids, rows):
-            for p in pts:
-                point_lines[p].append(li)
-        cols = list(map(tuple, point_lines))
-        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)))
+        self._set_rows(q, *_rows_and_cols(line_points))
+
+    def _set_rows(self, q, rows, cols):
+        return self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)))
 
     def _set(self, q, line_points, point_lines, line_masks, point_masks, dualized=False):
         self.q, self.n, self.dualized = q, len(line_points), dualized
@@ -94,9 +102,8 @@ def build_pg2(f: Field) -> IncidencePlane:
     triples = [(0, 0, 1), *((0, 1, z) for z in elems)]
     triples.extend((1, y, z) for y in elems for z in elems)
     ids = list(range(len(triples)))
-    # the field's tables, read through its checked ops; ninv[c] is -1/c
-    products = [tuple(f.mul(a, b) for b in elems) for a in elems]
-    sums = [tuple(f.add(a, b) for b in elems) for a in elems]
+    # the field's product and sum tables; ninv[c] is -1/c
+    products, sums = f.tables()
     ninv = [0] + [f.neg(f.inv(c)) for c in range(1, q)]
     infinity = tuple(ids[: q + 1])
     blocks = [ids[1 + q + q * y : 1 + 2 * q + q * y] for y in elems]  # ids of (1,y,*)
@@ -168,13 +175,24 @@ def _violation(kind: str, message: str) -> ValueError:
     return ValueError(f"axiom violation ({kind}): {message}")
 
 
+def _check_sizes(q: int, line_sizes, point_sizes) -> None:
+    """Raise the first line-size, then point-degree, violation: each size,
+    in id order, must be q+1."""
+    want = q + 1
+    for sizes, (kind, text) in zip((line_sizes, point_sizes), _SIZES):
+        for i, size in enumerate(sizes):
+            if size != want:
+                raise _violation(kind, text.format(i, size, want))
+
+
 def validate_axioms(plane: IncidencePlane) -> None:
     """Check the projective plane axioms against the plane's declared order.
 
     Raises ValueError("axiom violation (<kind>): <message>") at the first
     violation, checking the order, line sizes, point degrees and point
-    pairs in that order. The size check is written once for lines and run
-    on the plane and on its dual.
+    pairs in that order. Sizes are the bit counts of the masks, passed to
+    the size check that ``load_plane`` runs on its rows before it builds
+    any mask, so both report a size violation with the same message.
 
     Lines need no pair check of their own. Once n = q*q + q + 1, every line
     has q+1 points, every point lies on q+1 lines and every two points
@@ -201,12 +219,7 @@ def validate_axioms(plane: IncidencePlane) -> None:
     q = plane.q
     if n != q * q + q + 1:
         raise _violation("order", f"{n} lines but order {q} requires {q * q + q + 1}")
-    want = q + 1
-    for side, (kind, text) in zip((plane, plane.dual()), _SIZES):
-        for i, mask in enumerate(side.line_masks):
-            size = mask.bit_count()
-            if size != want:
-                raise _violation(kind, text.format(i, size, want))
+    _check_sizes(q, map(int.bit_count, plane.line_masks), map(int.bit_count, plane.point_masks))
     full = (1 << n) - 1
     masks, cover = plane.point_masks, plane.line_masks
     for i, row in enumerate(plane.point_lines):
@@ -237,53 +250,17 @@ def _point_id(name, li: int) -> int:
     return int(m.group(1))
 
 
-def _built_if_canonical(q: int, line_points: list) -> IncidencePlane | None:
-    """``build_plane(q)`` when its rows are exactly ``line_points``, else None;
-    a plane that does not match is dropped on return."""
-    try:
-        order = prime_power(q)
-    except ValueError:  # no PG(2,q) to compare with
-        return None
-    built = build_pg2(build_field(*order))
-    return built if line_points == built.line_points else None
+def _parse_lines(lines: list, names: list[str]) -> list[tuple[int, ...]]:
+    """The point ids of each line of the document, indexed by line id.
 
-
-def load_plane(doc: dict) -> IncidencePlane:
-    """Parse and validate a plane document.
-
-    The order q is inferred from the line count n = q*q + q + 1 and must be
-    at least 2; a declared "q" must agree. Point ids are implicit and every
-    one of P0..P(n-1) must appear. Raises ValueError on malformed input or
-    on the first axiom violation.
-
-    Point names are read with one lookup each in a table of the canonical
-    names P0..P(n-1). A line holding any other name, such as "P007", a
-    number or an id of n or more, is parsed name by name with the point-id
-    pattern instead. Both ways give the same ids, so the table changes
-    only the cost of canonical names, not any result or message.
-
-    A document that is PG(2,q) as ``build_plane`` builds it, with q a prime
-    power and line Li listing the points of built line i in the same order
-    (as every file ``planepart plane`` writes does), loads as that built
-    plane: the coverage check, the transpose, the masks and
-    ``validate_axioms`` are skipped. Skipping the axioms is sound because
-    the incidence is then identical, id for id, to the built plane's, and
-    PG(2,q) over a field satisfies them: the tests run ``validate_axioms``
-    on every built plane up to q = 81, and CI on PG(2,125) and PG(2,128)
-    through relabelled files. Any other document, such as a relabelled,
-    reordered, non-Desarguesian or invalid one, takes the full path with
-    the same messages, after one extra closed-form build when its order is
-    a prime power; the built plane is released first, so that path peaks
-    no higher.
+    A point name is read with one lookup in a table of ``names``, the
+    canonical names P0..P(n-1). A line holding any other name, such as
+    "P007", a number or an id of n or more, is parsed name by name with the
+    point-id pattern instead; both ways give the same ids.
     """
-    if not isinstance(doc, dict) or "lines" not in doc:
-        raise ValueError("plane document must be an object with a 'lines' array")
-    lines = doc["lines"]
-    if not isinstance(lines, list) or not lines:
-        raise ValueError("plane document has no lines")
     n = len(lines)
     line_points: list[tuple[int, ...] | None] = [None] * n
-    index = {f"P{i}": i for i in range(n)}
+    index = dict(zip(names, range(n)))
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
@@ -304,16 +281,91 @@ def load_plane(doc: dict) -> IncidencePlane:
         if len(set(pts)) != len(pts):
             raise ValueError(f"line L{li} repeats a point")
         line_points[li] = pts
+    return line_points
+
+
+def _pg2_shaped_like(doc: dict, q: int) -> IncidencePlane | None:
+    """PG(2,q), built, when the document has its shape: q >= 2 is a prime
+    power that a declared "q" does not contradict, there are q*q + q + 1
+    line entries and each is an object with a list of q+1 points. Else None,
+    so a document that cannot list PG(2,q)'s rows pays for no build."""
+    lines = doc["lines"]
+    if q < 2 or q * q + q + 1 != len(lines) or doc.get("q", q) != q:
+        return None
+    try:
+        order = prime_power(q)
+    except ValueError:  # no PG(2,q) to compare with
+        return None
+    if not all(
+        isinstance(entry, dict) and isinstance(entry.get("points"), list)
+        and len(entry["points"]) == q + 1
+        for entry in lines
+    ):
+        return None
+    return build_pg2(build_field(*order))
+
+
+def load_plane(doc: dict) -> IncidencePlane:
+    """Parse and validate a plane document.
+
+    The order q is inferred from the line count n = q*q + q + 1 and must be
+    at least 2; a declared "q" must agree. Point ids are implicit and every
+    one of P0..P(n-1) must appear. Raises ValueError on malformed input or
+    on the first axiom violation.
+
+    When n = q*q + q + 1 for a prime power q >= 2 that a declared "q" does
+    not contradict, and every entry is an object with a list of q+1 points,
+    PG(2,q) is built once, as ``build_plane`` builds it, before anything is
+    parsed; so a document pays for a build only when its size is that of
+    PG(2,q)'s rows. A document whose entry i is
+    ``{"id": "Li", "points": [...]}`` with the names of built line i's
+    points, in its order, taken from one list of the n names P0..P(n-1)
+    (every file ``planepart plane`` writes is one) is recognised by list
+    comparison and loads as that built plane, without the per-name parse.
+    Any other document is parsed name by name (``_parse_lines``), and if
+    its line Li lists built line i's point ids in the same order, as a
+    zero-padded or line-shuffled copy does, it too loads as the built
+    plane. Either way the coverage check, the transpose, the masks and
+    ``validate_axioms`` are skipped. That is sound because the incidence is
+    then identical, id for id, to the built plane's, and PG(2,q) over a
+    field satisfies the axioms: the tests run ``validate_axioms`` on every
+    built plane up to q = 81, and CI on PG(2,125) and PG(2,128) through
+    relabelled files.
+
+    Any other document, such as a relabelled, non-Desarguesian or invalid
+    one, takes the full path. The built plane is held while the document is
+    parsed and compared, then released. The rows are sorted and
+    transposed, and the line sizes and point degrees are checked on these
+    tuples by the size check that ``validate_axioms`` runs on masks, so
+    with the same messages, before any mask is built: only a document
+    whose sizes hold pays for the 2n masks and the point-pair check.
+    """
+    if not isinstance(doc, dict) or "lines" not in doc:
+        raise ValueError("plane document must be an object with a 'lines' array")
+    lines = doc["lines"]
+    if not isinstance(lines, list) or not lines:
+        raise ValueError("plane document has no lines")
+    n = len(lines)
     q = (math.isqrt(4 * n - 3) - 1) // 2
+    names = [f"P{i}" for i in range(n)]
+    built = _pg2_shaped_like(doc, q)
+    if built is not None:
+        name_of = names.__getitem__
+        if all(
+            entry.get("id") == f"L{i}" and entry["points"] == list(map(name_of, row))
+            for i, (entry, row) in enumerate(zip(lines, built.line_points))
+        ):
+            return built
+    line_points = _parse_lines(lines, names)
     if q < 1 or q * q + q + 1 != n:
         raise ValueError(f"{n} lines is not q*q + q + 1 for any order q >= 1")
     if q < 2:
         raise ValueError(f"plane order must be at least 2, got {q}")
     if "q" in doc and doc["q"] != q:
         raise ValueError(f"declared order {doc['q']!r} does not match inferred order {q}")
-    built = _built_if_canonical(q, line_points)
-    if built is not None:
+    if built is not None and line_points == built.line_points:
         return built
+    built = None  # released before the masks
     seen = set()
     for pts in line_points:
         seen.update(pts)
@@ -325,6 +377,8 @@ def load_plane(doc: dict) -> IncidencePlane:
             + (f"; missing {missing[:5]}" if missing else "")
             + (f"; unexpected {extra[:5]}" if extra else "")
         )
-    plane = IncidencePlane(q, line_points)
+    rows, cols = _rows_and_cols(line_points)
+    _check_sizes(q, map(len, rows), map(len, cols))
+    plane = object.__new__(IncidencePlane)._set_rows(q, rows, cols)
     validate_axioms(plane)
     return plane

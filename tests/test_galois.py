@@ -165,3 +165,13 @@ def test_smallest_irreducible_compares_constant_term_first():
     # over GF(2) both cubics with constant 1 after x^3 + 1 are irreducible;
     # constant-first comparison puts x^3 + x^2 + 1 before x^3 + x + 1
     assert smallest_irreducible(2, 3) == [1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("q", prime_powers(2, 81))
+def test_tables_match_the_table_free_product_and_checked_sum(q):
+    f = build_field(*_pe(q))
+    products, sums = f.tables()
+    assert len(products) == len(sums) == q
+    for a in range(q):
+        assert products[a] == tuple(f._raw_mul(a, b) for b in range(q))
+        assert sums[a] == tuple(f.add(a, b) for b in range(q))

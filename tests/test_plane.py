@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from planepart import build_plane, is_resolving, plane_to_doc
 from planepart.galois import build_field, prime_power
 from planepart.metric import partition_from_doc
+from planepart import plane as plane_mod
 from planepart.plane import IncidencePlane, load_plane, validate_axioms
 
 from conftest import prime_powers, relabelled, replace_one_field
@@ -246,6 +247,110 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     assert {frozenset(map(str, g)) for g in after.collision_groups} == {
         frozenset(rename[str(v)] for v in g) for g in before.collision_groups
     }
+
+
+def _load_spied(doc):
+    """``load_plane(doc)`` (or the ValueError it raised) and a count of what it
+    ran: ``builds`` calls of ``build_pg2``, ``parses`` of the per-name
+    parse, and ``masks``, the ``bitmask`` and ``IncidencePlane._set`` calls
+    made outside ``build_pg2``, which only a plane built from parsed rows
+    makes. ``built`` is the plane the build returned."""
+    calls = {"builds": 0, "parses": 0, "masks": 0, "built": None}
+    building = []
+    real_build, real_parse = plane_mod.build_pg2, plane_mod._parse_lines
+    real_bitmask, real_set = plane_mod.bitmask, IncidencePlane._set
+
+    def build(f):
+        calls["builds"] += 1
+        building.append(True)
+        try:
+            calls["built"] = real_build(f)
+        finally:
+            building.pop()
+        return calls["built"]
+
+    def outside_build(fn):
+        def spy(*args, **kwargs):
+            calls["masks"] += not building
+            return fn(*args, **kwargs)
+        return spy
+
+    def parse(*args):
+        calls["parses"] += 1
+        return real_parse(*args)
+
+    with mock.patch.object(plane_mod, "build_pg2", build), \
+            mock.patch.object(plane_mod, "bitmask", outside_build(real_bitmask)), \
+            mock.patch.object(IncidencePlane, "_set", outside_build(real_set)), \
+            mock.patch.object(plane_mod, "_parse_lines", parse):
+        try:
+            result = load_plane(doc)
+        except ValueError as err:
+            result = err
+    return result, calls
+
+
+@pytest.mark.parametrize("q", [4, 32])
+def test_a_canonical_document_is_recognised_without_the_per_name_parse(q):
+    doc = json.loads(json.dumps(plane_to_doc(build_plane(q))))
+    plane, calls = _load_spied(doc)
+    assert calls["builds"] == 1 and calls["parses"] == 0 and calls["masks"] == 0
+    assert plane is calls["built"]
+
+
+def _padded(doc):
+    for entry in doc["lines"]:
+        entry["id"] = f"L{int(entry['id'][1:]):04d}"
+        entry["points"] = [f"P{int(p[1:]):04d}" for p in entry["points"]]
+    return doc
+
+
+def _shuffled(doc):
+    random.Random(0).shuffle(doc["lines"])
+    assert doc["lines"][0]["id"] != "L0"
+    return doc
+
+
+@pytest.mark.parametrize("edit", [_padded, _shuffled])
+@pytest.mark.parametrize("q", [4, 32])
+def test_padded_and_shuffled_documents_load_as_the_built_plane_with_one_build(q, edit):
+    doc = edit(plane_to_doc(build_plane(q)))
+    plane, calls = _load_spied(doc)
+    assert calls["builds"] == 1 and calls["parses"] == 1 and calls["masks"] == 0
+    assert plane is calls["built"]
+
+
+def _moved_incidence(q):
+    """PG(2,q)'s document with the first point of L1 replaced by the first
+    point off L1, so every line keeps q+1 points and two degrees break."""
+    doc = plane_to_doc(build_plane(q))
+    pts = doc["lines"][1]["points"]
+    pts[0] = next(f"P{p}" for p in range(q * q + q + 1) if f"P{p}" not in pts)
+    return doc
+
+
+def _one_short_line(q):
+    doc = plane_to_doc(build_plane(q))
+    doc["lines"][3]["points"].pop()
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, q, builds, message",
+    [
+        (_moved_incidence, 4, 1, "(point-degree): point P0 lies on 4 lines, expected 5"),
+        (_moved_incidence, 32, 1, "(point-degree): point P0 lies on 32 lines, expected 33"),
+        (_one_short_line, 4, 0, "(line-size): line L3 has 4 points, expected 5"),
+        (_one_short_line, 32, 0, "(line-size): line L3 has 32 points, expected 33"),
+    ],
+    ids=["moved-4", "moved-32", "short-4", "short-32"],
+)
+def test_size_faults_are_reported_before_any_mask(make, q, builds, message):
+    err, calls = _load_spied(make(q))
+    assert isinstance(err, ValueError)
+    assert str(err) == f"axiom violation {message}"
+    # a short line is not PG(2,q)'s shape, so it is not even built
+    assert calls["builds"] == builds and calls["parses"] == 1 and calls["masks"] == 0
 
 
 def test_load_rejects_points_that_are_not_an_array():
