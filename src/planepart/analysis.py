@@ -86,10 +86,6 @@ class SearchResult:
     nodes: int
     wall_time: float
 
-    @property
-    def value(self) -> int | None:
-        return self.lower if self.exact else None
-
     def to_doc(self, plane: IncidencePlane | None = None) -> dict:
         doc: dict = {"q": self.q, "exact": self.exact, "nodes": self.nodes}
         if self.exact:
@@ -420,14 +416,14 @@ class _Descent:
             return 0
         return 1 if self.nb[c][u] else 2 if self.sides[c][u >= self.n] else 3
 
-    def scores(self, v: int, below: int = -1) -> list[tuple[int, int]]:
+    def scores(self, v: int) -> list[tuple[int, int]]:
         """Colliding pairs after moving v to each other class, ascending.
 
         Returns (c, pairs) items and stops after the first pair count below
-        ``below``. Empty when v is alone in its class. Also empty, unscored,
-        when 0 < below <= pairs and no move of v can go below the count: v
-        and its neighbours collide with no vertex, and v is not the last
-        vertex of src on its side (see ``randomized_upper_bound``).
+        ``pairs``. Empty when v is alone in its class. Also empty, unscored,
+        when pairs > 0 and no move of v can go below the count: v and its
+        neighbours collide with no vertex, and v is not the last vertex of
+        src on its side (see ``randomized_upper_bound``).
 
         v gets code 0 to c and, to src, 1 when it has a neighbour there,
         else its side's far code. A neighbour w keeps code 0 to src when it
@@ -454,7 +450,7 @@ class _Descent:
             lost += k
         # Nothing touched collides and src keeps v's side: no class can go
         # below the count (see randomized_upper_bound).
-        if not (lost or up) and 0 < below <= self.pairs:
+        if not (lost or up) and self.pairs:
             for u in touched:
                 counts[sigs[u]] += 1
             return []
@@ -496,7 +492,7 @@ class _Descent:
                     gained += pair_count(map(new.count, distinct))
                 pairs = self.pairs - lost + gained
             out.append((c, pairs))
-            if pairs < below:
+            if pairs < self.pairs:
                 break
         for u in touched:
             counts[sigs[u]] += 1
@@ -579,7 +575,7 @@ def randomized_upper_bound(
         state = _Descent(graph, assign, t)
         v = 0
         while state.pairs and v < size:
-            scored = state.scores(v, state.pairs)
+            scored = state.scores(v)
             if scored and scored[-1][1] < state.pairs:
                 state.move(v, scored[-1][0])
                 v = 0

@@ -52,7 +52,7 @@ def _add_plane_source(parser):
 
 def _resolve_plane(args):
     if (args.q is None) == (args.plane is None):
-        raise UsageError("exactly one of --q and --plane is required")
+        raise ValueError("exactly one of --q and --plane is required")
     if args.q is not None:
         return plane_mod.build_plane(args.q)
     return plane_mod.load_plane(_read_json(args.plane))
@@ -67,10 +67,6 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nests too deeply to read") from None
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"{path}: {err}") from None
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +245,7 @@ def _cmd_search(args) -> int:
     tmax = min(args.tmax if args.tmax is not None else size, size)
     tmin = max(args.tmin, 2)
     if tmin > tmax:
-        raise UsageError(f"empty class count range {tmin}..{tmax}")
+        raise ValueError(f"empty class count range {tmin}..{tmax}")
     best_t = None
     best = None
     for t in range(tmax, tmin - 1, -1):
@@ -300,7 +296,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _HANDLERS[args.command](args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -3,34 +3,38 @@
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterator
 
 DEFAULT_ORDER_LIMIT = 1 << 20
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_factors(n: int) -> Iterator[int]:
+    """The distinct prime factors of n, ascending, by trial division."""
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q as p**e with p prime; ValueError when q is not a prime power."""
-    factors = _prime_factors(q)
-    if len(factors) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p = factors[0]
-    e = 1
-    while p**e < q:
-        e += 1
-    return p, e
+    """Split q as p**e with p prime; ValueError when q is not a prime power.
+
+    Trial division stops at q's smallest prime factor p, and q is a prime
+    power exactly when dividing out every factor p leaves 1.
+    """
+    p = next(_prime_factors(q), None)
+    if p is not None:
+        rest, e = q // p, 1
+        while rest % p == 0:
+            rest, e = rest // p, e + 1
+        if rest == 1:
+            return p, e
+    raise ValueError(f"{q} is not a prime power")
 
 
 def _digits(a: int, p: int, e: int) -> list[int]:
@@ -105,7 +109,7 @@ class Field:
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
 
     def __init__(self, p: int, e: int):
-        if _prime_factors(p) != [p]:
+        if list(_prime_factors(p)) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be positive, got {e}")
@@ -136,14 +140,7 @@ class Field:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        mod = self.modulus
-        for d in range(2 * e - 2, e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(e):
-                    prod[d - e + j] = (prod[d - e + j] - c * mod[j]) % p
-        return _undigits(prod[:e], p)
+        return _undigits(_poly_mod(prod, self.modulus, p), p)
 
     def _raw_pow(self, a: int, n: int) -> int:
         r = 1

@@ -313,32 +313,28 @@ def load_plane(doc: dict) -> IncidencePlane:
     one of P0..P(n-1) must appear. Raises ValueError on malformed input or
     on the first axiom violation.
 
-    When n = q*q + q + 1 for a prime power q >= 2 that a declared "q" does
-    not contradict, and every entry is an object with a list of q+1 points,
-    PG(2,q) is built once, as ``build_plane`` builds it, before anything is
-    parsed; so a document pays for a build only when its size is that of
-    PG(2,q)'s rows. A document whose entry i is
+    A document loads one of two ways. When n = q*q + q + 1 for a prime
+    power q >= 2 that a declared "q" does not contradict, and every entry
+    is an object with a list of q+1 points, PG(2,q) is built once, as
+    ``build_plane`` builds it, before anything is parsed. If entry i is
     ``{"id": "Li", "points": [...]}`` with the names of built line i's
     points, in its order, taken from one list of the n names P0..P(n-1)
-    (every file ``planepart plane`` writes is one) is recognised by list
-    comparison and loads as that built plane, without the per-name parse.
-    Any other document is parsed name by name (``_parse_lines``), and if
-    its line Li lists built line i's point ids in the same order, as a
-    zero-padded or line-shuffled copy does, it too loads as the built
-    plane. Either way the coverage check, the transpose, the masks and
-    ``validate_axioms`` are skipped. That is sound because the incidence is
-    then identical, id for id, to the built plane's, and PG(2,q) over a
-    field satisfies the axioms: the tests run ``validate_axioms`` on every
-    built plane up to q = 81, and CI on PG(2,125) and PG(2,128) through
-    relabelled files.
+    (every file ``planepart plane`` writes is one), the document is
+    recognised by name comparison and loads as that built plane, without
+    the parse, the masks or ``validate_axioms``. That is sound because the
+    incidence is then identical, id for id, to the built plane's, and
+    PG(2,q) over a field satisfies the axioms: the tests run
+    ``validate_axioms`` on every built plane up to q = 81, and CI on
+    PG(2,125) and PG(2,128) through relabelled files.
 
-    Any other document, such as a relabelled, non-Desarguesian or invalid
-    one, takes the full path. The built plane is held while the document is
-    parsed and compared, then released. The rows are sorted and
-    transposed, and the line sizes and point degrees are checked on these
-    tuples by the size check that ``validate_axioms`` runs on masks, so
-    with the same messages, before any mask is built: only a document
-    whose sizes hold pays for the 2n masks and the point-pair check.
+    Any other document, such as a zero-padded, line-shuffled, relabelled,
+    non-Desarguesian or invalid one, takes the full loader, and the built
+    plane is released before it starts. The document is parsed name by
+    name (``_parse_lines``), the rows are sorted and transposed, and the
+    line sizes and point degrees are checked on these tuples by the size
+    check that ``validate_axioms`` runs on masks, so with the same
+    messages, before any mask is built: only a document whose sizes hold
+    pays for the 2n masks and the point-pair check.
     """
     if not isinstance(doc, dict) or "lines" not in doc:
         raise ValueError("plane document must be an object with a 'lines' array")
@@ -356,6 +352,7 @@ def load_plane(doc: dict) -> IncidencePlane:
             for i, (entry, row) in enumerate(zip(lines, built.line_points))
         ):
             return built
+    built = None  # released before the parse and the masks
     line_points = _parse_lines(lines, names)
     if q < 1 or q * q + q + 1 != n:
         raise ValueError(f"{n} lines is not q*q + q + 1 for any order q >= 1")
@@ -363,9 +360,6 @@ def load_plane(doc: dict) -> IncidencePlane:
         raise ValueError(f"plane order must be at least 2, got {q}")
     if "q" in doc and doc["q"] != q:
         raise ValueError(f"declared order {doc['q']!r} does not match inferred order {q}")
-    if built is not None and line_points == built.line_points:
-        return built
-    built = None  # released before the masks
     seen = set()
     for pts in line_points:
         seen.update(pts)

@@ -183,9 +183,9 @@ def test_criterion_7_exact_pd_q2(plane_for):
     for workers in (1, 2):
         res = exhaustive_pd(plane, workers=workers)
         assert res.exact
-        assert res.value >= lower_bound(2).total == 3
+        assert res.lower >= lower_bound(2).total == 3
         assert is_resolving(plane, res.witness).resolving
-        results[workers] = (res.value, res.nodes)
+        results[workers] = (res.lower, res.nodes)
     assert results[1] == results[2], "value must not depend on the worker count"
     value, nodes = results[1]
     if fixture_path.exists():

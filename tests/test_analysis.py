@@ -314,21 +314,62 @@ def _recount(plane, assign, t):
     return sigs, pair_count(map(len, signature_groups(sigs, range(len(sigs)))))
 
 
-def _check_scores_then_move(plane, state, v, c):
-    """Every score of v is a full recount; moving v to c keeps the state exact."""
+def _skip_rule(plane, state, v):
+    """The documented skip rule, restated from a recount of the state's assignment.
+
+    The state has colliding pairs, v and its neighbours each have a
+    signature no other vertex shares, and v is not the last vertex of its
+    class on its side.
+    """
+    n, assign = plane.n, state.assign
+    side = v >= n
+    near = [n + li for li in plane.point_lines[v]] if side == 0 else plane.line_points[v - n]
+    sigs, pairs = _recount(plane, assign, len(state.sides))
+    counts = Counter(sigs)
+    on_side = assign[side * n : side * n + n].count(assign[v])
+    return pairs > 0 and all(counts[sigs[u]] == 1 for u in [v, *near]) and on_side > 1
+
+
+def _recounted_scores(plane, state, v):
+    """(c, pairs) for every class c other than v's, each pair count recounted
+    from scratch after moving v to c."""
     t = len(state.sides)
-    src = state.assign[v]
+    out = []
+    for c in range(t):
+        if c != state.assign[v]:
+            moved = list(state.assign)
+            moved[v] = c
+            out.append((c, _recount(plane, moved, t)[1]))
+    return out
+
+
+def _check_scores(plane, state, v):
+    """scores(v) leaves the counts as they were and is the recounted scoring
+    cut after the first count below the state's pairs, else every other
+    class; it is empty when v is alone in its class or the skip rule holds,
+    and then no move of v goes below the pairs."""
     before = dict(state.counts)
     scored = state.scores(v)
     assert dict(state.counts) == before
-    if state.assign.count(src) == 1:
-        assert scored == []
+    if state.assign.count(state.assign[v]) == 1:
+        assert scored == [], v
         return
-    assert [d for d, _ in scored] == [d for d in range(t) if d != src]
-    for d, pairs in scored:
-        moved = list(state.assign)
-        moved[v] = d
-        assert pairs == _recount(plane, moved, t)[1], (v, d)
+    full = _recounted_scores(plane, state, v)
+    if _skip_rule(plane, state, v):
+        assert scored == [], v
+        assert min(pairs for _, pairs in full) >= state.pairs, v
+        return
+    cut = next((i for i, (_, pairs) in enumerate(full) if pairs < state.pairs), len(full) - 1)
+    assert scored == full[: cut + 1], v
+
+
+def _check_scores_then_move(plane, state, v, c):
+    """v's scores are checked against a recount, and moving v to c keeps the
+    state exact."""
+    _check_scores(plane, state, v)
+    if state.assign.count(state.assign[v]) == 1:
+        return
+    t = len(state.sides)
     state.move(v, c)
     sigs, pairs = _recount(plane, state.assign, t)
     assert state.sigs == sigs
@@ -374,26 +415,11 @@ def test_descent_rescans_a_side_whose_far_code_flips(plane_for):
         _check_scores_then_move(plane, state, v, c)
 
 
-def _skip_rule(plane, state, v):
-    """The documented skip rule, restated from a recount of the state's assignment.
-
-    v and its neighbours each have a signature no other vertex shares, and
-    v is not the last vertex of its class on its side.
-    """
-    n, assign = plane.n, state.assign
-    side = v >= n
-    near = [n + li for li in plane.point_lines[v]] if side == 0 else plane.line_points[v - n]
-    sigs, _ = _recount(plane, assign, len(state.sides))
-    counts = Counter(sigs)
-    on_side = assign[side * n : side * n + n].count(assign[v])
-    return all(counts[sigs[u]] == 1 for u in [v, *near]) and on_side > 1
-
-
 def _descend(state, steps):
     """Take up to `steps` first-improvement moves, as randomized_upper_bound does."""
     for _ in range(steps):
         for v in range(len(state.assign)):
-            scored = state.scores(v, state.pairs)
+            scored = state.scores(v)
             if scored and scored[-1][1] < state.pairs:
                 state.move(v, scored[-1][0])
                 break
@@ -404,9 +430,9 @@ def _descend(state, steps):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_descent_skips_exactly_the_scans_that_cannot_improve(plane_for, data):
-    """scores(v, pairs) is the full scoring cut at the first improvement,
-    except that it is empty exactly when the skip rule holds, and then no
-    class brings the count below pairs."""
+    """Along a descent, scores(v) is the recounted scoring cut at the first
+    improvement, except that it is empty exactly when the skip rule holds,
+    and then no class brings the count below pairs."""
     plane = plane_for(data.draw(st.sampled_from([2, 3, 4]), label="q"))
     size = 2 * plane.n
     t = data.draw(st.integers(2, 9), label="t")
@@ -421,15 +447,7 @@ def test_descent_skips_exactly_the_scans_that_cannot_improve(plane_for, data):
             state.move(v, c + (c >= state.assign[v]))
     _descend(state, data.draw(st.integers(0, 30), label="descent steps"))
     for v in range(size):
-        full = state.scores(v)
-        alone = state.assign.count(state.assign[v]) == 1
-        skip = state.pairs and not alone and _skip_rule(plane, state, v)
-        if skip:
-            assert min(pairs for _, pairs in full) >= state.pairs, v
-        for below in (state.pairs, state.pairs + 1):
-            cut = next((i for i, (_, pairs) in enumerate(full) if pairs < below), len(full) - 1)
-            expect = [] if skip and below == state.pairs else full[: cut + 1]
-            assert state.scores(v, below) == expect, (v, below)
+        _check_scores(plane, state, v)
 
 
 def test_descent_scores_a_move_that_empties_a_side(plane_for):
@@ -444,8 +462,8 @@ def test_descent_scores_a_move_that_empties_a_side(plane_for):
     state = _Descent(_incidence_graph(plane), [1, 2, 0, 0, 2, 0, 3, 2, 3, 2, 1, 3, 3, 0], 4)
     assert state.pairs == 3
     assert all(state.counts[state.sigs[u]] == 1 for u in [0, *state.adj[0]])
-    assert state.scores(0, state.pairs) == [(0, 1)]
-    assert state.scores(0) == [(0, 1), (2, 3), (3, 1)]
+    assert _recounted_scores(plane, state, 0) == [(0, 1), (2, 3), (3, 1)]
+    assert state.scores(0) == [(0, 1)]
 
 
 def test_descent_skips_a_move_that_first_fills_a_side(plane_for):
@@ -463,8 +481,8 @@ def test_descent_skips_a_move_that_first_fills_a_side(plane_for):
     n = plane.n
     assert state.pairs == 1 and state.sides[0] == [2, 0]
     assert all(state.counts[state.sigs[u]] == 1 for u in [n + 1, *state.adj[n + 1]])
-    assert state.scores(n + 1, state.pairs) == []
-    assert state.scores(n + 1) == [(0, 2), (1, 1), (3, 1)]
+    assert _recounted_scores(plane, state, n + 1) == [(0, 2), (1, 1), (3, 1)]
+    assert state.scores(n + 1) == []
 
 
 def test_randomized_upper_bound_arg_checks(plane_for):

@@ -311,6 +311,8 @@ def test_out_of_range_messages(capsys):
          "--workers", "0"): "worker count must be at least 1, got 0",
         ("plane", "--q", "2097152"): "field order 2097152 exceeds limit 1048576",
         ("plane", "--q", "1"): "plane order must be at least 2, got 1",
+        ("plane", "--q", "2000000000000000006"): "2000000000000000006 is not a prime power",
+        ("bounds", "--q", "6000000000000000018"): "6000000000000000018 is not a prime power",
     }
     for workers in ("1", "2"):
         cases[("estimate", "--q", "8", "--workers", workers)] = (

@@ -1,8 +1,9 @@
+import time
 from functools import reduce
 
 import pytest
 
-from planepart.galois import build_field, smallest_irreducible
+from planepart.galois import build_field, prime_power, smallest_irreducible
 
 from conftest import prime_powers
 
@@ -175,3 +176,29 @@ def test_tables_match_the_table_free_product_and_checked_sum(q):
     for a in range(q):
         assert products[a] == tuple(f._raw_mul(a, b) for b in range(q))
         assert sums[a] == tuple(f.add(a, b) for b in range(q))
+
+
+def test_prime_power_splits_exactly_the_prime_powers():
+    powers = set(prime_powers(2, 5000))
+    for q in range(5001):
+        if q in powers:
+            p, e = prime_power(q)
+            assert p**e == q and min(d for d in range(2, q + 1) if q % d == 0) == p, q
+        else:
+            with pytest.raises(ValueError) as err:
+                prime_power(q)
+            assert str(err.value) == f"{q} is not a prime power"
+    assert prime_power(2**100) == (2, 100)
+    assert prime_power(3**40) == (3, 40)
+
+
+@pytest.mark.parametrize("q", [2000000000000000006, 6000000000000000018])
+def test_prime_power_stops_at_the_smallest_prime_factor(q):
+    # 2 * (10**18 + 3) and 6 * (10**18 + 3), with 10**18 + 3 prime: a
+    # complete factorization divides by every odd number up to 10**9, while
+    # dividing out 2 already leaves more than a power of 2
+    started = time.monotonic()
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
+    assert time.monotonic() - started < 1
+    assert str(err.value) == f"{q} is not a prime power"
