@@ -209,6 +209,17 @@ def _worker_count(workers: int | None) -> int:
     return min(workers, cpus)
 
 
+def _class_count_range(t_min: int, t_max: int | None, size: int, start: int = 1):
+    """Checked class counts max(t_min, start)..min(t_max, size); a None t_max means size."""
+    if t_min < 1:
+        raise ValueError(f"smallest class count must be at least 1, got {t_min}")
+    t_min = max(t_min, start)
+    t_max = size if t_max is None else min(t_max, size)
+    if t_min > t_max:
+        raise ValueError(f"empty class count range {t_min}..{t_max}")
+    return t_min, t_max
+
+
 def _serve(conn, fn, args):
     """Pool worker: answer each chunk of items with its fn(*args, item) list."""
     while True:
@@ -328,17 +339,11 @@ def exhaustive_pd(
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    if t_min < 1:
-        raise ValueError(f"smallest class count must be at least 1, got {t_min}")
+    t_min, t_max = _class_count_range(t_min, t_max, 2 * plane.n)
     workers = _worker_count(workers)
     start = time.monotonic()
     graph = _incidence_graph(plane)
     size = len(graph)
-    if t_max is None:
-        t_max = size
-    t_max = min(t_max, size)
-    if t_min > t_max:
-        raise ValueError(f"empty class count range {t_min}..{t_max}")
     limit = sys.getrecursionlimit()
     if size + _CALLER_FRAMES > limit:
         raise ValueError(

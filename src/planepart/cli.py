@@ -241,11 +241,7 @@ def _cmd_search(args) -> int:
         _emit(args, doc, text)
         return EXIT_OK
     analysis._worker_count(args.workers)
-    size = 2 * target.n
-    tmax = min(args.tmax if args.tmax is not None else size, size)
-    tmin = max(args.tmin, 2)
-    if tmin > tmax:
-        raise ValueError(f"empty class count range {tmin}..{tmax}")
+    tmin, tmax = analysis._class_count_range(args.tmin, args.tmax, 2 * target.n, start=2)
     best_t = None
     best = None
     for t in range(tmax, tmin - 1, -1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metric import (
     Partition,
@@ -109,10 +109,9 @@ def expected_unseparated_bound(q: int, k: int) -> float:
 class Frame:
     """Support pair, major vertices and common vertices of a plane.
 
-    ``line_meet[l]`` is the point where line l crosses the support line
-    (the support line maps to the support point); ``point_join[p]`` is the
-    line through point p and the support point (the support point maps to
-    the support line).
+    The support point lies on the support line. Major points are the other
+    points of the support line and major lines the other lines through the
+    support point; every remaining vertex is common.
     """
 
     support_point: int
@@ -121,38 +120,17 @@ class Frame:
     major_lines: tuple[int, ...]
     common_points: tuple[int, ...]
     common_lines: tuple[int, ...]
-    line_meet: tuple[int, ...] = field(repr=False)
-    point_join: tuple[int, ...] = field(repr=False)
-
-    def dual(self) -> "Frame":
-        """The same frame read in the dual plane, points and lines exchanged."""
-        return Frame(
-            self.support_line,
-            self.support_point,
-            self.major_lines,
-            self.major_points,
-            self.common_lines,
-            self.common_points,
-            self.point_join,
-            self.line_meet,
-        )
 
 
 def _frame_side(plane: IncidencePlane, p0: int, l0: int):
-    """Major points, common points and each line's meet with l0, for support (p0, l0).
+    """Major points and common points for support (p0, l0).
 
-    Run on the dual plane with (l0, p0) it gives the major lines, the common
-    lines and each point's join with p0.
+    Run on the dual plane with (l0, p0) it gives the major lines and the
+    common lines.
     """
-    n = plane.n
     majors = tuple(p for p in plane.line_points[l0] if p != p0)
-    commons = tuple(_iter_bits(((1 << n) - 1) & ~plane.line_masks[l0]))
-    meet = [p0] * n
-    for p in plane.line_points[l0]:
-        for li in plane.point_lines[p]:
-            meet[li] = p
-    meet[l0] = p0
-    return majors, commons, tuple(meet)
+    commons = tuple(_iter_bits(((1 << plane.n) - 1) & ~plane.line_masks[l0]))
+    return majors, commons
 
 
 def choose_frame(plane: IncidencePlane) -> Frame:
@@ -161,11 +139,9 @@ def choose_frame(plane: IncidencePlane) -> Frame:
     The support is the lowest point id with its lowest incident line.
     """
     p0, l0 = 0, plane.point_lines[0][0]
-    major_points, common_points, line_meet = _frame_side(plane, p0, l0)
-    major_lines, common_lines, point_join = _frame_side(plane.dual(), l0, p0)
-    return Frame(
-        p0, l0, major_points, major_lines, common_points, common_lines, line_meet, point_join
-    )
+    major_points, common_points = _frame_side(plane, p0, l0)
+    major_lines, common_lines = _frame_side(plane.dual(), l0, p0)
+    return Frame(p0, l0, major_points, major_lines, common_points, common_lines)
 
 
 @dataclass(frozen=True)
@@ -304,7 +280,7 @@ _STUCK = (
 
 def select_class_lines(
     plane: IncidencePlane,
-    frame: Frame,
+    support: int,
     targets,
     conflict_points,
     forbidden_points,
@@ -313,39 +289,40 @@ def select_class_lines(
 ) -> list[int]:
     """Greedy choice of common lines for one searching class.
 
-    Targets must be major points of ``frame``; this is not checked. Each
-    target ends up on exactly one chosen line and no other point of the
-    support line does. Each conflict point gets exactly one chosen line;
-    forbidden points are never met, forbidden lines and lines already
-    assigned are never picked. Conflict points go first, each taking a
-    line whose support-line meet is a still uncovered target and which
-    avoids the other conflict points; remaining targets then receive lines
-    clear of every conflict point. Ties break to the lowest line id.
-    Raises SelectionError when a step has no admissible line.
+    ``support`` is the support line. Targets must be points of it other
+    than the support point; this is not checked. Each target ends up on
+    exactly one chosen line and no other point of the support line does.
+    Each conflict point gets exactly one chosen line; forbidden points are
+    never met, forbidden lines and lines already assigned are never picked.
+    Conflict points go first, each taking a line whose meet with the
+    support line, read off the incidence masks, is a still uncovered target
+    and which avoids the other conflict points; remaining targets then
+    receive lines clear of every conflict point. Ties break to the lowest
+    line id. Raises SelectionError when a step has no admissible line.
 
-    Run on ``plane.dual()`` with ``frame.dual()`` and ``used.dual()``, the
-    same code chooses common points covering major lines, and its errors
-    name points on lines.
+    Run on ``plane.dual()`` with the support point and ``used.dual()``, the
+    same code chooses common points covering major lines: there the masks
+    give the join of two points. Its errors then name points on lines.
     """
     tset = set(targets)
     q_mask = bitmask(conflict_points)
     qc_mask = bitmask(forbidden_points)
     blocked = bitmask(forbidden_lines) | used.line_mask
     stuck_conflict, stuck_target = _STUCK[plane.dualized]
-    meet = frame.line_meet
     lmasks = plane.line_masks
+    support_mask = lmasks[support]
     covered: set[int] = set()
     chosen = []
     for u in sorted(conflict_points):
         others = q_mask & ~(1 << u)
         pick = -1
         for ln in plane.point_lines[u]:
-            t = meet[ln]
+            pm = lmasks[ln]
+            t = (pm & support_mask).bit_length() - 1
             if t not in tset or t in covered:
                 continue
             if blocked >> ln & 1:
                 continue
-            pm = lmasks[ln]
             if pm & qc_mask or pm & others:
                 continue
             pick = ln
@@ -353,14 +330,13 @@ def select_class_lines(
         if pick < 0:
             raise SelectionError(stuck_conflict.format(u))
         chosen.append(pick)
-        covered.add(meet[pick])
+        covered.add(t)
         blocked |= 1 << pick
     avoid = q_mask | qc_mask
-    l0 = frame.support_line
     for t in sorted(tset - covered):
         pick = -1
         for ln in plane.point_lines[t]:
-            if ln == l0 or blocked >> ln & 1:
+            if ln == support or blocked >> ln & 1:
                 continue
             if lmasks[ln] & avoid:
                 continue
@@ -399,8 +375,9 @@ def build_h2(
     Four searching-set families run over the major points, the major
     lines, and the two sides of the conflict graph, support excluded.
     Class j combines the j-th set of each family; its lines come from
-    select_class_lines and its points from the same selector run on the
-    dual, and both stay disjoint from everything already assigned. Returns
+    select_class_lines on the support line, and its points from the same
+    selector run on the dual plane with the support point and the dual of
+    ``used``. Both stay disjoint from everything already assigned. Returns
     the specs and ``used`` grown by every chosen line and point; a conflict
     side too large for the count raises SelectionError.
     """
@@ -416,7 +393,7 @@ def build_h2(
         raise SelectionError(f"searching families infeasible: {exc}") from exc
     cpoints = set(conflict.points)
     clines = set(conflict.lines)
-    dual, dual_frame = plane.dual(), frame.dual()
+    dual = plane.dual()
     specs = []
     for j in range(count):
         t_j = t_family[j]
@@ -424,10 +401,12 @@ def build_h2(
         r_j = r_family[j]
         qc_j = sorted(cpoints.difference(q_j))
         rc_j = sorted(clines.difference(r_j))
-        lines = select_class_lines(plane, frame, t_j, q_j, qc_j, rc_j, used)
+        lines = select_class_lines(plane, frame.support_line, t_j, q_j, qc_j, rc_j, used)
         used = used | VertexSet.from_indices(lines=lines)
         tstar_j = tstar_family[j]
-        points = select_class_lines(dual, dual_frame, tstar_j, r_j, rc_j, qc_j, used.dual())
+        points = select_class_lines(
+            dual, frame.support_point, tstar_j, r_j, rc_j, qc_j, used.dual()
+        )
         used = used | VertexSet.from_indices(points=points)
         specs.append(
             H2Spec(

@@ -24,6 +24,10 @@ only.
 - ``incident`` reads one incidence bit; test_plane checks it against dot
   products of the ``pg2_triples`` coordinates computed without the
   field's tables.
+- ``meet`` is the one point common to two lines, found by intersecting
+  their ``line_points`` rows as sets, with no use of the masks. On
+  ``plane.dual()`` it is the line joining two points. The construction's
+  selector, which reads meets off the masks, is checked against it.
 - ``vertex_set_from_vertices``, ``vertices_of``, ``zeta_size`` and
   ``conflict_vertex_count`` convert or count, for the assertions.
 """
@@ -50,6 +54,12 @@ from planepart.plane import IncidencePlane
 
 def incident(plane: IncidencePlane, point: int, line: int) -> bool:
     return bool(plane.line_masks[line] >> point & 1)
+
+
+def meet(plane: IncidencePlane, a: int, b: int) -> int:
+    """The point common to distinct lines a and b, from their point rows."""
+    (point,) = set(plane.line_points[a]) & set(plane.line_points[b])
+    return point
 
 
 def pg2_triples(q: int) -> list[tuple[int, int, int]]:

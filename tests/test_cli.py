@@ -135,6 +135,12 @@ def test_plane_files_and_relabelled_ones_give_the_outputs_of_q(tmp_path, capsys)
     for path in (plane_file, part_file):
         path.write_text(json.dumps(relabelled(json.loads(path.read_text()), points, lines)))
     assert run(capsys, *from_file) == verdict
+    # construct reads its meets off the masks the general loader built
+    code, out, _ = run(capsys, "construct", "--plane", str(plane_file), "--seed", "1")
+    assert code == 0
+    part_file.write_text(out)
+    code, out, _ = run(capsys, *from_file)
+    assert code == 0 and json.loads(out)["resolving"] is True
 
 
 def _verify_with_bad_file(tmp_path, capsys, bad, content):
@@ -284,6 +290,9 @@ def test_verify_rejects_a_plane_id_with_a_trailing_newline(tmp_path, capsys):
         ["search", "--q", "2", "--tmin", "-1"],
         ["search", "--q", "2", "--method", "randomized", "--tmin", "10", "--tmax", "5"],
         ["search", "--q", "2", "--method", "randomized", "--tmax", "1"],
+        ["search", "--q", "2", "--method", "randomized", "--tmin", "0"],
+        ["search", "--q", "2", "--method", "randomized", "--tmin", "-5", "--tmax", "6",
+         "--trials", "2"],
         ["search", "--q", "2", "--workers", "0"],
         ["search", "--q", "2", "--method", "randomized", "--tmin", "12", "--tmax", "14",
          "--workers", "0"],
@@ -306,6 +315,10 @@ def test_out_of_range_messages(capsys):
             "empty class count range 10..5",
         ("search", "--q", "2", "--method", "randomized", "--tmax", "1"):
             "empty class count range 2..1",
+        ("search", "--q", "2", "--method", "randomized", "--tmin", "0"):
+            "smallest class count must be at least 1, got 0",
+        ("search", "--q", "2", "--method", "randomized", "--tmin", "-5", "--tmax", "6",
+         "--trials", "2"): "smallest class count must be at least 1, got -5",
         ("estimate", "--q", "16", "--workers", "-2"): "worker count must be at least 1, got -2",
         ("search", "--q", "2", "--method", "randomized", "--tmin", "12", "--tmax", "14",
          "--workers", "0"): "worker count must be at least 1, got 0",

@@ -28,6 +28,7 @@ from oracles import (
     conflict_vertex_count,
     distance_to_set,
     incident,
+    meet,
     separation_probability_bound,
     zeta_size,
 )
@@ -58,11 +59,11 @@ def test_frame_meet_and_join_tables(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
     for ln in fr.common_lines:
-        meet = fr.line_meet[ln]
-        assert meet in fr.major_points
-        assert incident(plane, meet, ln)
+        point = meet(plane, ln, fr.support_line)
+        assert point in fr.major_points
+        assert incident(plane, point, ln)
     for p in fr.common_points:
-        join = fr.point_join[p]
+        join = meet(plane.dual(), p, fr.support_point)
         assert join in fr.major_lines
         assert incident(plane, p, join)
 
@@ -192,13 +193,13 @@ def test_searching_family_codes_always_distinct(size, data):
         assert zero not in non_excluded
 
 
-def brute_force_valid_line_systems(plane, fr, targets):
+def brute_force_valid_line_systems(plane, support_line, targets):
     """All admissible chosen-line systems for empty conflict data, by scan."""
     per_target = {
         t: [
             ln
             for ln in plane.point_lines[t]
-            if ln != fr.support_line and fr.line_meet[ln] == t
+            if ln != support_line and meet(plane, ln, support_line) == t
         ]
         for t in targets
     }
@@ -221,13 +222,13 @@ def test_select_class_lines_q4_against_enumeration(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
     targets = list(fr.major_points[:2])
-    valid = brute_force_valid_line_systems(plane, fr, targets)
+    valid = brute_force_valid_line_systems(plane, fr.support_line, targets)
     assert len(valid) == 16  # 4 free lines per target, independent choices
-    chosen = select_class_lines(plane, fr, targets, [], [], [], VertexSet())
+    chosen = select_class_lines(plane, fr.support_line, targets, [], [], [], VertexSet())
     assert tuple(sorted(chosen)) in valid
     assert len(chosen) == len(targets)
     # deterministic, lowest admissible id per target
-    again = select_class_lines(plane, fr, targets, [], [], [], VertexSet())
+    again = select_class_lines(plane, fr.support_line, targets, [], [], [], VertexSet())
     assert again == chosen
     for t in targets:
         options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
@@ -237,7 +238,7 @@ def test_select_class_lines_q4_against_enumeration(plane_for):
 def test_frame_dual_is_the_frame_of_the_dual_plane(plane_for):
     # relabel lines so that line 0 is the lowest line through point 0; then
     # the plane and its dual both take support (0, 0) and their frames must
-    # be duals of each other
+    # be each other with points and lines exchanged
     plane = plane_for(4)
     rows = list(plane.line_points)
     l0 = plane.point_lines[0][0]
@@ -245,20 +246,27 @@ def test_frame_dual_is_the_frame_of_the_dual_plane(plane_for):
     swapped = IncidencePlane(plane.q, rows)
     fr = choose_frame(swapped)
     assert (fr.support_point, fr.support_line) == (0, 0)
-    assert fr.dual() == choose_frame(swapped.dual())
-    assert fr.dual().dual() == fr
+    dual_fr = choose_frame(swapped.dual())
+    assert dual_fr.support_point == fr.support_line
+    assert dual_fr.support_line == fr.support_point
+    assert dual_fr.major_points == fr.major_lines
+    assert dual_fr.major_lines == fr.major_points
+    assert dual_fr.common_points == fr.common_lines
+    assert dual_fr.common_lines == fr.common_points
 
 
 def test_select_class_lines_on_dual_picks_points_q4(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
     targets = list(fr.major_lines[:2])
-    chosen = select_class_lines(plane.dual(), fr.dual(), targets, [], [], [], VertexSet())
+    dual = plane.dual()
+    chosen = select_class_lines(dual, fr.support_point, targets, [], [], [], VertexSet())
     assert len(chosen) == len(targets)
-    for pt in chosen:
+    joins = [meet(dual, pt, fr.support_point) for pt in chosen]
+    for pt, join in zip(chosen, joins):
         assert pt in fr.common_points
-        assert fr.point_join[pt] in targets
-    joins = [fr.point_join[pt] for pt in chosen]
+        assert join in targets
+        assert incident(plane, pt, join)
     assert sorted(joins) == sorted(targets)
 
 
@@ -268,11 +276,11 @@ def test_select_class_lines_respects_used_and_forbidden(plane_for):
     t = fr.major_points[0]
     options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
     used = VertexSet.from_indices(lines=options[:1])
-    chosen = select_class_lines(plane, fr, [t], [], [], [], used)
+    chosen = select_class_lines(plane, fr.support_line, [t], [], [], [], used)
     assert chosen == [options[1]]
     forbidden = options
     with pytest.raises(SelectionError, match="target point"):
-        select_class_lines(plane, fr, [t], [], [], forbidden, VertexSet())
+        select_class_lines(plane, fr.support_line, [t], [], [], forbidden, VertexSet())
 
 
 def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
@@ -280,17 +288,17 @@ def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
     # reported as a point missing on a line, never as a line through a point.
     plane = plane_for(4)
     fr = choose_frame(plane)
-    dual, dual_fr = plane.dual(), fr.dual()
+    dual, p0 = plane.dual(), fr.support_point
     t = fr.major_lines[0]
     options = [p for p in plane.line_points[t] if p != fr.support_point]
     stuck_target = rf"^no free point on target line L{t}: .* conflict line$"
     with pytest.raises(SelectionError, match=stuck_target):
-        select_class_lines(dual, dual_fr, [t], [], [], options, VertexSet())
+        select_class_lines(dual, p0, [t], [], [], options, VertexSet())
     u = fr.common_lines[0]
     used = VertexSet.from_indices(points=plane.line_points[u])
     stuck_conflict = rf"^no free point on conflict line L{u}: .* support point "
     with pytest.raises(SelectionError, match=stuck_conflict):
-        select_class_lines(dual, dual_fr, fr.major_lines, [u], [], [], used.dual())
+        select_class_lines(dual, p0, fr.major_lines, [u], [], [], used.dual())
 
 
 def test_select_class_lines_conflict_requirements(plane_for):
@@ -298,13 +306,12 @@ def test_select_class_lines_conflict_requirements(plane_for):
     fr = choose_frame(plane)
     targets = list(fr.major_points)[:4]
     u, other = fr.common_points[0], fr.common_points[1]
-    chosen = select_class_lines(plane, fr, targets, [u], [other], [], VertexSet())
+    chosen = select_class_lines(plane, fr.support_line, targets, [u], [other], [], VertexSet())
     through_u = [ln for ln in chosen if incident(plane, u, ln)]
     assert len(through_u) == 1
+    meets = [meet(plane, ln, fr.support_line) for ln in chosen]
     for ln in chosen:
         assert not incident(plane, other, ln)
-        assert fr.line_meet[ln] in targets
-    meets = [fr.line_meet[ln] for ln in chosen]
     assert sorted(meets) == sorted(targets)
 
 
@@ -445,10 +452,9 @@ def test_remainder_class_holds_support_and_major_lines(q64):
 def test_frame_meet_join_map_majors_to_support(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    assert all(fr.line_meet[ml] == fr.support_point for ml in fr.major_lines)
-    assert all(fr.point_join[mp] == fr.support_line for mp in fr.major_points)
-    assert fr.line_meet[fr.support_line] == fr.support_point
-    assert fr.point_join[fr.support_point] == fr.support_line
+    assert all(meet(plane, ml, fr.support_line) == fr.support_point for ml in fr.major_lines)
+    dual = plane.dual()
+    assert all(meet(dual, mp, fr.support_point) == fr.support_line for mp in fr.major_points)
 
 
 def test_construct_determinism_and_metadata(plane_for):
