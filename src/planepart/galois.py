@@ -21,19 +21,65 @@ def _prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this limit (Sorenson and Webster, 2015).
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def _is_probable_prime(n: int) -> bool:
+    """n is a strong probable prime to every base in _WITNESS_BASES, which
+    is exactly "n is prime" for n below PRIME_TEST_LIMIT."""
+    if n < 2:
+        return False
+    for b in _WITNESS_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESS_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """Split q as p**e with p prime; ValueError when q is not a prime power.
 
-    Trial division stops at q's smallest prime factor p, and q is a prime
-    power exactly when dividing out every factor p leaves 1.
+    The largest e for which q has an exact integer e-th root r is the only
+    candidate: q is a prime power exactly when r is prime. A root at or
+    above PRIME_TEST_LIMIT that no base shows composite is undecided, and
+    raises a ValueError that states the limit.
     """
-    p = next(_prime_factors(q), None)
-    if p is not None:
-        rest, e = q // p, 1
-        while rest % p == 0:
-            rest, e = rest // p, e + 1
-        if rest == 1:
-            return p, e
+    for e in range(max(q, 0).bit_length(), 0, -1):
+        r = _iroot(q, e)
+        if r**e == q:
+            if not _is_probable_prime(r):
+                break
+            if r >= PRIME_TEST_LIMIT:
+                raise ValueError(
+                    f"cannot tell whether {q} is a prime power: primality is "
+                    f"decided only below {PRIME_TEST_LIMIT}"
+                )
+            return r, e
     raise ValueError(f"{q} is not a prime power")
 
 
@@ -75,8 +121,6 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
 def _is_irreducible(poly: list[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree up to deg/2."""
     deg = len(poly) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for low in range(p**d):
             divisor = _digits(low, p, d) + [1]
@@ -100,16 +144,16 @@ class Field:
 
     The base-p digits of an element are its polynomial coefficients,
     constant digit first. Addition is digitwise mod p; products reduce
-    modulo a fixed monic irreducible polynomial. A prime field multiplies
-    as ``a * b % p``; an extension field multiplies through exp/log tables
-    of a generator, built once with the table-free ``_raw_mul``. Instances
-    are immutable after construction and safe for concurrent reads.
+    modulo a fixed monic irreducible polynomial, which is x in a prime
+    field. Every field multiplies through exp/log tables of a generator,
+    built once with the table-free ``_raw_mul``. Instances are immutable
+    after construction and safe for concurrent reads.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
 
     def __init__(self, p: int, e: int):
-        if list(_prime_factors(p)) != [p]:
+        if not _is_probable_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be positive, got {e}")
@@ -120,10 +164,7 @@ class Field:
         self.e = e
         self.q = q
         self.modulus = tuple(smallest_irreducible(p, e))
-        self._exp = None
-        self._log = None
-        if e > 1:
-            self._build_log_tables()
+        self._build_log_tables()
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, e={self.e})"
@@ -131,8 +172,6 @@ class Field:
     def _raw_mul(self, a: int, b: int) -> int:
         """Product via polynomial arithmetic, independent of any table."""
         p, e = self.p, self.e
-        if e == 1:
-            return a * b % p
         da = _digits(a, p, e)
         db = _digits(b, p, e)
         prod = [0] * (2 * e - 1)
@@ -178,10 +217,6 @@ class Field:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
         p = self.p
         da = _digits(a, p, self.e)
         db = _digits(b, p, self.e)
@@ -189,18 +224,12 @@ class Field:
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
         p = self.p
         return _undigits([(-d) % p for d in _digits(a, p, self.e)], p)
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        if self.e == 1:
-            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
@@ -209,33 +238,25 @@ class Field:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in field of order {self.q}")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
     def tables(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """(products, sums): ``products[a][b]`` is a*b and ``sums[a][b]`` is a+b.
 
         Built whole, without the per-element checks of ``mul`` and ``add``.
-        In an extension field, row a != 0 of the products is the exp table
-        rotated by log a and read at log b. Sums are XOR for p = 2; for odd p
-        they are built one base-p digit at a time: with q' = p**j, the sum of
-        lo + q'*d and lo' + q'*d' is sums'[lo][lo'] + q'*((d + d') % p).
+        Row a != 0 of the products is the exp table rotated by log a and
+        read at log b. Sums are built one base-p digit at a time: with
+        q' = p**j, the sum of lo + q'*d and lo' + q'*d' is
+        sums'[lo][lo'] + q'*((d + d') % p).
         """
         p, q = self.p, self.q
-        elems = range(q)
-        if self.e == 1:
-            products = [tuple(a * b % p for b in elems) for a in elems]
-        else:
-            exp, log = self._exp, self._log
-            twice = exp + exp
-            logs = log[1:]
-            products = [(0,) * q]
-            for a in range(1, q):
-                rotated = twice[log[a] : log[a] + q - 1]
-                products.append((0, *map(rotated.__getitem__, logs)))
-        if p == 2:
-            return products, [tuple(a ^ b for b in elems) for a in elems]
+        exp, log = self._exp, self._log
+        twice = exp + exp
+        logs = log[1:]
+        products = [(0,) * q]
+        for a in range(1, q):
+            rotated = twice[log[a] : log[a] + q - 1]
+            products.append((0, *map(rotated.__getitem__, logs)))
         sums, size = [(0,)], 1
         for _ in range(self.e):
             sums = [

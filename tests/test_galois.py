@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from planepart.galois import build_field, prime_power, smallest_irreducible
+from planepart.galois import PRIME_TEST_LIMIT, build_field, prime_power, smallest_irreducible
 
 from conftest import prime_powers
 
@@ -175,7 +175,42 @@ def test_tables_match_the_table_free_product_and_checked_sum(q):
     assert len(products) == len(sums) == q
     for a in range(q):
         assert products[a] == tuple(f._raw_mul(a, b) for b in range(q))
-        assert sums[a] == tuple(f.add(a, b) for b in range(q))
+        expect = [
+            undigits([(x + y) % f.p for x, y in zip(digits(a, f.p, f.e), digits(b, f.p, f.e))], f.p)
+            for b in range(q)
+        ]
+        assert sums[a] == tuple(expect)
+
+
+PRIMES_TO_251 = [p for p in range(2, 252) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_251)
+def test_prime_field_matches_integer_arithmetic_mod_p(p):
+    # a prime field takes the exp/log path of every field; integers mod p
+    # are the oracle
+    f = build_field(p, 1)
+    products, sums = f.tables()
+    elems = range(p)
+    for a in elems:
+        assert products[a] == tuple(a * b % p for b in elems)
+        assert sums[a] == tuple((a + b) % p for b in elems)
+        assert [f.mul(a, b) for b in elems] == list(products[a])
+        assert [f.add(a, b) for b in elems] == list(sums[a])
+        assert f.neg(a) == -a % p
+        if a:
+            assert f.inv(a) == pow(a, p - 2, p)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_characteristic_2_sums_are_xor(k):
+    f = build_field(2, k)
+    _, sums = f.tables()
+    elems = range(f.q)
+    for a in elems:
+        assert sums[a] == tuple(a ^ b for b in elems)
+        assert [f.add(a, b) for b in elems] == list(sums[a])
+        assert f.neg(a) == a
 
 
 def test_prime_power_splits_exactly_the_prime_powers():
@@ -194,11 +229,43 @@ def test_prime_power_splits_exactly_the_prime_powers():
 
 @pytest.mark.parametrize("q", [2000000000000000006, 6000000000000000018])
 def test_prime_power_stops_at_the_smallest_prime_factor(q):
-    # 2 * (10**18 + 3) and 6 * (10**18 + 3), with 10**18 + 3 prime: a
-    # complete factorization divides by every odd number up to 10**9, while
-    # dividing out 2 already leaves more than a power of 2
+    # 2 * (10**18 + 3) and 6 * (10**18 + 3), with 10**18 + 3 prime: trial
+    # division to the square root would take 10**9 steps, while q has no
+    # exact root above the first and a base divides q itself
     started = time.monotonic()
     with pytest.raises(ValueError) as err:
         prime_power(q)
     assert time.monotonic() - started < 1
+    assert str(err.value) == f"{q} is not a prime power"
+
+
+@pytest.mark.parametrize("p, e", [(10**18 + 3, 1), (10**18 + 3, 2), (2**61 - 1, 2)])
+def test_prime_power_of_a_large_prime_answers_at_once(p, e):
+    # trial division up to the square root of p takes minutes
+    started = time.monotonic()
+    assert prime_power(p**e) == (p, e)
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("q", [2**89 - 1, 1287836182261 * 2575672364521])
+def test_prime_power_states_the_limit_of_the_primality_test(q):
+    # 2**89 - 1 is prime; the product, PRIME_TEST_LIMIT itself, is the least
+    # composite that no base shows composite. Neither is decided.
+    assert q >= PRIME_TEST_LIMIT
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
+    assert str(err.value) == (
+        f"cannot tell whether {q} is a prime power: primality is decided only "
+        "below 3317044064679887385961981"
+    )
+
+
+@pytest.mark.parametrize(
+    "q", [(2**89 - 1) * (10**18 + 3), 399165290221 * 798330580441]
+)
+def test_prime_power_rejects_a_large_composite_with_large_factors(q):
+    # a witness of compositeness is exact at any size; the second product is
+    # the least composite that the first 12 bases all pass, and 41 shows it
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
     assert str(err.value) == f"{q} is not a prime power"
