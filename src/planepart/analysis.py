@@ -333,9 +333,11 @@ def exhaustive_pd(
     first witness gives the exact value provided t_min is 1, since every
     smaller class count was exhausted first. The budget caps the number of
     partitions verified; when it runs out the result is a bracket whose
-    upper end is the trivial singleton witness. The scan recurses once per
-    vertex, so a plane whose 2n vertices, with a margin for the caller's
-    frames, exceed the recursion limit is rejected before any scan.
+    upper end is the trivial singleton witness. The returned witness is
+    checked by ``is_resolving``, and a RuntimeError names q and t if it
+    fails. The scan recurses once per vertex, so a plane whose 2n vertices,
+    with a margin for the caller's frames, exceed the recursion limit is
+    rejected before any scan.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -362,6 +364,11 @@ def exhaustive_pd(
             singles = _assignment_to_partition(list(range(size)), size, plane.n)
             lower, upper, found = t, size, singles
             break
+    if found is not None and not is_resolving(plane, found).resolving:
+        raise RuntimeError(
+            f"exhaustive search at q={plane.q} returned a {upper}-class partition "
+            "that is not resolving"
+        )
     return SearchResult(
         q=plane.q,
         exact=t_min == 1 and lower == upper,

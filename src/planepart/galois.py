@@ -3,22 +3,8 @@
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
 
 DEFAULT_ORDER_LIMIT = 1 << 20
-
-
-def _prime_factors(n: int) -> Iterator[int]:
-    """The distinct prime factors of n, ascending, by trial division."""
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            yield f
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        yield n
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -98,24 +84,18 @@ def _undigits(ds: list[int], p: int) -> int:
     return v
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
+    # m monic of degree at least 1; the remainder keeps its zero top digits
     a = list(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
+    while len(a) > dm:
         c = a[-1]
         if c:
             shift = len(a) - 1 - dm
             for j in range(dm + 1):
                 a[shift + j] = (a[shift + j] - c * m[j]) % p
         a.pop()
-    return _poly_trim(a)
+    return a
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -124,7 +104,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for low in range(p**d):
             divisor = _digits(low, p, d) + [1]
-            if not _poly_mod(poly, divisor, p):
+            if not any(_poly_mod(poly, divisor, p)):
                 return False
     return True
 
@@ -145,9 +125,10 @@ class Field:
     The base-p digits of an element are its polynomial coefficients,
     constant digit first. Addition is digitwise mod p; products reduce
     modulo a fixed monic irreducible polynomial, which is x in a prime
-    field. Every field multiplies through exp/log tables of a generator,
-    built once with the table-free ``_raw_mul``. Instances are immutable
-    after construction and safe for concurrent reads.
+    field. Every field multiplies through exp/log tables of its least
+    generator, found by walking each candidate's powers with the table-free
+    ``_raw_mul``; nothing is factored. Instances are immutable after
+    construction and safe for concurrent reads.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
@@ -181,29 +162,27 @@ class Field:
                     prod[i + j] = (prod[i + j] + x * y) % p
         return _undigits(_poly_mod(prod, self.modulus, p), p)
 
-    def _raw_pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
-            n >>= 1
-        return r
-
     def _build_log_tables(self) -> None:
+        """_exp lists the powers of the least generator, and _log inverts it.
+
+        Candidates g = 2, 3, ... walk 1, g, g^2, ... by ``_raw_mul`` back to 1,
+        as they must since the modulus is irreducible. The first walk of
+        q - 1 entries is _exp; a shorter walk is a proper subgroup, so later
+        candidates inside it are skipped. At q = 2 no candidate runs and
+        _exp is [1].
+        """
         q = self.q
-        order = q - 1
-        radicals = [order // r for r in _prime_factors(order)]
-        gen = 0
+        exp, failed = [1], set()
         for g in range(2, q):
-            if all(self._raw_pow(g, m) != 1 for m in radicals):
-                gen = g
+            if g in failed:
+                continue
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._raw_mul(g, x)
+            if len(exp) == q - 1:
                 break
-        exp = [0] * order
-        x = 1
-        for i in range(order):
-            exp[i] = x
-            x = self._raw_mul(x, gen)
+            failed.update(exp)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

@@ -102,9 +102,11 @@ def build_pg2(f: Field) -> IncidencePlane:
     triples = [(0, 0, 1), *((0, 1, z) for z in elems)]
     triples.extend((1, y, z) for y in elems for z in elems)
     ids = list(range(len(triples)))
-    # the field's product and sum tables; ninv[c] is -1/c
+    # the field's product and sum tables, the only field values read here:
+    # -1 is the c with 1 + c = 0, and ninv[c] = -1/c the b with c*b = -1
     products, sums = f.tables()
-    ninv = [0] + [f.neg(f.inv(c)) for c in range(1, q)]
+    minus_one = sums[1].index(0)
+    ninv = [0] + [products[c].index(minus_one) for c in range(1, q)]
     infinity = tuple(ids[: q + 1])
     blocks = [ids[1 + q + q * y : 1 + 2 * q + q * y] for y in elems]  # ids of (1,y,*)
 

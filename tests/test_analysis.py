@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planepart import estimate_unseparated, is_resolving, lower_bound
+from planepart import analysis, estimate_unseparated, is_resolving, lower_bound
 from planepart.analysis import (
     _Descent,
     _assignment_to_partition,
@@ -191,6 +191,31 @@ def test_exhaustive_pd_budget_bracket(plane_for, workers, t_min, t_max, budget, 
     res = exhaustive_pd(plane, t_min=t_min, t_max=t_max, budget=budget, workers=workers)
     assert (res.exact, res.lower, res.upper, res.nodes) == expected
     assert is_resolving(plane, res.witness).resolving
+
+
+@pytest.mark.parametrize(
+    "patched, budget, t",
+    [("_scan_completions", 10**8, 3), ("_assignment_to_partition", 50, 14)],
+)
+def test_exhaustive_pd_raises_on_a_witness_that_does_not_resolve(
+    plane_for, monkeypatch, patched, budget, t
+):
+    # a 3-class partition with 12 vertices in class 0 cannot resolve; it
+    # stands in for a faulty level witness and for faulty singletons
+    plane = plane_for(2)
+    bad = [0, 1, 2] + [0] * (2 * plane.n - 3)
+    bad_partition = _assignment_to_partition(bad, 3, plane.n)
+    assert not is_resolving(plane, bad_partition).resolving
+    fakes = {
+        "_scan_completions": lambda graph, t, budget, prefix: (1, bad),
+        "_assignment_to_partition": lambda assign, t, n: bad_partition,
+    }
+    monkeypatch.setattr(analysis, patched, fakes[patched])
+    with pytest.raises(RuntimeError) as err:
+        exhaustive_pd(plane, t_min=3, t_max=3, budget=budget, workers=1)
+    assert str(err.value) == (
+        f"exhaustive search at q=2 returned a {t}-class partition that is not resolving"
+    )
 
 
 def test_scan_level_budget_rule_is_worker_independent():

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from planepart.construct import (
     choose_frame,
     default_searching_count,
     default_zeta_count,
+    draw_conflict,
     expected_unseparated_bound,
     min_free_lines,
     result_to_doc,
@@ -22,10 +24,12 @@ from planepart.construct import (
     zeta_count,
 )
 from planepart.metric import LINE, POINT, Verdict, VertexId, VertexSet, packed_signatures
-from planepart.plane import IncidencePlane
+from planepart.plane import IncidencePlane, load_plane, plane_to_doc
 
+from conftest import prime_powers, relabelled
 from oracles import (
     conflict_vertex_count,
+    distance_columns,
     distance_to_set,
     incident,
     meet,
@@ -535,3 +539,55 @@ def test_construct_retries_after_a_failed_verification(plane_for, monkeypatch, c
     with pytest.raises(ConstructionError) as err:
         construct_partition(plane, seed=0, max_retries=1)
     assert err.value.obstruction == "verification failed: 1 colliding groups"
+
+
+@settings(max_examples=10, deadline=None)
+@given(q=st.sampled_from(prime_powers(16, 49)), seed=st.integers(0, 2**32 - 1))
+def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
+    # a seeded relabelling of points and lines sends PG(2,q) through the full
+    # loader, so choose_frame and the meets see ids unlike the built plane's
+    n = q * q + q + 1
+    points, lines = list(range(n)), list(range(n))
+    rng = random.Random(seed)
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    plane = load_plane(relabelled(plane_to_doc(plane_for(q)), points, lines))
+    frame = choose_frame(plane)
+    k = zeta_count(q, None)
+    family, zetas, conflict = draw_conflict(plane, frame, k, random.Random(seed))
+
+    assert len(zetas) == k and family[1:] == [z.members() for z in zetas]
+    majors = sum(1 << p for p in frame.major_points)
+    assert family[0].point_mask == majors and family[0].line_mask == 0
+    taken_points, taken_lines = majors, 0
+    for z in zetas:
+        m = z.members()
+        assert zeta_size(z) == q == bin(m.point_mask).count("1") + bin(m.line_mask).count("1")
+        assert not m.point_mask & taken_points and not m.line_mask & taken_lines
+        taken_points |= m.point_mask
+        taken_lines |= m.line_mask
+
+    # representations of the common and support vertices, from the oracle
+    sides = (
+        (frame.common_points, frame.support_point, conflict.point_cliques, 0),
+        (frame.common_lines, frame.support_line, conflict.line_cliques, 1),
+    )
+    pairs = 0
+    for commons, support, cliques, side in sides:
+        ids = [*commons, support]
+        id_lists = (ids, []) if side == 0 else ([], ids)
+        columns = [distance_columns(plane, s, *id_lists)[side] for s in family]
+        codes = dict(zip(ids, zip(*columns)))
+        expect = sorted(
+            tuple(sorted(v for v in ids if codes[v] == code))
+            for code, size in Counter(codes.values()).items() if size > 1
+        )
+        assert sorted(cliques) == expect
+        pairs += sum(c * (c - 1) // 2 for c in Counter(codes[v] for v in commons).values())
+    assert conflict.x_edge_count == pairs
+
+    try:
+        result = construct_partition(plane, seed=seed)
+    except ConstructionError:
+        return
+    assert is_resolving(plane, result.partition).resolving

@@ -3,7 +3,8 @@ from functools import reduce
 
 import pytest
 
-from planepart.galois import PRIME_TEST_LIMIT, build_field, prime_power, smallest_irreducible
+from planepart.galois import PRIME_TEST_LIMIT, Field, build_field, prime_power, smallest_irreducible
+from planepart.plane import build_plane, validate_axioms
 
 from conftest import prime_powers
 
@@ -180,6 +181,50 @@ def test_tables_match_the_table_free_product_and_checked_sum(q):
             for b in range(q)
         ]
         assert sums[a] == tuple(expect)
+
+
+def least_generator_by_factoring(f):
+    """The least g >= 2 with g**((q-1)/r) != 1 for every prime r dividing
+    q - 1: trial division, then square-and-multiply over ``_raw_mul``."""
+    order, n, radicals, r = f.q - 1, f.q - 1, [], 2
+    while r * r <= n:
+        if n % r == 0:
+            radicals.append(order // r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        radicals.append(order // n)
+
+    def power(a, m):
+        result = 1
+        while m:
+            if m & 1:
+                result = f._raw_mul(result, a)
+            a, m = f._raw_mul(a, a), m >> 1
+        return result
+
+    return next(g for g in range(2, f.q) if all(power(g, m) != 1 for m in radicals))
+
+
+@pytest.mark.parametrize("q", prime_powers(3, 257) + [343, 512, 625, 729, 1024])
+def test_exp_table_is_the_walk_of_the_least_generator(q):
+    f = build_field(*prime_power(q))
+    g = least_generator_by_factoring(f)
+    assert f._exp[1] == g
+    assert all(f._raw_mul(g, a) == b for a, b in zip(f._exp, f._exp[1:]))
+    assert sorted(f._exp) == list(range(1, q))
+    assert [f._log[v] for v in f._exp] == list(range(q - 1))
+
+
+def test_planes_are_built_from_the_field_tables_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scalar field op was called")
+
+    for op in ("add", "neg", "mul", "inv"):
+        monkeypatch.setattr(Field, op, refuse)
+    for q in prime_powers(2, 64):
+        validate_axioms(build_plane(q))
 
 
 PRIMES_TO_251 = [p for p in range(2, 252) if all(p % d for d in range(2, p))]
