@@ -74,8 +74,14 @@ class SearchResult:
 
     When ``exact`` the value is both bounds. Otherwise every partition into
     fewer than ``lower`` classes was ruled out and ``upper``, when known,
-    has a verified witness. ``nodes`` counts partitions verified in
-    canonical enumeration order and does not depend on the worker count.
+    has a verified witness. The exhaustive search rules them out by
+    scanning level ``lower - 1`` to the end, which suffices: splitting a
+    class A | B of a resolving partition keeps it resolving, since
+    d(v, A | B) = min(d(v, A), d(v, B)), so a resolving partition into
+    fewer classes splits into one at that level. Levels below its
+    ``t_min`` are not scanned and rule nothing out. ``nodes`` counts
+    partitions verified in canonical enumeration order and does not depend
+    on the worker count.
     """
 
     q: int
@@ -329,15 +335,18 @@ def exhaustive_pd(
 
     Partitions into exactly t classes are enumerated as restricted growth
     strings (vertex 0 pinned to class 0) for t ascending from t_min, with
-    codes kept as the vertices are placed (see ``_scan_completions``). The
-    first witness gives the exact value provided t_min is 1, since every
-    smaller class count was exhausted first. The budget caps the number of
-    partitions verified; when it runs out the result is a bracket whose
-    upper end is the trivial singleton witness. The returned witness is
-    checked by ``is_resolving``, and a RuntimeError names q and t if it
-    fails. The scan recurses once per vertex, so a plane whose 2n vertices,
-    with a margin for the caller's frames, exceed the recursion limit is
-    rejected before any scan.
+    codes kept as the vertices are placed (see ``_scan_completions``).
+    Splitting a class of a resolving partition keeps it resolving, since
+    d(v, A | B) = min(d(v, A), d(v, B)); so a level t scanned to the end
+    without a witness proves pd > t, whatever t_min is. The lower end of
+    the result is one more than the last such level, or 1 when none was
+    scanned, and the result is exact when it meets the first witness's
+    level. The budget caps the number of partitions verified; when it runs
+    out the result is a bracket whose upper end is the trivial singleton
+    witness. The returned witness is checked by ``is_resolving``, and a
+    RuntimeError names q and t if it fails. The scan recurses once per
+    vertex, so a plane whose 2n vertices, with a margin for the caller's
+    frames, exceed the recursion limit is rejected before any scan.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -353,17 +362,18 @@ def exhaustive_pd(
             f"{_CALLER_FRAMES} caller frames exceed the recursion limit {limit}"
         )
     nodes = 0
-    lower, upper, found = t_max + 1, None, None
+    lower, upper, found = 1, None, None
     for t in range(t_min, t_max + 1):
         count, witness = _scan_level(graph, t, budget - nodes, workers)
         nodes += count
         if witness is not None:
-            lower, upper, found = t, t, _assignment_to_partition(witness, t, plane.n)
+            upper, found = t, _assignment_to_partition(witness, t, plane.n)
             break
         if nodes >= budget:
-            singles = _assignment_to_partition(list(range(size)), size, plane.n)
-            lower, upper, found = t, size, singles
+            upper = size
+            found = _assignment_to_partition(list(range(size)), size, plane.n)
             break
+        lower = t + 1
     if found is not None and not is_resolving(plane, found).resolving:
         raise RuntimeError(
             f"exhaustive search at q={plane.q} returned a {upper}-class partition "
@@ -371,7 +381,7 @@ def exhaustive_pd(
         )
     return SearchResult(
         q=plane.q,
-        exact=t_min == 1 and lower == upper,
+        exact=lower == upper,
         lower=lower,
         upper=upper,
         witness=found,

@@ -208,60 +208,49 @@ class ConflictGraph:
     x_edge_count: int
 
 
-def _collision_cliques(domain, sigs, special):
-    cliques = tuple(sorted(tuple(sorted(g)) for g in signature_groups(sigs, domain)))
-    return cliques, pair_count(len(c) - (special in c) for c in cliques)
-
-
 def build_conflict_graph(
     plane: IncidencePlane, frame: Frame, family: list[VertexSet]
 ) -> ConflictGraph:
     """Group common and support vertices by representation under a disjoint family."""
-    pdomain = list(frame.common_points) + [frame.support_point]
-    ldomain = list(frame.common_lines) + [frame.support_line]
-    psig, lsig = packed_signatures(plane, family)
-    psig = list(map(psig.__getitem__, pdomain))
-    lsig = list(map(lsig.__getitem__, ldomain))
-    point_cliques, xp = _collision_cliques(pdomain, psig, frame.support_point)
-    line_cliques, xl = _collision_cliques(ldomain, lsig, frame.support_line)
-    points = tuple(sorted(v for c in point_cliques for v in c))
-    lines = tuple(sorted(v for c in line_cliques for v in c))
-    return ConflictGraph(point_cliques, line_cliques, points, lines, xp + xl)
+    sides = zip(
+        packed_signatures(plane, family),
+        (frame.common_points, frame.common_lines),
+        (frame.support_point, frame.support_line),
+    )
+    cliques, members, x_edges = [], [], 0
+    for sigs, commons, support in sides:
+        domain = [*commons, support]
+        groups = signature_groups(list(map(sigs.__getitem__, domain)), domain)
+        side = tuple(sorted(tuple(sorted(g)) for g in groups))
+        cliques.append(side)
+        members.append(tuple(sorted(v for c in side for v in c)))
+        x_edges += pair_count(len(c) - (support in c) for c in side)
+    return ConflictGraph(*cliques, *members, x_edges)
 
 
 def searching_family(domain, count: int, excluded=()) -> list[list]:
     """Subsets of a domain whose membership vectors distinguish all elements.
 
-    Element ranks are assigned in domain order and subset j collects the
-    elements whose rank has bit j set. Excluded elements are pinned to rank
-    zero, the all-zero codeword; when nothing is excluded rank zero is used
-    by the first element instead. Excluded elements must lie in the domain.
-    Raises ValueError when count is too small for distinct codewords.
+    The elements that are not excluded get ranks in domain order, from 1
+    when something is excluded and from 0 otherwise, and subset j collects
+    the elements whose rank has bit j set. So excluded elements alone have
+    the all-zero codeword. Raises ValueError when count is too small for
+    distinct codewords.
     """
-    domain = list(domain)
     excluded = set(excluded)
-    free = len(domain) - len(excluded)
-    max_rank = free - 1 if not excluded else free
-    needed = max(max_rank, 0).bit_length()
+    free = [x for x in domain if x not in excluded]
+    start = 1 if excluded else 0
+    needed = max(len(free) - 1 + start, 0).bit_length()
     if count < needed:
         raise ValueError(
-            f"{count} searching sets cannot distinguish {free} elements"
+            f"{count} searching sets cannot distinguish {len(free)} elements"
             f"{' plus exclusions' if excluded else ''}; need {needed}"
         )
-    sets: list[list] = [[] for _ in range(count)]
-    rank = 0 if not excluded else 1
-    for x in domain:
-        if x in excluded:
-            continue
-        for j in range(count):
-            if rank >> j & 1:
-                sets[j].append(x)
-        rank += 1
-    return sets
+    return [[x for r, x in enumerate(free, start) if r >> j & 1] for j in range(count)]
 
 
 # Messages of a stalled selector, (conflict step, target step), indexed by
-# whether it runs on the dual plane and so chooses points on lines.
+# its side: 0 chooses lines through points, 1 points on lines.
 _STUCK = (
     (
         "no free line through conflict point P{}: every candidate is used, "
@@ -280,6 +269,7 @@ _STUCK = (
 
 def select_class_lines(
     plane: IncidencePlane,
+    side: int,
     support: int,
     targets,
     conflict_points,
@@ -294,58 +284,48 @@ def select_class_lines(
     exactly one chosen line and no other point of the support line does.
     Each conflict point gets exactly one chosen line; forbidden points are
     never met, forbidden lines and lines already assigned are never picked.
-    Conflict points go first, each taking a line whose meet with the
-    support line, read off the incidence masks, is a still uncovered target
-    and which avoids the other conflict points; remaining targets then
-    receive lines clear of every conflict point. Ties break to the lowest
-    line id. Raises SelectionError when a step has no admissible line.
 
-    Run on ``plane.dual()`` with the support point and ``used.dual()``, the
-    same code chooses common points covering major lines: there the masks
-    give the join of two points. Its errors then name points on lines.
+    One greedy step serves a vertex u, a conflict point or a target: it
+    takes the lowest line through u that is not the support, is neither
+    forbidden nor assigned, meets the support line, by the incidence masks,
+    in a still uncovered target, and avoids the forbidden points and every
+    conflict point but u. It runs for the conflict points, then for the
+    targets still uncovered, each in ascending order. For a target the meet
+    test only drops the support, since every other line through it meets
+    the support there. Raises SelectionError when a step has no admissible
+    line.
+
+    ``side`` is 0 when lines are chosen, on ``plane`` with the support
+    line, and 1 when points are chosen: on ``plane.dual()`` with the
+    support point and ``used.dual()``, where the masks give the join of two
+    points. It picks the error text, which names the kinds chosen.
     """
-    tset = set(targets)
+    stuck_conflict, stuck_target = _STUCK[side]
     q_mask = bitmask(conflict_points)
-    qc_mask = bitmask(forbidden_points)
+    forbidden = bitmask(forbidden_points)
     blocked = bitmask(forbidden_lines) | used.line_mask
-    stuck_conflict, stuck_target = _STUCK[plane.dualized]
     lmasks = plane.line_masks
     support_mask = lmasks[support]
-    covered: set[int] = set()
+    uncovered = set(targets)
     chosen = []
-    for u in sorted(conflict_points):
-        others = q_mask & ~(1 << u)
-        pick = -1
+
+    def take(u, stuck):
+        nonlocal blocked
+        avoid = forbidden | q_mask & ~(1 << u)
         for ln in plane.point_lines[u]:
             pm = lmasks[ln]
             t = (pm & support_mask).bit_length() - 1
-            if t not in tset or t in covered:
-                continue
-            if blocked >> ln & 1:
-                continue
-            if pm & qc_mask or pm & others:
-                continue
-            pick = ln
-            break
-        if pick < 0:
-            raise SelectionError(stuck_conflict.format(u))
-        chosen.append(pick)
-        covered.add(t)
-        blocked |= 1 << pick
-    avoid = q_mask | qc_mask
-    for t in sorted(tset - covered):
-        pick = -1
-        for ln in plane.point_lines[t]:
-            if ln == support or blocked >> ln & 1:
-                continue
-            if lmasks[ln] & avoid:
-                continue
-            pick = ln
-            break
-        if pick < 0:
-            raise SelectionError(stuck_target.format(t))
-        chosen.append(pick)
-        blocked |= 1 << pick
+            if t in uncovered and ln != support and not (blocked >> ln & 1 or pm & avoid):
+                uncovered.remove(t)
+                blocked |= 1 << ln
+                chosen.append(ln)
+                return
+        raise SelectionError(stuck.format(u))
+
+    for u in sorted(conflict_points):
+        take(u, stuck_conflict)
+    for t in sorted(uncovered):
+        take(t, stuck_target)
     return sorted(chosen)
 
 
@@ -372,52 +352,45 @@ def build_h2(
 ) -> tuple[list[H2Spec], VertexSet]:
     """Build the ``default_searching_count(q)`` separating classes.
 
-    Four searching-set families run over the major points, the major
-    lines, and the two sides of the conflict graph, support excluded.
-    Class j combines the j-th set of each family; its lines come from
-    select_class_lines on the support line, and its points from the same
-    selector run on the dual plane with the support point and the dual of
-    ``used``. Both stay disjoint from everything already assigned. Returns
-    the specs and ``used`` grown by every chosen line and point; a conflict
-    side too large for the count raises SelectionError.
+    Each side has two searching-set families: one over its major vertices
+    and one over its side of the conflict graph, the support vertex
+    excluded. Class j combines the j-th set of each family. Its lines come
+    from select_class_lines on the plane and the support line, and its
+    points from the same selector on the dual plane, the support point and
+    the dual of ``used``. Both stay disjoint from everything already
+    assigned. Returns the specs and ``used`` grown by every chosen line and
+    point; a conflict side too large for the count raises SelectionError.
     """
     count = default_searching_count(plane.q)
-    excluded_p = [frame.support_point] if frame.support_point in conflict.points else []
-    excluded_l = [frame.support_line] if frame.support_line in conflict.lines else []
+    views = (plane, plane.dual())
+    supports = (frame.support_point, frame.support_line)
+    conflicts = (conflict.points, conflict.lines)
     try:
-        t_family = searching_family(frame.major_points, count)
-        tstar_family = searching_family(frame.major_lines, count)
-        q_family = searching_family(conflict.points, count, excluded_p)
-        r_family = searching_family(conflict.lines, count, excluded_l)
+        target_families = [
+            searching_family(majors, count) for majors in (frame.major_points, frame.major_lines)
+        ]
+        conflict_families = [
+            searching_family(c, count, {v}.intersection(c)) for c, v in zip(conflicts, supports)
+        ]
     except ValueError as exc:
         raise SelectionError(f"searching families infeasible: {exc}") from exc
-    cpoints = set(conflict.points)
-    clines = set(conflict.lines)
-    dual = plane.dual()
+    conflict_sets = [set(c) for c in conflicts]
     specs = []
     for j in range(count):
-        t_j = t_family[j]
-        q_j = q_family[j]
-        r_j = r_family[j]
-        qc_j = sorted(cpoints.difference(q_j))
-        rc_j = sorted(clines.difference(r_j))
-        lines = select_class_lines(plane, frame.support_line, t_j, q_j, qc_j, rc_j, used)
-        used = used | VertexSet.from_indices(lines=lines)
-        tstar_j = tstar_family[j]
-        points = select_class_lines(
-            dual, frame.support_point, tstar_j, r_j, rc_j, qc_j, used.dual()
-        )
-        used = used | VertexSet.from_indices(points=points)
-        specs.append(
-            H2Spec(
-                targets_points=tuple(t_j),
-                targets_lines=tuple(tstar_j),
-                conflict_points=tuple(q_j),
-                conflict_lines=tuple(r_j),
-                lines=tuple(lines),
-                points=tuple(points),
+        targets = [f[j] for f in target_families]
+        in_class = [f[j] for f in conflict_families]
+        forbidden = [c.difference(q) for c, q in zip(conflict_sets, in_class)]
+        chosen = []
+        # side 0 chooses lines and side 1 points; ``used`` is flipped to
+        # the next side's view after each, so it ends in the plane's view
+        for side in (0, 1):
+            picks = select_class_lines(
+                views[side], side, supports[1 - side], targets[side],
+                in_class[side], forbidden[side], forbidden[1 - side], used,
             )
-        )
+            chosen.append(tuple(picks))
+            used = (used | VertexSet.from_indices(lines=picks)).dual()
+        specs.append(H2Spec(*map(tuple, targets), *map(tuple, in_class), *chosen))
     return specs, used
 
 

@@ -43,15 +43,13 @@ class IncidencePlane:
     tuples of ints are not tracked by the garbage collector. A built plane
     is its own dual under the polarity of its coordinates, so line j and
     point j have the same row: its point-side lists are separate lists
-    holding the line side's row and mask objects. ``dualized`` is true for
-    the view returned by ``dual``, whose points are the lines of the plane
-    it came from. The constructor takes only q and a list of n rows of
-    point ids, and does not check that the ids lie in 0..n-1; ``load_plane``
-    does. A plane keeps no coordinates: ``build_pg2`` places its rows by
-    homogeneous triples and drops them.
+    holding the line side's row and mask objects. The constructor takes
+    only q and a list of n rows of point ids, and does not check that the
+    ids lie in 0..n-1; ``load_plane`` does. A plane keeps no coordinates:
+    ``build_pg2`` places its rows by homogeneous triples and drops them.
     """
 
-    __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks", "dualized")
+    __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks")
 
     def __init__(self, q, line_points):
         self._set_rows(q, *_rows_and_cols(line_points))
@@ -59,8 +57,8 @@ class IncidencePlane:
     def _set_rows(self, q, rows, cols):
         return self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)))
 
-    def _set(self, q, line_points, point_lines, line_masks, point_masks, dualized=False):
-        self.q, self.n, self.dualized = q, len(line_points), dualized
+    def _set(self, q, line_points, point_lines, line_masks, point_masks):
+        self.q, self.n = q, len(line_points)
         self.line_points, self.point_lines = line_points, point_lines
         self.line_masks, self.point_masks = line_masks, point_masks
         return self
@@ -71,8 +69,7 @@ class IncidencePlane:
     def dual(self) -> "IncidencePlane":
         """Plane with the roles of points and lines exchanged, sharing all storage."""
         return object.__new__(IncidencePlane)._set(
-            self.q, self.point_lines, self.line_points, self.point_masks, self.line_masks,
-            not self.dualized,
+            self.q, self.point_lines, self.line_points, self.point_masks, self.line_masks
         )
 
 

@@ -156,10 +156,10 @@ def test_exhaustive_pd_singletons_fast(plane_for):
     plane = plane_for(2)
     size = 2 * plane.n
     res = exhaustive_pd(plane, t_min=size, t_max=size, workers=1)
-    assert res.lower == res.upper == size
+    assert (res.lower, res.upper) == (1, size)  # no level below size was scanned
     assert res.witness is not None
     assert is_resolving(plane, res.witness).resolving
-    assert not res.exact  # lower counts were not exhausted
+    assert not res.exact
 
 
 def test_exhaustive_pd_rejects_an_empty_class_count_range(plane_for):
@@ -182,13 +182,30 @@ def test_exhaustive_pd_t1_is_never_resolving(plane_for):
     [
         # (exact, lower, upper, nodes), the same for every worker count
         (1, 6, 100, (False, 2, 14, 100)),
-        (4, 4, 50, (False, 4, 14, 50)),
+        (4, 4, 50, (False, 1, 14, 50)),
         (1, 6, 10_000, (False, 3, 14, 10_000)),
     ],
 )
 def test_exhaustive_pd_budget_bracket(plane_for, workers, t_min, t_max, budget, expected):
     plane = plane_for(2)
     res = exhaustive_pd(plane, t_min=t_min, t_max=t_max, budget=budget, workers=workers)
+    assert (res.exact, res.lower, res.upper, res.nodes) == expected
+    assert is_resolving(plane, res.witness).resolving
+
+
+@pytest.mark.parametrize(
+    "t_min, expected",
+    [
+        # (exact, lower, upper, nodes). Level 3 is scanned to the end, so
+        # pd > 3 holds though levels 1 and 2 are skipped; from t_min 5 no
+        # level below the witness is scanned. pd(PG(2,2)) is 4.
+        (3, (True, 4, 4, 791_147)),
+        (5, (False, 1, 5, 1180)),
+    ],
+)
+def test_exhaustive_pd_lower_end_counts_only_scanned_levels(plane_for, t_min, expected):
+    plane = plane_for(2)
+    res = exhaustive_pd(plane, t_min=t_min, workers=1)
     assert (res.exact, res.lower, res.upper, res.nodes) == expected
     assert is_resolving(plane, res.witness).resolving
 

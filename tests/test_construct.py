@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from planepart import construct, construct_partition, is_resolving
 from planepart.construct import (
+    ConflictGraph,
     ConstructionError,
     SelectionError,
     build_conflict_graph,
+    build_h2,
     choose_frame,
     default_searching_count,
     default_zeta_count,
@@ -228,11 +230,11 @@ def test_select_class_lines_q4_against_enumeration(plane_for):
     targets = list(fr.major_points[:2])
     valid = brute_force_valid_line_systems(plane, fr.support_line, targets)
     assert len(valid) == 16  # 4 free lines per target, independent choices
-    chosen = select_class_lines(plane, fr.support_line, targets, [], [], [], VertexSet())
+    chosen = select_class_lines(plane, 0, fr.support_line, targets, [], [], [], VertexSet())
     assert tuple(sorted(chosen)) in valid
     assert len(chosen) == len(targets)
     # deterministic, lowest admissible id per target
-    again = select_class_lines(plane, fr.support_line, targets, [], [], [], VertexSet())
+    again = select_class_lines(plane, 0, fr.support_line, targets, [], [], [], VertexSet())
     assert again == chosen
     for t in targets:
         options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
@@ -264,7 +266,7 @@ def test_select_class_lines_on_dual_picks_points_q4(plane_for):
     fr = choose_frame(plane)
     targets = list(fr.major_lines[:2])
     dual = plane.dual()
-    chosen = select_class_lines(dual, fr.support_point, targets, [], [], [], VertexSet())
+    chosen = select_class_lines(dual, 1, fr.support_point, targets, [], [], [], VertexSet())
     assert len(chosen) == len(targets)
     joins = [meet(dual, pt, fr.support_point) for pt in chosen]
     for pt, join in zip(chosen, joins):
@@ -280,11 +282,11 @@ def test_select_class_lines_respects_used_and_forbidden(plane_for):
     t = fr.major_points[0]
     options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
     used = VertexSet.from_indices(lines=options[:1])
-    chosen = select_class_lines(plane, fr.support_line, [t], [], [], [], used)
+    chosen = select_class_lines(plane, 0, fr.support_line, [t], [], [], [], used)
     assert chosen == [options[1]]
     forbidden = options
     with pytest.raises(SelectionError, match="target point"):
-        select_class_lines(plane, fr.support_line, [t], [], [], forbidden, VertexSet())
+        select_class_lines(plane, 0, fr.support_line, [t], [], [], forbidden, VertexSet())
 
 
 def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
@@ -297,12 +299,27 @@ def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
     options = [p for p in plane.line_points[t] if p != fr.support_point]
     stuck_target = rf"^no free point on target line L{t}: .* conflict line$"
     with pytest.raises(SelectionError, match=stuck_target):
-        select_class_lines(dual, p0, [t], [], [], options, VertexSet())
+        select_class_lines(dual, 1, p0, [t], [], [], options, VertexSet())
     u = fr.common_lines[0]
     used = VertexSet.from_indices(points=plane.line_points[u])
     stuck_conflict = rf"^no free point on conflict line L{u}: .* support point "
     with pytest.raises(SelectionError, match=stuck_conflict):
-        select_class_lines(dual, p0, fr.major_lines, [u], [], [], used.dual())
+        select_class_lines(dual, 1, p0, fr.major_lines, [u], [], [], used.dual())
+
+
+def test_build_h2_stalls_name_the_side_that_stalled(plane_for):
+    # On a built plane point j's row is line j's, so only the kinds in the
+    # text show which side build_h2 told the selector it runs.
+    plane = plane_for(16)
+    frame = choose_frame(plane)
+    empty = ConflictGraph((), (), (), (), 0)
+    # every common point used: the lines are chosen, then no point is free
+    used = VertexSet.from_indices(points=frame.common_points)
+    with pytest.raises(SelectionError, match="^no free point on target line L"):
+        build_h2(plane, frame, empty, used)
+    used = VertexSet.from_indices(lines=frame.common_lines)
+    with pytest.raises(SelectionError, match="^no free line through target point P"):
+        build_h2(plane, frame, empty, used)
 
 
 def test_select_class_lines_conflict_requirements(plane_for):
@@ -310,7 +327,7 @@ def test_select_class_lines_conflict_requirements(plane_for):
     fr = choose_frame(plane)
     targets = list(fr.major_points)[:4]
     u, other = fr.common_points[0], fr.common_points[1]
-    chosen = select_class_lines(plane, fr.support_line, targets, [u], [other], [], VertexSet())
+    chosen = select_class_lines(plane, 0, fr.support_line, targets, [u], [other], [], VertexSet())
     through_u = [ln for ln in chosen if incident(plane, u, ln)]
     assert len(through_u) == 1
     meets = [meet(plane, ln, fr.support_line) for ln in chosen]
@@ -541,17 +558,24 @@ def test_construct_retries_after_a_failed_verification(plane_for, monkeypatch, c
     assert err.value.obstruction == "verification failed: 1 colliding groups"
 
 
-@settings(max_examples=10, deadline=None)
-@given(q=st.sampled_from(prime_powers(16, 49)), seed=st.integers(0, 2**32 - 1))
-def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
-    # a seeded relabelling of points and lines sends PG(2,q) through the full
-    # loader, so choose_frame and the meets see ids unlike the built plane's
+def relabelled_plane(plane_for, q, seed):
+    """PG(2,q) under a seeded relabelling of points and lines.
+
+    The relabelled plane goes through the full loader, so choose_frame and
+    the meets see ids unlike the built plane's.
+    """
     n = q * q + q + 1
     points, lines = list(range(n)), list(range(n))
     rng = random.Random(seed)
     rng.shuffle(points)
     rng.shuffle(lines)
-    plane = load_plane(relabelled(plane_to_doc(plane_for(q)), points, lines))
+    return load_plane(relabelled(plane_to_doc(plane_for(q)), points, lines))
+
+
+@settings(max_examples=10, deadline=None)
+@given(q=st.sampled_from(prime_powers(16, 49)), seed=st.integers(0, 2**32 - 1))
+def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
+    plane = relabelled_plane(plane_for, q, seed)
     frame = choose_frame(plane)
     k = zeta_count(q, None)
     family, zetas, conflict = draw_conflict(plane, frame, k, random.Random(seed))
@@ -591,3 +615,45 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
     except ConstructionError:
         return
     assert is_resolving(plane, result.partition).resolving
+
+
+@settings(max_examples=10, deadline=None)
+@given(q=st.sampled_from(prime_powers(16, 49)), seed=st.integers(0, 2**32 - 1))
+def test_relabelled_planes_keep_the_searching_class_contracts(plane_for, q, seed):
+    plane = relabelled_plane(plane_for, q, seed)
+    frame = choose_frame(plane)
+    family, _, conflict = draw_conflict(plane, frame, zeta_count(q, None), random.Random(seed))
+    used = family[0]
+    for z in family[1:]:
+        used = used | z
+    try:
+        specs, grown = build_h2(plane, frame, conflict, used)
+    except SelectionError:
+        return
+    assert len(specs) == default_searching_count(q)
+    for spec in specs:
+        m = spec.members()
+        assert not m.point_mask & used.point_mask and not m.line_mask & used.line_mask
+        used = used | m
+    assert grown == used
+
+    # Side 0 chose lines on the plane and side 1 points on its dual, where
+    # the oracle's meet of two lines is the join of two points.
+    views = (plane, plane.dual())
+    supports = (frame.support_line, frame.support_point)
+    conflicts = (set(conflict.points), set(conflict.lines))
+    for spec in specs:
+        targets = (spec.targets_points, spec.targets_lines)
+        in_class = (spec.conflict_points, spec.conflict_lines)
+        forbidden = [c.difference(s) for c, s in zip(conflicts, in_class)]
+        for side, chosen in enumerate((spec.lines, spec.points)):
+            view, support = views[side], supports[side]
+            assert support not in chosen
+            # each target is on one chosen line; no other support point is
+            assert sorted(meet(view, v, support) for v in chosen) == sorted(targets[side])
+            rows = [set(view.line_points[v]) for v in chosen]
+            for u in in_class[side]:
+                assert sum(u in row for row in rows) == 1
+            for u in forbidden[side]:
+                assert not any(u in row for row in rows)
+            assert not forbidden[1 - side].intersection(chosen)

@@ -73,9 +73,7 @@ def test_duality(q, plane_for):
     # the dual shares the plane's lists, with the two sides swapped
     assert dual.line_points is plane.point_lines and dual.point_lines is plane.line_points
     assert dual.line_masks is plane.point_masks and dual.point_masks is plane.line_masks
-    assert dual.dualized and not plane.dualized
     again = dual.dual()
-    assert not again.dualized
     for side in ("line_points", "point_lines", "line_masks", "point_masks"):
         assert getattr(again, side) == getattr(plane, side)
 
