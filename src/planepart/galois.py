@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 DEFAULT_ORDER_LIMIT = 1 << 20
@@ -38,8 +39,21 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _iroot(n: int, e: int) -> int:
-    """floor(n ** (1/e)) for n >= 1, by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // e)
+    """floor(n ** (1/e)) for n >= 1, by Newton's method from above.
+
+    The start is 2**(log2(n)/e) raised by a relative 2**-30, taken in a
+    float below 2**53 and shifted left when the root is larger. That margin
+    exceeds the float error of log2(n)/e for any n of fewer than about ten
+    million bits, and the start is doubled while it is not above the root,
+    so it is above it for every n. From there each step nearly doubles the
+    correct bits, where a start at the next power of two, up to twice the
+    root, shrinks by only 1 - 1/e a step.
+    """
+    t = math.log2(n) / e
+    s = max(int(t) - 52, 0)
+    x = int(2.0 ** (t - s) * (1 + 2.0**-30)) + 1 << s
+    while x**e <= n:
+        x <<= 1
     while True:
         y = ((e - 1) * x + n // x ** (e - 1)) // e
         if y >= x:
@@ -50,23 +64,33 @@ def _iroot(n: int, e: int) -> int:
 def prime_power(q: int) -> tuple[int, int]:
     """Split q as p**e with p prime; ValueError when q is not a prime power.
 
-    The largest e for which q has an exact integer e-th root r is the only
-    candidate: q is a prime power exactly when r is prime. A root at or
-    above PRIME_TEST_LIMIT that no base shows composite is undecided, and
-    raises a ValueError that states the limit.
+    Roots are taken while an exact one exists: r starts at q, and for each
+    prime k in ascending order r is replaced by its k-th root, and e
+    multiplied by k, as long as that root is exact. Composite exponents
+    need no try, since an exact (jk)-th root is the j-th root of an exact
+    k-th root, and a prime k repeats until it fails, so no smaller prime
+    can succeed later: r**j = s**k with j < k prime makes s a j-th power.
+    The loop stops at the first k with 2**k > r. Then q = r**e for the
+    largest such e, and q is a prime power exactly when r is prime. A root
+    at or above PRIME_TEST_LIMIT that no base shows composite is undecided,
+    and raises a ValueError that states the limit.
     """
-    for e in range(max(q, 0).bit_length(), 0, -1):
-        r = _iroot(q, e)
-        if r**e == q:
-            if not _is_probable_prime(r):
-                break
-            if r >= PRIME_TEST_LIMIT:
-                raise ValueError(
-                    f"cannot tell whether {q} is a prime power: primality is "
-                    f"decided only below {PRIME_TEST_LIMIT}"
-                )
-            return r, e
-    raise ValueError(f"{q} is not a prime power")
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    r, e = q, 1
+    for k in filter(_is_probable_prime, range(2, q.bit_length())):
+        if k >= r.bit_length():  # 2**k > r: no root of r is 2 or more
+            break
+        while (root := _iroot(r, k)) ** k == r:
+            r, e = root, e * k
+    if not _is_probable_prime(r):
+        raise ValueError(f"{q} is not a prime power")
+    if r >= PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"cannot tell whether {q} is a prime power: primality is "
+            f"decided only below {PRIME_TEST_LIMIT}"
+        )
+    return r, e
 
 
 def _digits(a: int, p: int, e: int) -> list[int]:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from functools import reduce
-from itertools import repeat
-from operator import getitem, itemgetter, or_
+from itertools import chain, repeat
+from operator import getitem, is_, itemgetter, or_
 
 from .galois import Field, build_field, prime_power
 
@@ -249,34 +250,58 @@ def _point_id(name, li: int) -> int:
     return int(m.group(1))
 
 
-def _parse_lines(lines: list, names: list[str]) -> list[tuple[int, ...]]:
+def _line_id(name, n: int) -> int:
+    m = _LINE_ID.fullmatch(str(name))
+    if not m:
+        raise ValueError(f"bad line id {name!r}")
+    li = int(m.group(1))
+    if li >= n:
+        raise ValueError(f"line id L{li} out of range for {n} lines")
+    return li
+
+
+def _point_ids(points: list, index: dict, li: int) -> tuple[int, ...]:
+    """The ids of line li's point names, in their order: one table lookup
+    each, or the point-id pattern for a line with a name the table lacks."""
+    try:
+        return tuple(map(index.__getitem__, points))
+    except (KeyError, TypeError):
+        return tuple(_point_id(name, li) for name in points)
+
+
+def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, ...]]:
     """The point ids of each line of the document, indexed by line id.
 
-    A point name is read with one lookup in a table of ``names``, the
-    canonical names P0..P(n-1). A line holding any other name, such as
-    "P007", a number or an id of n or more, is parsed name by name with the
-    point-id pattern instead; both ways give the same ids.
+    A line id is read with one lookup in a table of L0..L(n-1), and a point
+    name with one lookup in a table of P0..P(n-1). An id or a name the
+    tables lack, such as "L01", "P007", a number or an id of n or more, is
+    read with the line-id or point-id pattern instead; both ways give the
+    same ids. With ``built``, the PG(2,q) of the document's shape, an entry
+    that lists built line i's point names in its order, under id Li, keeps
+    the built row itself, and its names are not parsed.
     """
     n = len(lines)
     line_points: list[tuple[int, ...] | None] = [None] * n
+    names = [f"P{i}" for i in range(n)]
     index = dict(zip(names, range(n)))
+    line_index = {f"L{i}": i for i in range(n)}
+    name_of = names.__getitem__
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
-        m = _LINE_ID.fullmatch(str(entry["id"]))
-        if not m:
-            raise ValueError(f"bad line id {entry['id']!r}")
-        li = int(m.group(1))
-        if li >= n:
-            raise ValueError(f"line id L{li} out of range for {n} lines")
+        try:
+            li = line_index[entry["id"]]
+        except (KeyError, TypeError):
+            li = _line_id(entry["id"], n)
         if line_points[li] is not None:
             raise ValueError(f"duplicate line id L{li}")
-        if not isinstance(entry["points"], list):
+        points = entry["points"]
+        if not isinstance(points, list):
             raise ValueError(f"points of line L{li} must be an array")
-        try:
-            pts = tuple(map(index.__getitem__, entry["points"]))
-        except (KeyError, TypeError):
-            pts = tuple(_point_id(name, li) for name in entry["points"])
+        if built is not None and points == list(map(name_of, built.line_points[li])):
+            line_points[li] = built.line_points[li]
+            continue
+        pts = _point_ids(points, index, li)
         if len(set(pts)) != len(pts):
             raise ValueError(f"line L{li} repeats a point")
         line_points[li] = pts
@@ -312,28 +337,30 @@ def load_plane(doc: dict) -> IncidencePlane:
     one of P0..P(n-1) must appear. Raises ValueError on malformed input or
     on the first axiom violation.
 
-    A document loads one of two ways. When n = q*q + q + 1 for a prime
-    power q >= 2 that a declared "q" does not contradict, and every entry
-    is an object with a list of q+1 points, PG(2,q) is built once, as
-    ``build_plane`` builds it, before anything is parsed. If entry i is
-    ``{"id": "Li", "points": [...]}`` with the names of built line i's
-    points, in its order, taken from one list of the n names P0..P(n-1)
-    (every file ``planepart plane`` writes is one), the document is
-    recognised by name comparison and loads as that built plane, without
-    the parse, the masks or ``validate_axioms``. That is sound because the
-    incidence is then identical, id for id, to the built plane's, and
-    PG(2,q) over a field satisfies the axioms: the tests run
+    The document is read once, by ``_parse_lines``. When n = q*q + q + 1
+    for a prime power q >= 2 that a declared "q" does not contradict, and
+    every entry is an object with a list of q+1 points, PG(2,q) is built
+    first, as ``build_plane`` builds it. An entry ``{"id": "Li", "points":
+    [...]}`` that lists built line i's point names in its order, taken from
+    the n names P0..P(n-1), keeps the built row, and its names are not
+    parsed. When every entry does so, in any entry order (line ids are
+    distinct, so each built line is listed once), the document loads as
+    the built plane, without masks or ``validate_axioms``: every file
+    ``planepart plane`` writes is one, shuffled or not. That is sound
+    because the incidence is then identical, id for id, to the built
+    plane's, and PG(2,q) over a field satisfies the axioms: the tests run
     ``validate_axioms`` on every built plane up to q = 81, and CI on
     PG(2,125) and PG(2,128) through relabelled files.
 
-    Any other document, such as a zero-padded, line-shuffled, relabelled,
-    non-Desarguesian or invalid one, takes the full loader, and the built
-    plane is released before it starts. The document is parsed name by
-    name (``_parse_lines``), the rows are sorted and transposed, and the
-    line sizes and point degrees are checked on these tuples by the size
+    Any other document, such as a zero-padded, relabelled,
+    non-Desarguesian or invalid one, or one incidence away from PG(2,q),
+    takes the full loader, and the built plane is released. One count of
+    the rows' point ids gives the coverage of P0..P(n-1) and every point's
+    degree, and the line sizes and point degrees are checked by the size
     check that ``validate_axioms`` runs on masks, so with the same
-    messages, before any mask is built: only a document whose sizes hold
-    pays for the 2n masks and the point-pair check.
+    messages, before any row is sorted or transposed and before any mask
+    is built: only a document whose sizes hold pays for the sort, the 2n
+    masks and the point-pair check.
     """
     if not isinstance(doc, dict) or "lines" not in doc:
         raise ValueError("plane document must be an object with a 'lines' array")
@@ -342,36 +369,28 @@ def load_plane(doc: dict) -> IncidencePlane:
         raise ValueError("plane document has no lines")
     n = len(lines)
     q = (math.isqrt(4 * n - 3) - 1) // 2
-    names = [f"P{i}" for i in range(n)]
     built = _pg2_shaped_like(doc, q)
-    if built is not None:
-        name_of = names.__getitem__
-        if all(
-            entry.get("id") == f"L{i}" and entry["points"] == list(map(name_of, row))
-            for i, (entry, row) in enumerate(zip(lines, built.line_points))
-        ):
-            return built
-    built = None  # released before the parse and the masks
-    line_points = _parse_lines(lines, names)
+    line_points = _parse_lines(lines, built)
+    if built is not None and all(map(is_, line_points, built.line_points)):
+        return built
+    built = None  # released before the sort and the masks
     if q < 1 or q * q + q + 1 != n:
         raise ValueError(f"{n} lines is not q*q + q + 1 for any order q >= 1")
     if q < 2:
         raise ValueError(f"plane order must be at least 2, got {q}")
     if "q" in doc and doc["q"] != q:
         raise ValueError(f"declared order {doc['q']!r} does not match inferred order {q}")
-    seen = set()
-    for pts in line_points:
-        seen.update(pts)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        extra = sorted(seen - set(range(n)))
+    degrees = Counter(chain.from_iterable(line_points))
+    ids = set(range(n))
+    if degrees.keys() != ids:
+        missing = sorted(ids - degrees.keys())
+        extra = sorted(degrees.keys() - ids)
         raise ValueError(
             f"point ids must be exactly P0..P{n - 1}"
             + (f"; missing {missing[:5]}" if missing else "")
             + (f"; unexpected {extra[:5]}" if extra else "")
         )
-    rows, cols = _rows_and_cols(line_points)
-    _check_sizes(q, map(len, rows), map(len, cols))
-    plane = object.__new__(IncidencePlane)._set_rows(q, rows, cols)
+    _check_sizes(q, map(len, line_points), map(degrees.__getitem__, range(n)))
+    plane = object.__new__(IncidencePlane)._set_rows(q, *_rows_and_cols(line_points))
     validate_axioms(plane)
     return plane

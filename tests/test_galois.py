@@ -1,9 +1,12 @@
+import random
 import time
 from functools import reduce
 
 import pytest
 
-from planepart.galois import PRIME_TEST_LIMIT, Field, build_field, prime_power, smallest_irreducible
+from planepart.galois import (
+    PRIME_TEST_LIMIT, Field, _iroot, build_field, prime_power, smallest_irreducible,
+)
 from planepart.plane import build_plane, validate_axioms
 
 from conftest import prime_powers
@@ -314,3 +317,55 @@ def test_prime_power_rejects_a_large_composite_with_large_factors(q):
     with pytest.raises(ValueError) as err:
         prime_power(q)
     assert str(err.value) == f"{q} is not a prime power"
+
+
+_P18 = 10**18 + 3  # prime
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (2**3329, (2, 3329)),
+        (3**2100, (3, 2100)),
+        (7**1184, (7, 1184)),
+        (_P18**56, (_P18, 56)),
+        # near misses: one off a power, a power of a composite, a power
+        # times a prime, and a product of powers of two large primes
+        (2**3329 + 1, None),
+        (2**3329 - 1, None),
+        (3**2100 - 1, None),
+        (_P18**56 + 2, None),
+        (15**1000, None),
+        (3 * 2**3329, None),
+        (_P18**55 * (10**18 + 9), None),
+    ],
+    ids=[
+        "2^3329", "3^2100", "7^1184", "p^56",
+        "2^3329+1", "2^3329-1", "3^2100-1", "p^56+2", "15^1000", "3*2^3329", "p^55*p'",
+    ],
+)
+def test_prime_power_on_thousand_digit_orders(q, expected):
+    # about 1000 digits: each exponent is a prime tried once per root taken,
+    # from a start within 2**-30 of the root
+    started = time.monotonic()
+    if expected is None:
+        with pytest.raises(ValueError) as err:
+            prime_power(q)
+        assert str(err.value) == f"{q} is not a prime power"
+    else:
+        assert prime_power(q) == expected
+    assert time.monotonic() - started < 2
+
+
+def test_iroot_is_the_floor_of_the_root():
+    rng = random.Random(0)
+    for bits in (1, 2, 10, 53, 54, 64, 200, 1100, 3400):
+        for _ in range(20):
+            n = rng.getrandbits(bits) | 1 << bits - 1
+            for e in {1, 2, 3, 5, rng.randrange(1, bits + 2), bits, bits + 1}:
+                r = _iroot(n, e)
+                assert r**e <= n < (r + 1) ** e, (n, e)
+    # at, just below and just above exact powers, up to a root above 2**53
+    for root, e in [(2, 3329), (3, 2100), (10**17 + 1, 3), (2**60 + 1, 2), (2**1000 - 1, 3)]:
+        for n, want in [(root**e - 1, root - 1), (root**e, root), (root**e + 1, root)]:
+            assert _iroot(n, e) == want, (root, e)

@@ -219,17 +219,22 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     assert checks == 0
     for side in ("line_points", "point_lines", "line_masks", "point_masks"):
         assert getattr(canonical, side) == getattr(plane, side)
-    # a relabelled one takes the general path unless it renames nothing:
-    # entry i keeps its place, so it is named Li only if line i keeps its id,
-    # and then lists built line i's names only if its points keep theirs
+    # so does one with its entries in any order
+    order = data.draw(st.permutations(range(n)), label="entries")
+    doc = plane_to_doc(plane)
+    doc["lines"] = [doc["lines"][i] for i in order]
+    shuffled, checks = _load_counting_checks(doc)
+    assert checks == 0
+    assert shuffled.line_points == plane.line_points
+    # a relabelled one takes the general path unless every entry, under id
+    # Li, lists built line i's names in its order
     points = data.draw(st.permutations(range(n)), label="points")
     lines = data.draw(st.permutations(range(n)), label="lines")
     rows = [None] * n
     for li, pts in enumerate(plane.line_points):
         rows[lines[li]] = tuple(points[p] for p in pts)
     loaded, checks = _load_counting_checks(relabelled(plane_to_doc(plane), points, lines))
-    identity = list(range(n))
-    assert checks == (points != identity or lines != identity)
+    assert checks == (rows != plane.line_points)
     assert loaded.line_points == [tuple(sorted(r)) for r in rows]
     # and a relabelled partition gets the relabelled verdict
     t = data.draw(st.integers(1, 16), label="classes")
@@ -247,17 +252,33 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     assert {frozenset(map(str, g)) for g in after.collision_groups} == {
         frozenset(rename[str(v)] for v in g) for g in before.collision_groups
     }
+    # one incidence moved, point a of a line replaced by a point b off it,
+    # leaves a on q lines and b on q+2; the message names the lower id
+    li = data.draw(st.integers(0, n - 1), label="moved line")
+    doc = plane_to_doc(plane)
+    names = doc["lines"][li]["points"]
+    at = data.draw(st.integers(0, q), label="moved position")
+    off = sorted(set(range(n)) - set(plane.line_points[li]))
+    b = data.draw(st.sampled_from(off), label="point off the line")
+    a, names[at] = int(names[at][1:]), f"P{b}"
+    first, degree = min((a, q), (b, q + 2))
+    with pytest.raises(ValueError) as err:
+        load_plane(doc)
+    assert str(err.value) == (
+        f"axiom violation (point-degree): point P{first} lies on {degree} lines, expected {q + 1}"
+    )
 
 
 def _load_spied(doc):
     """``load_plane(doc)`` (or the ValueError it raised) and a count of what it
-    ran: ``builds`` calls of ``build_pg2``, ``parses`` of the per-name
-    parse, and ``masks``, the ``bitmask`` and ``IncidencePlane._set`` calls
-    made outside ``build_pg2``, which only a plane built from parsed rows
-    makes. ``built`` is the plane the build returned."""
-    calls = {"builds": 0, "parses": 0, "masks": 0, "built": None}
+    ran: ``builds`` calls of ``build_pg2``, ``parses`` of a line's names one
+    by one, ``sorts`` of all rows by ``_rows_and_cols``, and ``masks``, the
+    ``bitmask`` and ``IncidencePlane._set`` calls made outside ``build_pg2``,
+    which only a plane built from parsed rows makes. ``built`` is the plane
+    the build returned."""
+    calls = {"builds": 0, "parses": 0, "sorts": 0, "masks": 0, "built": None}
     building = []
-    real_build, real_parse = plane_mod.build_pg2, plane_mod._parse_lines
+    real_build = plane_mod.build_pg2
     real_bitmask, real_set = plane_mod.bitmask, IncidencePlane._set
 
     def build(f):
@@ -275,14 +296,18 @@ def _load_spied(doc):
             return fn(*args, **kwargs)
         return spy
 
-    def parse(*args):
-        calls["parses"] += 1
-        return real_parse(*args)
+    def counting(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
 
+    parse, sort = plane_mod._point_ids, plane_mod._rows_and_cols
     with mock.patch.object(plane_mod, "build_pg2", build), \
             mock.patch.object(plane_mod, "bitmask", outside_build(real_bitmask)), \
             mock.patch.object(IncidencePlane, "_set", outside_build(real_set)), \
-            mock.patch.object(plane_mod, "_parse_lines", parse):
+            mock.patch.object(plane_mod, "_point_ids", counting("parses", parse)), \
+            mock.patch.object(plane_mod, "_rows_and_cols", counting("sorts", sort)):
         try:
             result = load_plane(doc)
         except ValueError as err:
@@ -294,7 +319,8 @@ def _load_spied(doc):
 def test_a_canonical_document_is_recognised_without_the_per_name_parse(q):
     doc = json.loads(json.dumps(plane_to_doc(build_plane(q))))
     plane, calls = _load_spied(doc)
-    assert calls["builds"] == 1 and calls["parses"] == 0 and calls["masks"] == 0
+    assert calls["builds"] == 1 and calls["parses"] == 0
+    assert calls["sorts"] == 0 and calls["masks"] == 0
     assert plane is calls["built"]
 
 
@@ -314,10 +340,17 @@ def _shuffled(doc):
 @pytest.mark.parametrize("edit", [_padded, _shuffled])
 @pytest.mark.parametrize("q", [4, 32])
 def test_padded_and_shuffled_documents_load_as_the_built_plane_with_one_build(q, edit):
-    # the names differ from the built plane's, so the full loader runs
+    # padded names differ from the built plane's, so every line is parsed
+    # and the full loader runs; a shuffle keeps every entry's names, so
+    # each entry keeps its built row and the document is the built plane
     doc = edit(plane_to_doc(build_plane(q)))
     plane, calls = _load_spied(doc)
-    assert calls["builds"] == 1 and calls["parses"] == 1 and calls["masks"] > 0
+    assert calls["builds"] == 1
+    if edit is _padded:
+        assert calls["parses"] == plane.n and calls["sorts"] == 1 and calls["masks"] > 0
+    else:
+        assert calls["parses"] == calls["sorts"] == calls["masks"] == 0
+        assert plane is calls["built"]
     built = build_plane(q)
     for side in ("line_points", "point_lines", "line_masks", "point_masks"):
         assert getattr(plane, side) == getattr(built, side)
@@ -339,21 +372,24 @@ def _one_short_line(q):
 
 
 @pytest.mark.parametrize(
-    "make, q, builds, message",
+    "make, q, builds, parses, message",
     [
-        (_moved_incidence, 4, 1, "(point-degree): point P0 lies on 4 lines, expected 5"),
-        (_moved_incidence, 32, 1, "(point-degree): point P0 lies on 32 lines, expected 33"),
-        (_one_short_line, 4, 0, "(line-size): line L3 has 4 points, expected 5"),
-        (_one_short_line, 32, 0, "(line-size): line L3 has 32 points, expected 33"),
+        (_moved_incidence, 4, 1, 1, "(point-degree): point P0 lies on 4 lines, expected 5"),
+        (_moved_incidence, 32, 1, 1, "(point-degree): point P0 lies on 32 lines, expected 33"),
+        (_one_short_line, 4, 0, 21, "(line-size): line L3 has 4 points, expected 5"),
+        (_one_short_line, 32, 0, 1057, "(line-size): line L3 has 32 points, expected 33"),
     ],
     ids=["moved-4", "moved-32", "short-4", "short-32"],
 )
-def test_size_faults_are_reported_before_any_mask(make, q, builds, message):
+def test_size_faults_are_reported_before_any_mask(make, q, builds, parses, message):
     err, calls = _load_spied(make(q))
     assert isinstance(err, ValueError)
     assert str(err) == f"axiom violation {message}"
-    # a short line is not PG(2,q)'s shape, so it is not even built
-    assert calls["builds"] == builds and calls["parses"] == 1 and calls["masks"] == 0
+    # a short line is not PG(2,q)'s shape, so it is not even built and every
+    # line is parsed; in a moved incidence only the edited line is parsed.
+    # Either way no row is sorted and no mask is built.
+    assert calls["builds"] == builds and calls["parses"] == parses
+    assert calls["sorts"] == 0 and calls["masks"] == 0
 
 
 def test_load_rejects_points_that_are_not_an_array():
