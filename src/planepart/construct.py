@@ -107,19 +107,18 @@ def expected_unseparated_bound(q: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class Frame:
-    """Support pair, major vertices and common vertices of a plane.
+    """Support, major and common vertices of a plane, as (points, lines) pairs.
 
-    The support point lies on the support line. Major points are the other
-    points of the support line and major lines the other lines through the
-    support point; every remaining vertex is common.
+    Index 0 of each pair holds points and index 1 lines, the order of
+    ``packed_signatures``' (psig, lsig). The support point lies on the
+    support line. Major points are the other points of the support line
+    and major lines the other lines through the support point; every
+    remaining vertex is common.
     """
 
-    support_point: int
-    support_line: int
-    major_points: tuple[int, ...]
-    major_lines: tuple[int, ...]
-    common_points: tuple[int, ...]
-    common_lines: tuple[int, ...]
+    supports: tuple[int, int]
+    majors: tuple[tuple[int, ...], tuple[int, ...]]
+    commons: tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _frame_side(plane: IncidencePlane, p0: int, l0: int):
@@ -138,10 +137,9 @@ def choose_frame(plane: IncidencePlane) -> Frame:
 
     The support is the lowest point id with its lowest incident line.
     """
-    p0, l0 = 0, plane.point_lines[0][0]
-    major_points, common_points = _frame_side(plane, p0, l0)
-    major_lines, common_lines = _frame_side(plane.dual(), l0, p0)
-    return Frame(p0, l0, major_points, major_lines, common_points, common_lines)
+    supports = (0, plane.point_lines[0][0])
+    sides = (_frame_side(plane, *supports), _frame_side(plane.dual(), *supports[::-1]))
+    return Frame(supports, *zip(*sides))
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,9 @@ def sample_zeta_sets(
     not checked here; ``zeta_count`` checks it.
     """
     q = plane.q
-    base_points = rng.sample(frame.major_points, k)
-    base_lines = rng.sample(frame.major_lines, k)
-    p0 = frame.support_point
+    base_points = rng.sample(frame.majors[0], k)
+    base_lines = rng.sample(frame.majors[1], k)
+    p0 = frame.supports[0]
     out = []
     for bp, bl in zip(base_points, base_lines):
         on_line = [p for p in plane.line_points[bl] if p != p0]
@@ -196,15 +194,14 @@ class ConflictGraph:
     """Same-representation pairs among common and support vertices.
 
     The graph is a disjoint union of cliques, each entirely points or
-    entirely lines. ``x_edge_count`` counts only pairs of common vertices;
-    the support point or line joins a clique when it collides with a
-    common vertex.
+    entirely lines: ``cliques`` and ``members``, the vertices of the
+    cliques, are (points, lines) pairs. ``x_edge_count`` counts only pairs
+    of common vertices; the support point or line joins a clique when it
+    collides with a common vertex.
     """
 
-    point_cliques: tuple[tuple[int, ...], ...]
-    line_cliques: tuple[tuple[int, ...], ...]
-    points: tuple[int, ...]
-    lines: tuple[int, ...]
+    cliques: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+    members: tuple[tuple[int, ...], tuple[int, ...]]
     x_edge_count: int
 
 
@@ -212,11 +209,7 @@ def build_conflict_graph(
     plane: IncidencePlane, frame: Frame, family: list[VertexSet]
 ) -> ConflictGraph:
     """Group common and support vertices by representation under a disjoint family."""
-    sides = zip(
-        packed_signatures(plane, family),
-        (frame.common_points, frame.common_lines),
-        (frame.support_point, frame.support_line),
-    )
+    sides = zip(packed_signatures(plane, family), frame.commons, frame.supports)
     cliques, members, x_edges = [], [], 0
     for sigs, commons, support in sides:
         domain = [*commons, support]
@@ -225,7 +218,7 @@ def build_conflict_graph(
         cliques.append(side)
         members.append(tuple(sorted(v for c in side for v in c)))
         x_edges += pair_count(len(c) - (support in c) for c in side)
-    return ConflictGraph(*cliques, *members, x_edges)
+    return ConflictGraph(tuple(cliques), tuple(members), x_edges)
 
 
 def searching_family(domain, count: int, excluded=()) -> list[list]:
@@ -331,17 +324,18 @@ def select_class_lines(
 
 @dataclass(frozen=True)
 class H2Spec:
-    """Searching sets and chosen vertices of one separating class."""
+    """Searching sets and chosen vertices of one separating class.
 
-    targets_points: tuple[int, ...]
-    targets_lines: tuple[int, ...]
-    conflict_points: tuple[int, ...]
-    conflict_lines: tuple[int, ...]
-    lines: tuple[int, ...]
-    points: tuple[int, ...]
+    Each field is a (points, lines) pair: the targets among the major
+    vertices, the conflict vertices in the class, and the chosen vertices.
+    """
+
+    targets: tuple[tuple[int, ...], tuple[int, ...]]
+    conflicts: tuple[tuple[int, ...], tuple[int, ...]]
+    chosen: tuple[tuple[int, ...], tuple[int, ...]]
 
     def members(self) -> VertexSet:
-        return VertexSet.from_indices(self.points, self.lines)
+        return VertexSet.from_indices(*self.chosen)
 
 
 def build_h2(
@@ -363,34 +357,32 @@ def build_h2(
     """
     count = default_searching_count(plane.q)
     views = (plane, plane.dual())
-    supports = (frame.support_point, frame.support_line)
-    conflicts = (conflict.points, conflict.lines)
     try:
-        target_families = [
-            searching_family(majors, count) for majors in (frame.major_points, frame.major_lines)
-        ]
+        target_families = [searching_family(majors, count) for majors in frame.majors]
         conflict_families = [
-            searching_family(c, count, {v}.intersection(c)) for c, v in zip(conflicts, supports)
+            searching_family(c, count, {v}.intersection(c))
+            for c, v in zip(conflict.members, frame.supports)
         ]
     except ValueError as exc:
         raise SelectionError(f"searching families infeasible: {exc}") from exc
-    conflict_sets = [set(c) for c in conflicts]
+    conflict_sets = [set(c) for c in conflict.members]
     specs = []
     for j in range(count):
-        targets = [f[j] for f in target_families]
-        in_class = [f[j] for f in conflict_families]
+        targets = tuple(tuple(f[j]) for f in target_families)
+        in_class = tuple(tuple(f[j]) for f in conflict_families)
         forbidden = [c.difference(q) for c, q in zip(conflict_sets, in_class)]
-        chosen = []
-        # side 0 chooses lines and side 1 points; ``used`` is flipped to
-        # the next side's view after each, so it ends in the plane's view
+        chosen = [(), ()]
+        # view 0 chooses lines and view 1 points, so view s's picks are the
+        # other side's; ``used`` is flipped to the next view after each, so
+        # it ends in the plane's view
         for side in (0, 1):
             picks = select_class_lines(
-                views[side], side, supports[1 - side], targets[side],
+                views[side], side, frame.supports[1 - side], targets[side],
                 in_class[side], forbidden[side], forbidden[1 - side], used,
             )
-            chosen.append(tuple(picks))
+            chosen[1 - side] = tuple(picks)
             used = (used | VertexSet.from_indices(lines=picks)).dual()
-        specs.append(H2Spec(*map(tuple, targets), *map(tuple, in_class), *chosen))
+        specs.append(H2Spec(targets, in_class, tuple(chosen)))
     return specs, used
 
 
@@ -432,7 +424,7 @@ def draw_conflict(
     the conflict graph of the pairs that family leaves unseparated.
     """
     zetas = sample_zeta_sets(plane, frame, k, rng)
-    family = [VertexSet.from_indices(points=frame.major_points)] + [z.members() for z in zetas]
+    family = [VertexSet.from_indices(points=frame.majors[0])] + [z.members() for z in zetas]
     return family, zetas, build_conflict_graph(plane, frame, family)
 
 

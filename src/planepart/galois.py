@@ -15,8 +15,16 @@ PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def _is_probable_prime(n: int) -> bool:
-    """n is a strong probable prime to every base in _WITNESS_BASES, which
-    is exactly "n is prime" for n below PRIME_TEST_LIMIT."""
+    """n has no factor among _WITNESS_BASES other than itself and is a
+    strong probable prime to every one of them below PRIME_TEST_LIMIT,
+    where that is exactly "n is prime", and to base 3 alone at or above it.
+
+    Above the limit no set of bases decides primality: more rounds could
+    only show more composites, at seconds a round for thousands of digits,
+    and a number no round shows composite stays undecided. The one round
+    takes base 3, not 2, since base 2 passes every 2**p - 1 with p prime
+    and every 2**(2**k) + 1, prime or not.
+    """
     if n < 2:
         return False
     for b in _WITNESS_BASES:
@@ -25,7 +33,7 @@ def _is_probable_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in _WITNESS_BASES:
+    for b in _WITNESS_BASES if n < PRIME_TEST_LIMIT else (3,):
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -72,8 +80,9 @@ def prime_power(q: int) -> tuple[int, int]:
     can succeed later: r**j = s**k with j < k prime makes s a j-th power.
     The loop stops at the first k with 2**k > r. Then q = r**e for the
     largest such e, and q is a prime power exactly when r is prime. A root
-    at or above PRIME_TEST_LIMIT that no base shows composite is undecided,
-    and raises a ValueError that states the limit.
+    at or above PRIME_TEST_LIMIT gets one Miller-Rabin round, base 3; one
+    that it does not show composite is undecided, and raises a ValueError
+    that states the limit.
     """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")

@@ -53,10 +53,8 @@ class IncidencePlane:
     __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks")
 
     def __init__(self, q, line_points):
-        self._set_rows(q, *_rows_and_cols(line_points))
-
-    def _set_rows(self, q, rows, cols):
-        return self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)))
+        rows, cols = _rows_and_cols(line_points)
+        self._set(q, rows, cols, list(map(bitmask, rows)), list(map(bitmask, cols)))
 
     def _set(self, q, line_points, point_lines, line_masks, point_masks):
         self.q, self.n = q, len(line_points)
@@ -391,6 +389,6 @@ def load_plane(doc: dict) -> IncidencePlane:
             + (f"; unexpected {extra[:5]}" if extra else "")
         )
     _check_sizes(q, map(len, line_points), map(degrees.__getitem__, range(n)))
-    plane = object.__new__(IncidencePlane)._set_rows(q, *_rows_and_cols(line_points))
+    plane = IncidencePlane(q, line_points)
     validate_axioms(plane)
     return plane

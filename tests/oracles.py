@@ -30,6 +30,11 @@ only.
   selector, which reads meets off the masks, is checked against it.
 - ``vertex_set_from_vertices``, ``vertices_of``, ``zeta_size`` and
   ``conflict_vertex_count`` convert or count, for the assertions.
+
+Pairs follow the package's (points, lines) order: index 0 is the plane's
+points and index 1 its lines, as in ``distance_columns``' two columns,
+``packed_signatures``' (psig, lsig) and the construction's ``Frame``,
+``ConflictGraph`` and ``H2Spec`` fields.
 """
 
 from __future__ import annotations
@@ -202,4 +207,4 @@ def zeta_size(z: ZetaSet) -> int:
 
 
 def conflict_vertex_count(graph: ConflictGraph) -> int:
-    return len(graph.points) + len(graph.lines)
+    return sum(map(len, graph.members))

@@ -576,7 +576,7 @@ def test_more_zeta_sets_never_unseparate(plane_for):
     # reduce the number of unseparated common pairs
     plane = plane_for(16)
     fr = choose_frame(plane)
-    h0 = VertexSet.from_indices(points=fr.major_points)
+    h0 = VertexSet.from_indices(points=fr.majors[0])
     zetas = sample_zeta_sets(plane, fr, 16, random.Random(4))
     counts = []
     for k in range(1, 17):

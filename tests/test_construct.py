@@ -48,30 +48,27 @@ def q64(plane_for):
 
 def test_frame_counts_q2(plane_for):
     fr = choose_frame(plane_for(2))
-    assert fr.support_point == 0
-    assert len(fr.major_points) == 2
-    assert len(fr.major_lines) == 2
-    assert len(fr.common_points) == 4
-    assert len(fr.common_lines) == 4
+    assert fr.supports[0] == 0
+    assert [len(majors) for majors in fr.majors] == [2, 2]
+    assert [len(commons) for commons in fr.commons] == [4, 4]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_common_vertex_count_is_2q_squared(q, plane_for):
     fr = choose_frame(plane_for(q))
-    assert len(fr.common_points) + len(fr.common_lines) == 2 * q * q
+    assert sum(map(len, fr.commons)) == 2 * q * q
 
 
 def test_frame_meet_and_join_tables(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    for ln in fr.common_lines:
-        point = meet(plane, ln, fr.support_line)
-        assert point in fr.major_points
-        assert incident(plane, point, ln)
-    for p in fr.common_points:
-        join = meet(plane.dual(), p, fr.support_point)
-        assert join in fr.major_lines
-        assert incident(plane, p, join)
+    # on the dual, the meet of two points is their join and incidence is
+    # read with the roles exchanged
+    for side, view in enumerate((plane, plane.dual())):
+        for u in fr.commons[1 - side]:
+            v = meet(view, u, fr.supports[1 - side])
+            assert v in fr.majors[side]
+            assert incident(view, v, u)
 
 
 @pytest.mark.parametrize("q", [4, 5, 16])
@@ -91,10 +88,10 @@ def test_zeta_geometry(plane_for):
     for z in sample_zeta_sets(plane, fr, 4, random.Random(3)):
         for p in z.point_half:
             assert incident(plane, p, z.base_line)
-            assert p != fr.support_point
+            assert p != fr.supports[0]
         for ln in z.line_half:
             assert incident(plane, z.base_point, ln)
-            assert ln not in fr.major_lines and ln != fr.support_line
+            assert ln not in fr.majors[1] and ln != fr.supports[1]
 
 
 def test_zeta_counts_and_error():
@@ -117,7 +114,7 @@ def test_zeta_counts_and_error():
 def test_zeta_disjointness_100_seeds(plane_for):
     plane = plane_for(16)
     fr = choose_frame(plane)
-    h0_points = plane.line_masks[fr.support_line] & ~(1 << fr.support_point)
+    h0_points = plane.line_masks[fr.supports[1]] & ~(1 << fr.supports[0])
     for seed in range(100):
         zetas = sample_zeta_sets(plane, fr, 15, random.Random(seed))
         pm = lm = 0
@@ -159,8 +156,8 @@ def test_searching_family_four_elements():
 
 def test_searching_family_sixteen_majors(plane_for):
     fr = choose_frame(plane_for(16))
-    sets = searching_family(fr.major_points, 4)
-    codes = {p: tuple(int(p in s) for s in sets) for p in fr.major_points}
+    sets = searching_family(fr.majors[0], 4)
+    codes = {p: tuple(int(p in s) for s in sets) for p in fr.majors[0]}
     assert len(set(codes.values())) == 16
 
 
@@ -227,17 +224,17 @@ def brute_force_valid_line_systems(plane, support_line, targets):
 def test_select_class_lines_q4_against_enumeration(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    targets = list(fr.major_points[:2])
-    valid = brute_force_valid_line_systems(plane, fr.support_line, targets)
+    targets = list(fr.majors[0][:2])
+    valid = brute_force_valid_line_systems(plane, fr.supports[1], targets)
     assert len(valid) == 16  # 4 free lines per target, independent choices
-    chosen = select_class_lines(plane, 0, fr.support_line, targets, [], [], [], VertexSet())
+    chosen = select_class_lines(plane, 0, fr.supports[1], targets, [], [], [], VertexSet())
     assert tuple(sorted(chosen)) in valid
     assert len(chosen) == len(targets)
     # deterministic, lowest admissible id per target
-    again = select_class_lines(plane, 0, fr.support_line, targets, [], [], [], VertexSet())
+    again = select_class_lines(plane, 0, fr.supports[1], targets, [], [], [], VertexSet())
     assert again == chosen
     for t in targets:
-        options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
+        options = [ln for ln in plane.point_lines[t] if ln != fr.supports[1]]
         assert min(options) in chosen
 
 
@@ -251,26 +248,22 @@ def test_frame_dual_is_the_frame_of_the_dual_plane(plane_for):
     rows[0], rows[l0] = rows[l0], rows[0]
     swapped = IncidencePlane(plane.q, rows)
     fr = choose_frame(swapped)
-    assert (fr.support_point, fr.support_line) == (0, 0)
+    assert fr.supports == (0, 0)
     dual_fr = choose_frame(swapped.dual())
-    assert dual_fr.support_point == fr.support_line
-    assert dual_fr.support_line == fr.support_point
-    assert dual_fr.major_points == fr.major_lines
-    assert dual_fr.major_lines == fr.major_points
-    assert dual_fr.common_points == fr.common_lines
-    assert dual_fr.common_lines == fr.common_points
+    for field in ("supports", "majors", "commons"):
+        assert getattr(dual_fr, field) == getattr(fr, field)[::-1]
 
 
 def test_select_class_lines_on_dual_picks_points_q4(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    targets = list(fr.major_lines[:2])
+    targets = list(fr.majors[1][:2])
     dual = plane.dual()
-    chosen = select_class_lines(dual, 1, fr.support_point, targets, [], [], [], VertexSet())
+    chosen = select_class_lines(dual, 1, fr.supports[0], targets, [], [], [], VertexSet())
     assert len(chosen) == len(targets)
-    joins = [meet(dual, pt, fr.support_point) for pt in chosen]
+    joins = [meet(dual, pt, fr.supports[0]) for pt in chosen]
     for pt, join in zip(chosen, joins):
-        assert pt in fr.common_points
+        assert pt in fr.commons[0]
         assert join in targets
         assert incident(plane, pt, join)
     assert sorted(joins) == sorted(targets)
@@ -279,14 +272,14 @@ def test_select_class_lines_on_dual_picks_points_q4(plane_for):
 def test_select_class_lines_respects_used_and_forbidden(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    t = fr.major_points[0]
-    options = [ln for ln in plane.point_lines[t] if ln != fr.support_line]
+    t = fr.majors[0][0]
+    options = [ln for ln in plane.point_lines[t] if ln != fr.supports[1]]
     used = VertexSet.from_indices(lines=options[:1])
-    chosen = select_class_lines(plane, 0, fr.support_line, [t], [], [], [], used)
+    chosen = select_class_lines(plane, 0, fr.supports[1], [t], [], [], [], used)
     assert chosen == [options[1]]
     forbidden = options
     with pytest.raises(SelectionError, match="target point"):
-        select_class_lines(plane, 0, fr.support_line, [t], [], [], forbidden, VertexSet())
+        select_class_lines(plane, 0, fr.supports[1], [t], [], [], forbidden, VertexSet())
 
 
 def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
@@ -294,17 +287,17 @@ def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
     # reported as a point missing on a line, never as a line through a point.
     plane = plane_for(4)
     fr = choose_frame(plane)
-    dual, p0 = plane.dual(), fr.support_point
-    t = fr.major_lines[0]
-    options = [p for p in plane.line_points[t] if p != fr.support_point]
+    dual, p0 = plane.dual(), fr.supports[0]
+    t = fr.majors[1][0]
+    options = [p for p in plane.line_points[t] if p != p0]
     stuck_target = rf"^no free point on target line L{t}: .* conflict line$"
     with pytest.raises(SelectionError, match=stuck_target):
         select_class_lines(dual, 1, p0, [t], [], [], options, VertexSet())
-    u = fr.common_lines[0]
+    u = fr.commons[1][0]
     used = VertexSet.from_indices(points=plane.line_points[u])
     stuck_conflict = rf"^no free point on conflict line L{u}: .* support point "
     with pytest.raises(SelectionError, match=stuck_conflict):
-        select_class_lines(dual, 1, p0, fr.major_lines, [u], [], [], used.dual())
+        select_class_lines(dual, 1, p0, fr.majors[1], [u], [], [], used.dual())
 
 
 def test_build_h2_stalls_name_the_side_that_stalled(plane_for):
@@ -312,25 +305,41 @@ def test_build_h2_stalls_name_the_side_that_stalled(plane_for):
     # text show which side build_h2 told the selector it runs.
     plane = plane_for(16)
     frame = choose_frame(plane)
-    empty = ConflictGraph((), (), (), (), 0)
+    empty = ConflictGraph(((), ()), ((), ()), 0)
     # every common point used: the lines are chosen, then no point is free
-    used = VertexSet.from_indices(points=frame.common_points)
+    used = VertexSet.from_indices(points=frame.commons[0])
     with pytest.raises(SelectionError, match="^no free point on target line L"):
         build_h2(plane, frame, empty, used)
-    used = VertexSet.from_indices(lines=frame.common_lines)
+    used = VertexSet.from_indices(lines=frame.commons[1])
     with pytest.raises(SelectionError, match="^no free line through target point P"):
         build_h2(plane, frame, empty, used)
+
+
+def test_build_h2_rejects_a_conflict_side_too_large_for_the_searching_sets(plane_for):
+    # ceil(log2 16) = 4 searching sets give 16 codewords, so 17 conflict
+    # vertices of one side, the support not among them, cannot be told apart
+    plane = plane_for(16)
+    frame = choose_frame(plane)
+    infeasible = (
+        "^searching families infeasible: 4 searching sets cannot distinguish 17 elements; need 5$"
+    )
+    for side in (0, 1):
+        members = [(), ()]
+        members[side] = frame.commons[side][:17]
+        conflict = ConflictGraph(((), ()), tuple(members), 0)
+        with pytest.raises(SelectionError, match=infeasible):
+            build_h2(plane, frame, conflict, VertexSet())
 
 
 def test_select_class_lines_conflict_requirements(plane_for):
     plane = plane_for(8)
     fr = choose_frame(plane)
-    targets = list(fr.major_points)[:4]
-    u, other = fr.common_points[0], fr.common_points[1]
-    chosen = select_class_lines(plane, 0, fr.support_line, targets, [u], [other], [], VertexSet())
+    targets = list(fr.majors[0])[:4]
+    u, other = fr.commons[0][:2]
+    chosen = select_class_lines(plane, 0, fr.supports[1], targets, [u], [other], [], VertexSet())
     through_u = [ln for ln in chosen if incident(plane, u, ln)]
     assert len(through_u) == 1
-    meets = [meet(plane, ln, fr.support_line) for ln in chosen]
+    meets = [meet(plane, ln, fr.supports[1]) for ln in chosen]
     for ln in chosen:
         assert not incident(plane, other, ln)
     assert sorted(meets) == sorted(targets)
@@ -339,10 +348,8 @@ def test_select_class_lines_conflict_requirements(plane_for):
 def test_conflict_graph_empty_when_fully_separated(plane_for):
     plane = plane_for(2)
     fr = choose_frame(plane)
-    family = [VertexSet.from_indices(points=[p]) for p in fr.common_points]
-    family += [VertexSet.from_indices(lines=[l]) for l in fr.common_lines]
-    family.append(VertexSet.from_indices(points=[fr.support_point]))
-    family.append(VertexSet.from_indices(lines=[fr.support_line]))
+    family = [VertexSet.from_indices(points=[p]) for p in (*fr.commons[0], fr.supports[0])]
+    family += [VertexSet.from_indices(lines=[l]) for l in (*fr.commons[1], fr.supports[1])]
     graph = build_conflict_graph(plane, fr, family)
     assert conflict_vertex_count(graph) == 0
     assert graph.x_edge_count == 0
@@ -351,22 +358,19 @@ def test_conflict_graph_empty_when_fully_separated(plane_for):
 def test_conflict_graph_cliques_are_pure_and_counted(plane_for):
     plane = plane_for(16)
     fr = choose_frame(plane)
-    h0 = VertexSet.from_indices(points=fr.major_points)
+    h0 = VertexSet.from_indices(points=fr.majors[0])
     zetas = sample_zeta_sets(plane, fr, 6, random.Random(5))
     family = [h0] + [z.members() for z in zetas]
     graph = build_conflict_graph(plane, fr, family)
-    commons_p = set(fr.common_points) | {fr.support_point}
-    for clique in graph.point_cliques:
-        assert set(clique) <= commons_p
-        assert len(clique) >= 2
-    # edge count matches an independent recount from the cliques
-    psig, lsig = packed_signatures(plane, family)
+    # each side's cliques are pure, and the edge count matches an
+    # independent recount from the signatures of the common vertices
     expect = 0
-    for sig_list in ([psig[p] for p in fr.common_points], [lsig[ln] for ln in fr.common_lines]):
-        seen = {}
-        for s in sig_list:
-            seen[s] = seen.get(s, 0) + 1
-        expect += sum(c * (c - 1) // 2 for c in seen.values())
+    sides = zip(packed_signatures(plane, family), fr.commons, fr.supports, graph.cliques)
+    for sigs, commons, support, cliques in sides:
+        for clique in cliques:
+            assert set(clique) <= {*commons, support}
+            assert len(clique) >= 2
+        expect += sum(c * (c - 1) // 2 for c in Counter(sigs[v] for v in commons).values())
     assert graph.x_edge_count == expect
 
 
@@ -382,25 +386,23 @@ def test_construct_q64_shape(q64):
     assert roles["H0"] == "major-points" and roles["Hrest"] == "remainder"
 
 
-def test_construct_h0_is_exactly_the_major_points(q64):
+def test_construct_h0_is_exactly_the_point_side_majors(q64):
     plane, res = q64
     fr = res.frame
     h0 = res.partition.classes[0]
-    assert h0.point_mask == plane.line_masks[fr.support_line] & ~(1 << fr.support_point)
+    assert h0.point_mask == plane.line_masks[fr.supports[1]] & ~(1 << fr.supports[0])
     assert h0.line_mask == 0
 
 
-def test_h2_separates_major_points_by_membership(q64):
+def test_h2_separates_majors_by_membership(q64):
     plane, res = q64
     fr = res.frame
     for j, spec in enumerate(res.h2):
         cls = res.partition.classes[1 + res.k + j]
-        for p in fr.major_points:
-            d = 1 if p in spec.targets_points else 2
-            assert distance_to_set(plane, VertexId(POINT, p), cls) == d
-        for ln in fr.major_lines:
-            d = 1 if ln in spec.targets_lines else 2
-            assert distance_to_set(plane, VertexId(LINE, ln), cls) == d
+        for side, kind in enumerate((POINT, LINE)):
+            for v in fr.majors[side]:
+                d = 1 if v in spec.targets[side] else 2
+                assert distance_to_set(plane, VertexId(kind, v), cls) == d
 
 
 def test_h2_support_coordinates_are_two(q64):
@@ -408,8 +410,8 @@ def test_h2_support_coordinates_are_two(q64):
     fr = res.frame
     for j in range(res.l):
         cls = res.partition.classes[1 + res.k + j]
-        assert distance_to_set(plane, VertexId(POINT, fr.support_point), cls) == 2
-        assert distance_to_set(plane, VertexId(LINE, fr.support_line), cls) == 2
+        for kind, support in zip((POINT, LINE), fr.supports):
+            assert distance_to_set(plane, VertexId(kind, support), cls) == 2
 
 
 def test_h2_conflict_point_coordinates(q64):
@@ -420,24 +422,16 @@ def test_h2_conflict_point_coordinates(q64):
     conflict = build_conflict_graph(plane, fr, [h0] + list(zclasses))
     for j, spec in enumerate(res.h2):
         cls = res.partition.classes[1 + res.k + j]
-        q_set = set(spec.conflict_points)
-        for p in conflict.points:
-            if p == fr.support_point:
-                continue
-            d = distance_to_set(plane, VertexId(POINT, p), cls)
-            if p in q_set:
-                assert d <= 1
-            else:
-                assert d == 2
-        r_set = set(spec.conflict_lines)
-        for ln in conflict.lines:
-            if ln == fr.support_line:
-                continue
-            d = distance_to_set(plane, VertexId(LINE, ln), cls)
-            if ln in r_set:
-                assert d <= 1
-            else:
-                assert d == 2
+        for side, kind in enumerate((POINT, LINE)):
+            in_class = set(spec.conflicts[side])
+            for v in conflict.members[side]:
+                if v == fr.supports[side]:
+                    continue
+                d = distance_to_set(plane, VertexId(kind, v), cls)
+                if v in in_class:
+                    assert d <= 1
+                else:
+                    assert d == 2
 
 
 def test_h2_classes_disjoint_from_everything_prior(q64):
@@ -464,18 +458,18 @@ def test_remainder_class_holds_support_and_major_lines(q64):
     plane, res = q64
     fr = res.frame
     rest = res.partition.classes[-1]
-    assert rest.point_mask >> fr.support_point & 1
-    assert rest.line_mask >> fr.support_line & 1
-    for ml in fr.major_lines:
+    assert rest.point_mask >> fr.supports[0] & 1
+    assert rest.line_mask >> fr.supports[1] & 1
+    for ml in fr.majors[1]:
         assert rest.line_mask >> ml & 1
 
 
 def test_frame_meet_join_map_majors_to_support(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    assert all(meet(plane, ml, fr.support_line) == fr.support_point for ml in fr.major_lines)
-    dual = plane.dual()
-    assert all(meet(dual, mp, fr.support_point) == fr.support_line for mp in fr.major_points)
+    for side, view in enumerate((plane, plane.dual())):
+        support, other = fr.supports[side], fr.supports[1 - side]
+        assert all(meet(view, m, other) == support for m in fr.majors[1 - side])
 
 
 def test_construct_determinism_and_metadata(plane_for):
@@ -581,7 +575,7 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
     family, zetas, conflict = draw_conflict(plane, frame, k, random.Random(seed))
 
     assert len(zetas) == k and family[1:] == [z.members() for z in zetas]
-    majors = sum(1 << p for p in frame.major_points)
+    majors = sum(1 << p for p in frame.majors[0])
     assert family[0].point_mask == majors and family[0].line_mask == 0
     taken_points, taken_lines = majors, 0
     for z in zetas:
@@ -592,12 +586,9 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
         taken_lines |= m.line_mask
 
     # representations of the common and support vertices, from the oracle
-    sides = (
-        (frame.common_points, frame.support_point, conflict.point_cliques, 0),
-        (frame.common_lines, frame.support_line, conflict.line_cliques, 1),
-    )
+    sides = zip(frame.commons, frame.supports, conflict.cliques)
     pairs = 0
-    for commons, support, cliques, side in sides:
+    for side, (commons, support, cliques) in enumerate(sides):
         ids = [*commons, support]
         id_lists = (ids, []) if side == 0 else ([], ids)
         columns = [distance_columns(plane, s, *id_lists)[side] for s in family]
@@ -639,20 +630,19 @@ def test_relabelled_planes_keep_the_searching_class_contracts(plane_for, q, seed
 
     # Side 0 chose lines on the plane and side 1 points on its dual, where
     # the oracle's meet of two lines is the join of two points.
+    # The picks made on view s, which chooses the other side's vertices,
+    # are stored at spec.chosen[1 - s].
     views = (plane, plane.dual())
-    supports = (frame.support_line, frame.support_point)
-    conflicts = (set(conflict.points), set(conflict.lines))
+    conflicts = [set(c) for c in conflict.members]
     for spec in specs:
-        targets = (spec.targets_points, spec.targets_lines)
-        in_class = (spec.conflict_points, spec.conflict_lines)
-        forbidden = [c.difference(s) for c, s in zip(conflicts, in_class)]
-        for side, chosen in enumerate((spec.lines, spec.points)):
-            view, support = views[side], supports[side]
+        forbidden = [c.difference(s) for c, s in zip(conflicts, spec.conflicts)]
+        for side, chosen in enumerate(spec.chosen[::-1]):
+            view, support = views[side], frame.supports[1 - side]
             assert support not in chosen
             # each target is on one chosen line; no other support point is
-            assert sorted(meet(view, v, support) for v in chosen) == sorted(targets[side])
+            assert sorted(meet(view, v, support) for v in chosen) == sorted(spec.targets[side])
             rows = [set(view.line_points[v]) for v in chosen]
-            for u in in_class[side]:
+            for u in spec.conflicts[side]:
                 assert sum(u in row for row in rows) == 1
             for u in forbidden[side]:
                 assert not any(u in row for row in rows)

@@ -309,6 +309,26 @@ def test_prime_power_states_the_limit_of_the_primality_test(q):
 
 
 @pytest.mark.parametrize(
+    "q, prime", [(2**4423 - 1, True), (2**4096 + 1, False)], ids=["2^4423-1", "2^4096+1"]
+)
+def test_prime_power_runs_one_round_at_or_above_the_limit(q, prime):
+    # 2**4423 - 1 is a 1332-digit prime, and 2**4096 + 1 is composite with
+    # no factor among the bases. At or above the limit only the base-3 round
+    # runs, about 0.1 s on 2 cores, where the 13 rounds took about 3.4 s.
+    # Base 2 passes every Fermat number, so it could not show the second
+    # composite.
+    started = time.monotonic()
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
+    assert time.monotonic() - started < 1
+    assert str(err.value) == (
+        f"cannot tell whether {q} is a prime power: primality is decided only "
+        "below 3317044064679887385961981"
+        if prime else f"{q} is not a prime power"
+    )
+
+
+@pytest.mark.parametrize(
     "q", [(2**89 - 1) * (10**18 + 3), 399165290221 * 798330580441]
 )
 def test_prime_power_rejects_a_large_composite_with_large_factors(q):

@@ -56,14 +56,14 @@ def random_partition(rng, n, m=None):
 def test_distance_cases_on_frame_sets(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    h0 = VertexSet.from_indices(points=fr.major_points)
+    h0 = VertexSet.from_indices(points=fr.majors[0])
     cases = [
-        (VertexId(POINT, fr.support_point), 2),
-        (VertexId(POINT, fr.major_points[0]), 0),
-        (VertexId(POINT, fr.common_points[0]), 2),
-        (VertexId(LINE, fr.support_line), 1),
-        (VertexId(LINE, fr.major_lines[0]), 3),
-        (VertexId(LINE, fr.common_lines[0]), 1),
+        (VertexId(POINT, fr.supports[0]), 2),
+        (VertexId(POINT, fr.majors[0][0]), 0),
+        (VertexId(POINT, fr.commons[0][0]), 2),
+        (VertexId(LINE, fr.supports[1]), 1),
+        (VertexId(LINE, fr.majors[1][0]), 3),
+        (VertexId(LINE, fr.commons[1][0]), 1),
     ]
     for v, expect in cases:
         assert distance_to_set(plane, v, h0) == expect
@@ -203,10 +203,10 @@ def test_unseparated_pairs_singletons(plane_for):
 def test_unseparated_pairs_h0_on_pg24(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
-    h0 = VertexSet.from_indices(points=fr.major_points)
+    h0 = VertexSet.from_indices(points=fr.majors[0])
     pairs = unseparated_pairs(plane, [h0])
     pair_set = set(pairs)
-    majors = [VertexId(POINT, p) for p in fr.major_points]
+    majors = [VertexId(POINT, p) for p in fr.majors[0]]
     for i in range(len(majors)):
         for j in range(i + 1, len(majors)):
             assert (majors[i], majors[j]) in pair_set

@@ -392,6 +392,24 @@ def test_size_faults_are_reported_before_any_mask(make, q, builds, parses, messa
     assert calls["sorts"] == 0 and calls["masks"] == 0
 
 
+def test_a_line_count_of_an_order_with_no_field_takes_the_full_loader_unbuilt():
+    # 43 lines fit q=6, which is not a prime power, so there is no PG(2,6) to
+    # build. The cyclic lines {Pi, ..., Pi+6} mod 43 keep every size and
+    # degree at 7, so the full loader sorts, builds the masks and reaches
+    # the point-pair check.
+    n = 43
+    doc = {
+        "lines": [
+            {"id": f"L{i}", "points": [f"P{(i + j) % n}" for j in range(7)]} for i in range(n)
+        ]
+    }
+    err, calls = _load_spied(doc)
+    assert isinstance(err, ValueError)
+    assert str(err) == "axiom violation (point-pair): points P0 and P1 lie on 6 common lines"
+    assert calls["builds"] == 0 and calls["parses"] == n
+    assert calls["sorts"] == 1 and calls["masks"] > 0
+
+
 def test_load_rejects_points_that_are_not_an_array():
     doc = {"lines": [{"id": "L0", "points": None}]}
     with pytest.raises(ValueError, match="points of line L0 must be an array"):
