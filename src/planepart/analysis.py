@@ -19,6 +19,7 @@ from .metric import (
     Partition,
     VertexSet,
     is_resolving,
+    packed_signatures,
     pair_count,
     partition_to_doc,
 )
@@ -150,16 +151,15 @@ def _rgs_prefixes(size: int, t: int, depth: int) -> list[tuple[int, ...]]:
 def _scan_completions(graph, t, limit, prefix):
     """Verify completions of a restricted-growth prefix, canonical order.
 
-    Codes are packed 2 bits per class, 3 while a class is empty, so a leaf
-    check is one set-cardinality test. They follow the count rule of
-    ``_Descent``: placing v in class c sets v's code to c to 0 and lowers
-    each neighbour's to at most 1; if c had no vertex on v's side, every
-    code 3 to c on that side becomes 2 (two points share a line, and
-    dually). Each level restores the codes it found, and the point and line
-    count of c, on the way back. Levels inside the prefix allow only the
-    prefix's class. Returns (verified, witness) where verified counts
-    partitions checked, stopping at the limit or at the first resolving
-    assignment.
+    Codes follow the rule in ``packed_signatures``' docstring, packed 2 bits
+    per class, 3 while a class is empty, so a leaf check is one
+    set-cardinality test. Placing v in class c sets v's code to c to 0 and
+    lowers each neighbour's to at most 1; if c had no vertex on v's side,
+    every code 3 to c on that side becomes 2. Each level restores the codes
+    it found, and the point and line count of c, on the way back. Levels
+    inside the prefix allow only the prefix's class. Returns (verified,
+    witness) where verified counts partitions checked, stopping at the
+    limit or at the first resolving assignment.
     """
     size = len(graph)
     n = size // 2
@@ -396,10 +396,9 @@ class _Descent:
     Vertex ids are points 0..n-1 and lines n..2n-1. The state is the
     assignment; ``nb[c][u]``, the number of neighbours of u in class c;
     ``sides[c]``, the point and line counts of class c; the packed
-    signatures; a Counter of them; and ``pairs``, the number of colliding
-    pairs. No mask is read: u's code to a class c other than its own is 1
-    when nb[c][u] > 0, else 2 when c holds a vertex on u's side (two points
-    share a line, and dually), else 3.
+    signatures, first taken from ``packed_signatures``, whose docstring
+    states the code rule; a Counter of them; and ``pairs``, the number of
+    colliding pairs. Moves read the rule off the counts (see ``code``).
 
     Moving v from class src to class c changes coordinates src and c only,
     and only for v and its q+1 neighbours, unless src loses its last vertex
@@ -408,27 +407,17 @@ class _Descent:
     signature integers, and ``move`` recomputes that whole side.
     """
 
-    def __init__(self, graph: list[list[int]], assign: list[int], t: int):
+    def __init__(self, plane: IncidencePlane, graph: list[list[int]], assign: list[int], t: int):
         n = len(graph) // 2
         self.n, self.assign, self.adj = n, assign, graph
         self.nb = [[0] * (2 * n) for _ in range(t)]
         self.sides = [[0, 0] for _ in range(t)]
         for u, c in enumerate(assign):
             self.sides[c][u >= n] += 1
-        # Each side's far codes, then per vertex code 1 to every class a
-        # neighbour is in and 0 to its own.
-        far = [
-            sum((2 if h[side] else 3) << 2 * c for c, h in enumerate(self.sides))
-            for side in (0, 1)
-        ]
-        ones = (4**t - 1) // 3  # 1 in every coordinate
-        self.sigs = []
-        for u, c in enumerate(assign):
-            met = 0
-            for w in self.adj[u]:
+            for w in graph[u]:
                 self.nb[assign[w]][u] += 1
-                met |= 3 << 2 * assign[w]
-            self.sigs.append((far[u >= n] & ~met | met & ones) & ~(3 << 2 * c))
+        psig, lsig = packed_signatures(plane, _assignment_to_partition(assign, t, n).classes)
+        self.sigs = psig + lsig
         self.counts = Counter(self.sigs)
         self.pairs = pair_count(self.counts.values())
 
@@ -553,16 +542,17 @@ def randomized_upper_bound(
 ) -> Partition | None:
     """Search for a resolving t-partition by seeded restarts and local moves.
 
-    Attempt i draws from its own stream id composed of (seed, i). Each
-    attempt starts from a random valid t-partition and relocates one
-    vertex at a time. Vertices are tried in id order and target classes in
-    ascending order; the first move that strictly reduces the number of
-    colliding pairs is taken, and the scan restarts at vertex 0. Codes come
-    from counts: a vertex outside class c is at distance 1 from it when it
-    has a neighbour in c, else 2 when c holds a vertex on its side, else 3.
-    Each candidate is scored exactly, in O(q) unless it changes a class
-    between having and lacking vertices on the moved vertex's side; then by
-    one O(n) pass over the signature integers (see ``_Descent``).
+    Attempt i draws from ``random.Random((seed << 32) | i)``. These streams
+    can overlap: attempt s + 1 of seed s draws as attempt s + 1 of seed 0
+    (ROADMAP item 3). Each attempt starts from a random valid t-partition
+    and relocates one vertex at a time. Vertices are tried in id order and
+    target classes in ascending order; the first move that strictly reduces
+    the number of colliding pairs is taken, and the scan restarts at vertex
+    0. An attempt's first signatures come from ``packed_signatures``, whose
+    docstring states the code rule, and moves update them from class
+    counts. Each candidate is scored exactly, in O(q) unless it changes a
+    class between having and lacking vertices on the moved vertex's side;
+    then by one O(n) pass over the signature integers (see ``_Descent``).
 
     A vertex v is skipped unscored when it and its q+1 neighbours each have
     a signature no other vertex shares and v is not the last vertex of its
@@ -594,7 +584,7 @@ def randomized_upper_bound(
             assign[v] = c
         for v in order[t:]:
             assign[v] = rng.randrange(t)
-        state = _Descent(graph, assign, t)
+        state = _Descent(plane, graph, assign, t)
         v = 0
         while state.pairs and v < size:
             scored = state.scores(v)
@@ -640,10 +630,12 @@ def estimate_unseparated(
 ) -> EstimateReport:
     """Sample the number of unseparated common pairs left by k zeta sets.
 
-    Each trial runs the construction's first stage, ``draw_conflict``, on
-    its own integer stream id composed of (seed, trial), so results do not
-    depend on the worker count. Pairs are counted among common points and
-    among common lines only, the domains the expectation bound speaks about.
+    Trial i runs the construction's first stage, ``draw_conflict``, on
+    ``random.Random((seed << 32) | i)``, so results do not depend on the
+    worker count. These streams can overlap: trial s + 1 of seed s draws as
+    trial s + 1 of seed 0 (ROADMAP item 3). Pairs are counted among common
+    points and among common lines only, the domains the expectation bound
+    speaks about.
     """
     plane_order(q)
     k = zeta_count(q, k)

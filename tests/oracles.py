@@ -1,8 +1,9 @@
 """Reference forms that the tests check the package against.
 
-The package computes distances only in batch (``packed_signatures``) and
-incrementally from class counts (``analysis._Descent`` and the exact
-search's ``_scan_completions``). The helpers here state the same things
+The package computes distances in batch (``packed_signatures``) and
+incrementally: ``analysis._Descent`` starts from ``packed_signatures`` and
+updates by class counts, and the exact search's ``_scan_completions``
+updates packed codes under undo. The helpers here state the same things
 plainly, vertex by vertex or pair by pair, and are imported by the tests
 only.
 
@@ -13,7 +14,8 @@ only.
   vertex at a time, with ``distance_to_set`` as its single-vertex case.
   It is checked against ``bfs_distance`` minima (test_metric) and against
   the all-pairs BFS table (acceptance criterion 1). ``packed_signatures``
-  is checked against it, ``_Descent`` against recounts made with
+  is checked against it, a fresh ``_Descent`` against it too, the
+  ``_Descent`` after each move against recounts made with
   ``packed_signatures``, and ``_scan_completions`` against
   ``is_resolving``.
 - ``unseparated_pairs`` lists the pairs a disjoint family leaves

@@ -24,7 +24,7 @@ from planepart.construct import build_conflict_graph, choose_frame, draw_conflic
 from planepart.metric import VertexSet, packed_signatures, pair_count, signature_groups
 
 from conftest import prime_powers
-from oracles import all_pairs_distances
+from oracles import all_pairs_distances, distance_columns
 
 
 def test_lower_bound_q2():
@@ -426,13 +426,24 @@ def test_descent_scores_and_moves_match_a_full_recount(plane_for, data):
     plane = plane_for(q)
     size = 2 * plane.n
     # At q=2 up to one class per vertex, so that many classes lack a point or
-    # a line and start at far code 3.
-    t = data.draw(st.integers(2, size if q == 2 else 9), label="t")
+    # a line and start at far code 3. At q=4 up to the 26 classes at which
+    # search_random_q4 starts, where signatures span 7-byte lanes.
+    t = data.draw(st.integers(2, {2: size, 3: 9, 4: 26}[q]), label="t")
     assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
         assign[v] = c
-    state = _Descent(_incidence_graph(plane), assign, t)
-    assert (state.sigs, state.pairs) == _recount(plane, assign, t)
+    state = _Descent(plane, _incidence_graph(plane), assign, t)
+    # The fresh state against the closed form, one class at a time.
+    n = plane.n
+    columns = []
+    for c in range(t):
+        members = VertexSet.from_indices(
+            [p for p in range(n) if assign[p] == c], [li for li in range(n) if assign[n + li] == c]
+        )
+        pcol, lcol = distance_columns(plane, members)
+        columns.append(pcol + lcol)
+    assert [[sig >> 2 * c & 3 for sig in state.sigs] for c in range(t)] == columns
+    assert state.pairs == pair_count(Counter(zip(*columns)).values())
     for _ in range(data.draw(st.integers(1, 6))):
         v = data.draw(st.integers(0, size - 1), label="v")
         c = data.draw(st.integers(0, t - 2), label="c")
@@ -453,7 +464,7 @@ def test_descent_rescans_a_side_whose_far_code_flips(plane_for):
     n = plane.n
     assign = [0] * 6 + [1] + [0] * 5 + [2, 1]
     for v, c in ((6, 0), (n + 6, 2), (0, 2), (n, 1)):
-        state = _Descent(_incidence_graph(plane), list(assign), 3)
+        state = _Descent(plane, _incidence_graph(plane), list(assign), 3)
         _check_scores_then_move(plane, state, v, c)
 
 
@@ -481,7 +492,7 @@ def test_descent_skips_exactly_the_scans_that_cannot_improve(plane_for, data):
     assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):
         assign[v] = c
-    state = _Descent(_incidence_graph(plane), assign, t)
+    state = _Descent(plane, _incidence_graph(plane), assign, t)
     for _ in range(data.draw(st.integers(0, 4), label="random moves")):
         v = data.draw(st.integers(0, size - 1), label="v")
         if state.assign.count(state.assign[v]) > 1:
@@ -501,7 +512,8 @@ def test_descent_scores_a_move_that_empties_a_side(plane_for):
     to 3, and moving it to class 0 leaves 1 pair. So scores must not skip P0.
     """
     plane = plane_for(2)
-    state = _Descent(_incidence_graph(plane), [1, 2, 0, 0, 2, 0, 3, 2, 3, 2, 1, 3, 3, 0], 4)
+    assign = [1, 2, 0, 0, 2, 0, 3, 2, 3, 2, 1, 3, 3, 0]
+    state = _Descent(plane, _incidence_graph(plane), assign, 4)
     assert state.pairs == 3
     assert all(state.counts[state.sigs[u]] == 1 for u in [0, *state.adj[0]])
     assert _recounted_scores(plane, state, 0) == [(0, 1), (2, 3), (3, 1)]
@@ -519,7 +531,8 @@ def test_descent_skips_a_move_that_first_fills_a_side(plane_for):
     and the state's 1 pair cannot drop.
     """
     plane = plane_for(2)
-    state = _Descent(_incidence_graph(plane), [3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 3, 2], 4)
+    assign = [3, 1, 2, 0, 0, 1, 3, 1, 2, 3, 2, 3, 3, 2]
+    state = _Descent(plane, _incidence_graph(plane), assign, 4)
     n = plane.n
     assert state.pairs == 1 and state.sides[0] == [2, 0]
     assert all(state.counts[state.sigs[u]] == 1 for u in [n + 1, *state.adj[n + 1]])
