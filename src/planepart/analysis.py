@@ -113,10 +113,10 @@ def _incidence_graph(plane: IncidencePlane) -> list[list[int]]:
 
 def _assignment_to_partition(assign, t: int, n: int) -> Partition:
     """The partition with vertex v (point v below n, else line v - n) in class assign[v]."""
-    ids = [([], []) for _ in range(t)]
+    masks = [[0, 0] for _ in range(t)]
     for v, c in enumerate(assign):
-        ids[c][v >= n].append(v % n)
-    return Partition([VertexSet.from_indices(*pair) for pair in ids])
+        masks[c][v >= n] |= 1 << v % n
+    return Partition([VertexSet(*pair) for pair in masks])
 
 
 def _class_options(size: int, t: int) -> list[list[list[int]]]:
@@ -476,6 +476,8 @@ class _Descent:
         ]
         moved_v = sigs[v] & clear | (1 if nb_src[v] else 3 if up else 2) << shift
         lo, hi = side * n, side * n + n
+        rest = self.pairs - lost
+        get = counts.get
         zeros = itertools.repeat(0)
         out = []
         for c in range(len(have)):
@@ -483,9 +485,10 @@ class _Descent:
                 continue
             bit = 2 * c
             keep = ~(3 << bit)
-            new = [s & keep | (d != c) << bit for d, s in zip(cls, moved)]
+            one = 1 << bit
+            new = [s if d == c else s & keep | one for d, s in zip(cls, moved)]
             new.append(moved_v & keep)
-            down = 0 if have[c][side] else 1 << bit
+            down = 0 if have[c][side] else one
             if up or down:
                 full = sigs[:lo] + [
                     s + (up if s >> shift & 3 == 2 else 0) - (down if s >> bit & 3 == 3 else 0)
@@ -497,11 +500,11 @@ class _Descent:
             else:
                 # A new signature shared by k others adds k pairs; equal new
                 # signatures also pair among themselves.
-                gained = sum(map(counts.get, new, zeros))
+                gained = sum(map(get, new, zeros))
                 distinct = set(new)
                 if len(distinct) < len(new):
                     gained += pair_count(map(new.count, distinct))
-                pairs = self.pairs - lost + gained
+                pairs = rest + gained
             out.append((c, pairs))
             if pairs < self.pairs:
                 break

@@ -9,9 +9,10 @@ form.
 each set it ORs the incidence rows of the set's members into the mask of
 vertices at distance at most 1 and turns the 0/1/2/3 codes into two n-bit
 planes: the low bit (codes 1 and 3) and the high bit (codes 2 and 3). It
-then transposes the 2m planes of a side into one integer per vertex, in
-lanes of ceil(2m / 8) bytes (at least one), so any family size fits. Set j
-occupies bits 2j and 2j+1 of that integer.
+then transposes the 2m planes of a side into one integer per vertex: the
+planes are stacked into one integer, written out once as a bit string,
+and each vertex reads its column of that string. Set j occupies bits 2j
+and 2j+1 of a vertex's integer.
 """
 
 from __future__ import annotations
@@ -123,15 +124,14 @@ class Partition:
             raise ValueError("classes do not cover every vertex")
 
 
-_SPREAD = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def _point_signatures(plane: IncidencePlane, family: Sequence[VertexSet]) -> list[int]:
     """Packed distance vectors of every point to a family of nonempty sets."""
     n = plane.n
+    if not family:
+        return [0] * n
     line_masks = plane.line_masks
     full = (1 << n) - 1
-    planes = []
+    stack = shift = 0
     for s in family:
         near = 0
         for li in _iter_bits(s.line_mask):
@@ -139,17 +139,10 @@ def _point_signatures(plane: IncidencePlane, family: Sequence[VertexSet]) -> lis
         member = s.point_mask
         near &= ~member
         far = full & ~(member | near)
-        planes += (near if member else full, far)
-    lane = max(1, (len(planes) + 7) // 8)
-    width = f"0{n}b"
-    buf = bytearray(n * lane)
-    for k in range(lane):
-        group = 0
-        for b, bits in enumerate(planes[8 * k : 8 * k + 8]):
-            spread = format(bits, width)[::-1].encode().translate(_SPREAD)
-            group |= int.from_bytes(spread, "little") << b
-        buf[k::lane] = group.to_bytes(n, "little")
-    return [int.from_bytes(buf[i : i + lane], "little") for i in range(0, n * lane, lane)]
+        stack |= ((near if member else full) | far << n) << shift
+        shift += 2 * n
+    bits = format(stack, f"0{shift}b")
+    return [int(bits[i::n], 2) for i in range(n - 1, -1, -1)]
 
 
 def packed_signatures(
@@ -168,12 +161,12 @@ def packed_signatures(
     set's members, form the low plane (codes 1 and 3). The points neither
     in nor next to the set form the high plane (codes 2 and 3). A set with
     no point has every point at distance 1 or 3, so its low plane is full.
-    Bit v of a plane goes to byte v of a spread string, eight planes are
-    shifted into one byte per vertex, and byte k of vertex v's lane holds
-    planes 8k..8k+7. A lane is ceil(2m / 8) bytes (at least one), so any
-    family size fits; the lanes are cut into integers at the end. Lines are
-    the points of the dual plane. The lists hold every point and every line
-    in id order.
+    Plane b (the low plane of set j at b = 2j, its high plane at 2j + 1)
+    is stacked at bit offset b*n of one integer, which is written out once
+    as a bit string 2mn characters wide, the top planes zero-padded. Vertex
+    v's column, every n-th character from n-1-v, reads plane b at bit b.
+    An empty family gives every vertex 0. Lines are the points of the dual
+    plane. The lists hold every point and every line in id order.
     """
     if any(s.is_empty() for s in family):
         raise ValueError("distance to an empty set is undefined")

@@ -427,7 +427,7 @@ def test_descent_scores_and_moves_match_a_full_recount(plane_for, data):
     size = 2 * plane.n
     # At q=2 up to one class per vertex, so that many classes lack a point or
     # a line and start at far code 3. At q=4 up to the 26 classes at which
-    # search_random_q4 starts, where signatures span 7-byte lanes.
+    # search_random_q4 starts, where signatures pack 52 bit planes a side.
     t = data.draw(st.integers(2, {2: size, 3: 9, 4: 26}[q]), label="t")
     assign = data.draw(st.lists(st.integers(0, t - 1), min_size=size, max_size=size))
     for c, v in enumerate(data.draw(st.permutations(range(size)))[:t]):

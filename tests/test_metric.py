@@ -101,6 +101,17 @@ def _vertex_sets(n):
     )
 
 
+def _distance_column_fold(plane, family):
+    """Packed signatures built one set and one vertex at a time by the oracle."""
+    psig = [0] * plane.n
+    lsig = [0] * plane.n
+    for j, s in enumerate(family):
+        pcol, lcol = distance_columns(plane, s)
+        psig = [sig | d << 2 * j for sig, d in zip(psig, pcol)]
+        lsig = [sig | d << 2 * j for sig, d in zip(lsig, lcol)]
+    return psig, lsig
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_packed_signatures_equal_the_distance_column_fold(data, plane_for):
@@ -109,18 +120,30 @@ def test_packed_signatures_equal_the_distance_column_fold(data, plane_for):
     n = plane.n
     size = data.draw(st.integers(0, 40), label="size")
     family = data.draw(st.lists(_vertex_sets(n), min_size=size, max_size=size), label="family")
-    psig = [0] * n
-    lsig = [0] * n
-    for j, s in enumerate(family):
-        pcol, lcol = distance_columns(plane, s)
-        psig = [sig | d << 2 * j for sig, d in zip(psig, pcol)]
-        lsig = [sig | d << 2 * j for sig, d in zip(lsig, lcol)]
-    assert packed_signatures(plane, family) == (psig, lsig)
+    assert packed_signatures(plane, family) == _distance_column_fold(plane, family)
     if family:
         at = data.draw(st.integers(0, len(family)), label="empty set at")
         with_empty = family[:at] + [VertexSet()] + family[at:]
         with pytest.raises(ValueError, match="^distance to an empty set is undefined$"):
             packed_signatures(plane, with_empty)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_packed_signatures_of_an_empty_family_are_zero(q, plane_for):
+    plane = plane_for(q)
+    assert packed_signatures(plane, []) == ([0] * plane.n, [0] * plane.n)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_packed_signatures_pad_the_zero_top_planes_of_a_full_last_set(q, plane_for):
+    # Every vertex is in the last set, so both of its planes are zero on
+    # each side and the transpose must keep them as leading zero columns.
+    plane = plane_for(q)
+    full = (1 << plane.n) - 1
+    family = [VertexSet(0b101, 0), VertexSet(0, 0b11), VertexSet(0b1, 0b110), VertexSet(full, full)]
+    psig, lsig = packed_signatures(plane, family)
+    assert (psig, lsig) == _distance_column_fold(plane, family)
+    assert all(sig >> 6 == 0 for sig in psig + lsig)
 
 
 @pytest.mark.parametrize("q", [2, 3])
