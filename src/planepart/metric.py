@@ -8,11 +8,14 @@ form.
 ``packed_signatures`` applies that rule to a family of m sets at once. For
 each set it ORs the incidence rows of the set's members into the mask of
 vertices at distance at most 1 and turns the 0/1/2/3 codes into two n-bit
-planes: the low bit (codes 1 and 3) and the high bit (codes 2 and 3). It
-then transposes the 2m planes of a side into one integer per vertex: the
-planes are stacked into one integer, written out once as a bit string,
-and each vertex reads its column of that string. Set j occupies bits 2j
-and 2j+1 of a vertex's integer.
+planes: the low bit (codes 1 and 3) and the high bit (codes 2 and 3). The
+OR stops as soon as it covers every vertex of the side: it never shrinks,
+so the rows left unread could not change it, and both planes are exact.
+A large class, such as the construction's remainder, then stops long
+before its last member. It then transposes the 2m planes of a side into
+one integer per vertex: the planes are stacked into one integer, written
+out once as a bit string, and each vertex reads its column of that
+string. Set j occupies bits 2j and 2j+1 of a vertex's integer.
 """
 
 from __future__ import annotations
@@ -124,19 +127,20 @@ class Partition:
             raise ValueError("classes do not cover every vertex")
 
 
-def _point_signatures(plane: IncidencePlane, family: Sequence[VertexSet]) -> list[int]:
-    """Packed distance vectors of every point to a family of nonempty sets."""
+def _point_signatures(plane: IncidencePlane, sets: Sequence[tuple[int, int]]) -> list[int]:
+    """Packed distance vectors of every point to nonempty (line mask, point mask) sets."""
     n = plane.n
-    if not family:
+    if not sets:
         return [0] * n
     line_masks = plane.line_masks
     full = (1 << n) - 1
     stack = shift = 0
-    for s in family:
+    for lines, member in sets:
         near = 0
-        for li in _iter_bits(s.line_mask):
+        for li in _iter_bits(lines):
             near |= line_masks[li]
-        member = s.point_mask
+            if near == full:
+                break
         near &= ~member
         far = full & ~(member | near)
         stack |= ((near if member else full) | far << n) << shift
@@ -161,17 +165,23 @@ def packed_signatures(
     set's members, form the low plane (codes 1 and 3). The points neither
     in nor next to the set form the high plane (codes 2 and 3). A set with
     no point has every point at distance 1 or 3, so its low plane is full.
+    The OR stops at the first line that makes it cover every point: it only
+    grows, so it would stay full, and both planes are then what the whole
+    OR gives. A set holding every line through some point stops once it
+    has read those lines.
     Plane b (the low plane of set j at b = 2j, its high plane at 2j + 1)
     is stacked at bit offset b*n of one integer, which is written out once
     as a bit string 2mn characters wide, the top planes zero-padded. Vertex
     v's column, every n-th character from n-1-v, reads plane b at bit b.
     An empty family gives every vertex 0. Lines are the points of the dual
-    plane. The lists hold every point and every line in id order.
+    plane, so the line side reads each set's masks the other way round.
+    The lists hold every point and every line in id order.
     """
-    if any(s.is_empty() for s in family):
+    sets = [(s.line_mask, s.point_mask) for s in family]
+    if (0, 0) in sets:
         raise ValueError("distance to an empty set is undefined")
-    psig = _point_signatures(plane, family)
-    lsig = _point_signatures(plane.dual(), [s.dual() for s in family])
+    psig = _point_signatures(plane, sets)
+    lsig = _point_signatures(plane.dual(), [(pm, lm) for lm, pm in sets])
     return psig, lsig
 
 

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import strategies as st
 
 from planepart import build_plane
+from planepart.plane import load_plane, plane_to_doc
 
 _PLANES = {}
 
@@ -77,3 +80,17 @@ def relabelled(doc, points, lines):
     return {**doc, "classes": [
         {**c, "members": list(map(rename, c["members"]))} for c in doc["classes"]
     ]}
+
+
+def relabelled_plane(plane_for, q, seed):
+    """PG(2,q) under a seeded relabelling of points and lines.
+
+    The relabelled plane goes through the full loader, so choose_frame and
+    the meets see ids unlike the built plane's.
+    """
+    n = q * q + q + 1
+    points, lines = list(range(n)), list(range(n))
+    rng = random.Random(seed)
+    rng.shuffle(points)
+    rng.shuffle(lines)
+    return load_plane(relabelled(plane_to_doc(plane_for(q)), points, lines))

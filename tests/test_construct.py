@@ -26,9 +26,9 @@ from planepart.construct import (
     zeta_count,
 )
 from planepart.metric import LINE, POINT, Verdict, VertexId, VertexSet, packed_signatures
-from planepart.plane import IncidencePlane, load_plane, plane_to_doc
+from planepart.plane import IncidencePlane
 
-from conftest import prime_powers, relabelled
+from conftest import prime_powers, relabelled_plane
 from oracles import (
     conflict_vertex_count,
     distance_columns,
@@ -252,6 +252,16 @@ def test_frame_dual_is_the_frame_of_the_dual_plane(plane_for):
     dual_fr = choose_frame(swapped.dual())
     for field in ("supports", "majors", "commons"):
         assert getattr(dual_fr, field) == getattr(fr, field)[::-1]
+
+
+@pytest.mark.parametrize("q, seed", [(2, None), (4, None), (8, None), (9, 3), (16, 5)])
+def test_frame_commons_are_the_complement_of_the_support_row_and_column(plane_for, q, seed):
+    # the complements are read one incidence bit at a time, through the oracle
+    plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
+    fr = choose_frame(plane)
+    p0, l0 = fr.supports
+    assert fr.commons[0] == tuple(p for p in range(plane.n) if not incident(plane, p, l0))
+    assert fr.commons[1] == tuple(li for li in range(plane.n) if not incident(plane, p0, li))
 
 
 def test_select_class_lines_on_dual_picks_points_q4(plane_for):
@@ -550,20 +560,6 @@ def test_construct_retries_after_a_failed_verification(plane_for, monkeypatch, c
     with pytest.raises(ConstructionError) as err:
         construct_partition(plane, seed=0, max_retries=1)
     assert err.value.obstruction == "verification failed: 1 colliding groups"
-
-
-def relabelled_plane(plane_for, q, seed):
-    """PG(2,q) under a seeded relabelling of points and lines.
-
-    The relabelled plane goes through the full loader, so choose_frame and
-    the meets see ids unlike the built plane's.
-    """
-    n = q * q + q + 1
-    points, lines = list(range(n)), list(range(n))
-    rng = random.Random(seed)
-    rng.shuffle(points)
-    rng.shuffle(lines)
-    return load_plane(relabelled(plane_to_doc(plane_for(q)), points, lines))
 
 
 @settings(max_examples=10, deadline=None)

@@ -18,8 +18,9 @@ from planepart.metric import (
     partition_to_doc,
     signature_groups,
 )
+from planepart.plane import bitmask
 
-from conftest import replace_one_field
+from conftest import relabelled_plane, replace_one_field
 from oracles import (
     bfs_distance,
     distance_columns,
@@ -144,6 +145,47 @@ def test_packed_signatures_pad_the_zero_top_planes_of_a_full_last_set(q, plane_f
     psig, lsig = packed_signatures(plane, family)
     assert (psig, lsig) == _distance_column_fold(plane, family)
     assert all(sig >> 6 == 0 for sig in psig + lsig)
+
+
+def _rows_until_cover(masks, ids, full):
+    """Rows an OR of ``masks`` in ``ids`` order reads to reach ``full``; None if never."""
+    near = 0
+    for count, i in enumerate(ids, 1):
+        near |= masks[i]
+        if near == full:
+            return count
+    return None
+
+
+@pytest.mark.parametrize("q, seed", [(8, None), (9, 1)])
+def test_packed_signatures_stop_the_or_exactly_when_it_covers_the_side(q, seed, plane_for):
+    # The first set's lines miss one point and its points miss one line, so
+    # neither side's OR ever covers its side and both loops run to their
+    # ends. The other two are like the construction's remainder class, one
+    # per side: all lines but three with three points, and its mirror. Few
+    # of their own vertices lie where the covering row lands, so a loop
+    # that stops a row early shows; on the relabelled plane the rows cover
+    # their side only after many ORs.
+    plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
+    n = plane.n
+    full = (1 << n) - 1
+    rng = random.Random(q)
+    short = VertexSet(full & ~plane.line_masks[2], full & ~plane.point_masks[1])
+    few = [bitmask(rng.sample(range(n), 3)) for _ in range(4)]
+    most_lines = VertexSet(few[0], full & ~few[1])
+    most_points = VertexSet(full & ~few[2], few[3])
+    family = [VertexSet.from_indices([0], [0]), short, most_lines, most_points]
+
+    assert _rows_until_cover(plane.line_masks, short.line_ids(), full) is None
+    assert _rows_until_cover(plane.point_masks, short.point_ids(), full) is None
+    stops = [
+        _rows_until_cover(plane.line_masks, most_lines.line_ids(), full),
+        _rows_until_cover(plane.point_masks, most_points.point_ids(), full),
+    ]
+    assert None not in stops
+    if seed is not None:
+        assert min(stops) > 2 * (q + 1)
+    assert packed_signatures(plane, family) == _distance_column_fold(plane, family)
 
 
 @pytest.mark.parametrize("q", [2, 3])
