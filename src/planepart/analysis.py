@@ -63,10 +63,17 @@ def lower_bound(q: int) -> LowerBoundResult:
     """
     plane_order(q)
     n = q * q + q + 1
+    t = _counting_bound(n)
+    return LowerBoundResult(q, t, {"lhs": t << (t - 1), "rhs": n})
+
+
+def _counting_bound(n: int) -> int:
+    """Least t with t * 2^(t-1) >= n: no partition of a plane with n points
+    into fewer classes resolves (see ``lower_bound``)."""
     t = 1
     while t << (t - 1) < n:
         t += 1
-    return LowerBoundResult(q, t, {"lhs": t << (t - 1), "rhs": n})
+    return t
 
 
 @dataclass
@@ -75,14 +82,14 @@ class SearchResult:
 
     When ``exact`` the value is both bounds. Otherwise every partition into
     fewer than ``lower`` classes was ruled out and ``upper``, when known,
-    has a verified witness. The exhaustive search rules them out by
-    scanning level ``lower - 1`` to the end, which suffices: splitting a
-    class A | B of a resolving partition keeps it resolving, since
-    d(v, A | B) = min(d(v, A), d(v, B)), so a resolving partition into
-    fewer classes splits into one at that level. Levels below its
-    ``t_min`` are not scanned and rule nothing out. ``nodes`` counts
-    partitions verified in canonical enumeration order and does not depend
-    on the worker count.
+    has a verified witness. The exhaustive search rules them out by the
+    counting bound of ``lower_bound`` or by scanning level ``lower - 1``
+    to the end, which suffices: splitting a class A | B of a resolving
+    partition keeps it resolving, since d(v, A | B) = min(d(v, A), d(v, B)),
+    so a resolving partition into fewer classes splits into one at that
+    level. Levels below its ``t_min`` are not scanned and rule nothing out
+    beyond the counting bound. ``nodes`` counts partitions verified in
+    canonical enumeration order and does not depend on the worker count.
     """
 
     q: int
@@ -339,8 +346,9 @@ def exhaustive_pd(
     Splitting a class of a resolving partition keeps it resolving, since
     d(v, A | B) = min(d(v, A), d(v, B)); so a level t scanned to the end
     without a witness proves pd > t, whatever t_min is. The lower end of
-    the result is one more than the last such level, or 1 when none was
-    scanned, and the result is exact when it meets the first witness's
+    the result is the larger of the counting bound of ``lower_bound``,
+    taken from the plane's point count, and one more than the last such
+    level, and the result is exact when it meets the first witness's
     level. The budget caps the number of partitions verified; when it runs
     out the result is a bracket whose upper end is the trivial singleton
     witness. The returned witness is checked by ``is_resolving``, and a
@@ -362,7 +370,7 @@ def exhaustive_pd(
             f"{_CALLER_FRAMES} caller frames exceed the recursion limit {limit}"
         )
     nodes = 0
-    lower, upper, found = 1, None, None
+    lower, upper, found = _counting_bound(plane.n), None, None
     for t in range(t_min, t_max + 1):
         count, witness = _scan_level(graph, t, budget - nodes, workers)
         nodes += count
@@ -373,7 +381,7 @@ def exhaustive_pd(
             upper = size
             found = _assignment_to_partition(list(range(size)), size, plane.n)
             break
-        lower = t + 1
+        lower = max(lower, t + 1)
     if found is not None and not is_resolving(plane, found).resolving:
         raise RuntimeError(
             f"exhaustive search at q={plane.q} returned a {upper}-class partition "

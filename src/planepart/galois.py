@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
 DEFAULT_ORDER_LIMIT = 1 << 20
@@ -14,16 +13,10 @@ _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
-def _is_probable_prime(n: int) -> bool:
-    """n has no factor among _WITNESS_BASES other than itself and is a
-    strong probable prime to every one of them below PRIME_TEST_LIMIT,
-    where that is exactly "n is prime", and to base 3 alone at or above it.
-
-    Above the limit no set of bases decides primality: more rounds could
-    only show more composites, at seconds a round for thousands of digits,
-    and a number no round shows composite stays undecided. The one round
-    takes base 3, not 2, since base 2 passes every 2**p - 1 with p prime
-    and every 2**(2**k) + 1, prime or not.
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n below PRIME_TEST_LIMIT: n has no factor
+    among _WITNESS_BASES other than itself and is a strong probable prime
+    to every one of them, which below the limit is exactly "n is prime".
     """
     if n < 2:
         return False
@@ -33,7 +26,7 @@ def _is_probable_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for b in _WITNESS_BASES if n < PRIME_TEST_LIMIT else (3,):
+    for b in _WITNESS_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue
@@ -49,19 +42,11 @@ def _is_probable_prime(n: int) -> bool:
 def _iroot(n: int, e: int) -> int:
     """floor(n ** (1/e)) for n >= 1, by Newton's method from above.
 
-    The start is 2**(log2(n)/e) raised by a relative 2**-30, taken in a
-    float below 2**53 and shifted left when the root is larger. That margin
-    exceeds the float error of log2(n)/e for any n of fewer than about ten
-    million bits, and the start is doubled while it is not above the root,
-    so it is above it for every n. From there each step nearly doubles the
-    correct bits, where a start at the next power of two, up to twice the
-    root, shrinks by only 1 - 1/e a step.
+    The start 2**(n.bit_length() // e + 1) exceeds the root. While x is
+    above the floor r of the root, a step gives r <= y < x; at x = r it
+    gives y >= x, which ends the loop.
     """
-    t = math.log2(n) / e
-    s = max(int(t) - 52, 0)
-    x = int(2.0 ** (t - s) * (1 + 2.0**-30)) + 1 << s
-    while x**e <= n:
-        x <<= 1
+    x = 1 << (n.bit_length() // e + 1)
     while True:
         y = ((e - 1) * x + n // x ** (e - 1)) // e
         if y >= x:
@@ -70,35 +55,24 @@ def _iroot(n: int, e: int) -> int:
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q as p**e with p prime; ValueError when q is not a prime power.
+    """Split q as p**e with p prime; ValueError when q is not a prime power
+    or is at least PRIME_TEST_LIMIT, below which primality is decided exactly.
 
-    Roots are taken while an exact one exists: r starts at q, and for each
-    prime k in ascending order r is replaced by its k-th root, and e
-    multiplied by k, as long as that root is exact. Composite exponents
-    need no try, since an exact (jk)-th root is the j-th root of an exact
-    k-th root, and a prime k repeats until it fails, so no smaller prime
-    can succeed later: r**j = s**k with j < k prime makes s a j-th power.
-    The loop stops at the first k with 2**k > r. Then q = r**e for the
-    largest such e, and q is a prime power exactly when r is prime. A root
-    at or above PRIME_TEST_LIMIT gets one Miller-Rabin round, base 3; one
-    that it does not show composite is undecided, and raises a ValueError
-    that states the limit.
+    Exponents are tried from q.bit_length() - 1, the largest whose root is
+    2 or more, down to 1, whose root is q. The first exponent e with an
+    exact root r is the largest, so r is no exact power itself, and q is a
+    prime power exactly when r is prime.
     """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    r, e = q, 1
-    for k in filter(_is_probable_prime, range(2, q.bit_length())):
-        if k >= r.bit_length():  # 2**k > r: no root of r is 2 or more
+    if q >= PRIME_TEST_LIMIT:
+        raise ValueError(f"order {q} is too large: orders must be below {PRIME_TEST_LIMIT}")
+    for e in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, e)
+        if r**e == q:
             break
-        while (root := _iroot(r, k)) ** k == r:
-            r, e = root, e * k
-    if not _is_probable_prime(r):
+    if not _is_prime(r):
         raise ValueError(f"{q} is not a prime power")
-    if r >= PRIME_TEST_LIMIT:
-        raise ValueError(
-            f"cannot tell whether {q} is a prime power: primality is "
-            f"decided only below {PRIME_TEST_LIMIT}"
-        )
     return r, e
 
 
@@ -167,7 +141,7 @@ class Field:
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
 
     def __init__(self, p: int, e: int):
-        if not _is_probable_prime(p):
+        if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree must be positive, got {e}")

@@ -156,7 +156,8 @@ def test_exhaustive_pd_singletons_fast(plane_for):
     plane = plane_for(2)
     size = 2 * plane.n
     res = exhaustive_pd(plane, t_min=size, t_max=size, workers=1)
-    assert (res.lower, res.upper) == (1, size)  # no level below size was scanned
+    # no level below size was scanned: the lower end is the counting bound
+    assert (res.lower, res.upper) == (lower_bound(2).total, size) == (3, size)
     assert res.witness is not None
     assert is_resolving(plane, res.witness).resolving
     assert not res.exact
@@ -173,16 +174,17 @@ def test_exhaustive_pd_t1_is_never_resolving(plane_for):
     res = exhaustive_pd(plane, t_min=1, t_max=1, workers=1)
     assert res.witness is None
     assert res.nodes == 1
-    assert res.lower == 2
+    assert res.lower == 3  # the counting bound, above the scanned level 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "t_min,t_max,budget,expected",
     [
-        # (exact, lower, upper, nodes), the same for every worker count
-        (1, 6, 100, (False, 2, 14, 100)),
-        (4, 4, 50, (False, 1, 14, 50)),
+        # (exact, lower, upper, nodes), the same for every worker count; the
+        # lower end is never below the counting bound, 3 at q=2
+        (1, 6, 100, (False, 3, 14, 100)),
+        (4, 4, 50, (False, 3, 14, 50)),
         (1, 6, 10_000, (False, 3, 14, 10_000)),
     ],
 )
@@ -198,9 +200,10 @@ def test_exhaustive_pd_budget_bracket(plane_for, workers, t_min, t_max, budget, 
     [
         # (exact, lower, upper, nodes). Level 3 is scanned to the end, so
         # pd > 3 holds though levels 1 and 2 are skipped; from t_min 5 no
-        # level below the witness is scanned. pd(PG(2,2)) is 4.
+        # level below the witness is scanned, and only the counting bound,
+        # 3, holds. pd(PG(2,2)) is 4.
         (3, (True, 4, 4, 791_147)),
-        (5, (False, 1, 5, 1180)),
+        (5, (False, 3, 5, 1180)),
     ],
 )
 def test_exhaustive_pd_lower_end_counts_only_scanned_levels(plane_for, t_min, expected):

@@ -414,7 +414,8 @@ def test_search_rejects_planes_too_deep_for_the_recursive_scan(capsys):
     )
     code, out, _ = run(capsys, "search", "--q", "19", "--budget", "10", "--workers", "1")
     doc = json.loads(out)
-    assert (code, doc["nodes"], doc["bracket"]) == (0, 10, {"lower": 2, "upper": 762})
+    # 7 * 2**6 >= 19*19 + 19 + 1 > 6 * 2**5: the counting bound is 7
+    assert (code, doc["nodes"], doc["bracket"]) == (0, 10, {"lower": 7, "upper": 762})
 
 
 def test_identical_invocations_are_byte_identical(tmp_path, capsys):

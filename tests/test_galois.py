@@ -3,6 +3,7 @@ import time
 from functools import reduce
 
 import pytest
+from hypothesis import given, strategies as st
 
 from planepart.galois import (
     PRIME_TEST_LIMIT, Field, _iroot, build_field, prime_power, smallest_irreducible,
@@ -271,7 +272,7 @@ def test_prime_power_splits_exactly_the_prime_powers():
             with pytest.raises(ValueError) as err:
                 prime_power(q)
             assert str(err.value) == f"{q} is not a prime power"
-    assert prime_power(2**100) == (2, 100)
+    assert prime_power(2**81) == (2, 81)
     assert prime_power(3**40) == (3, 40)
 
 
@@ -287,7 +288,7 @@ def test_prime_power_stops_at_the_smallest_prime_factor(q):
     assert str(err.value) == f"{q} is not a prime power"
 
 
-@pytest.mark.parametrize("p, e", [(10**18 + 3, 1), (10**18 + 3, 2), (2**61 - 1, 2)])
+@pytest.mark.parametrize("p, e", [(10**18 + 3, 1), (10**12 + 39, 2)])
 def test_prime_power_of_a_large_prime_answers_at_once(p, e):
     # trial division up to the square root of p takes minutes
     started = time.monotonic()
@@ -295,78 +296,92 @@ def test_prime_power_of_a_large_prime_answers_at_once(p, e):
     assert time.monotonic() - started < 1
 
 
-@pytest.mark.parametrize("q", [2**89 - 1, 1287836182261 * 2575672364521])
-def test_prime_power_states_the_limit_of_the_primality_test(q):
-    # 2**89 - 1 is prime; the product, PRIME_TEST_LIMIT itself, is the least
-    # composite that no base shows composite. Neither is decided.
-    assert q >= PRIME_TEST_LIMIT
-    with pytest.raises(ValueError) as err:
-        prime_power(q)
-    assert str(err.value) == (
-        f"cannot tell whether {q} is a prime power: primality is decided only "
-        "below 3317044064679887385961981"
-    )
-
-
-@pytest.mark.parametrize(
-    "q, prime", [(2**4423 - 1, True), (2**4096 + 1, False)], ids=["2^4423-1", "2^4096+1"]
-)
-def test_prime_power_runs_one_round_at_or_above_the_limit(q, prime):
-    # 2**4423 - 1 is a 1332-digit prime, and 2**4096 + 1 is composite with
-    # no factor among the bases. At or above the limit only the base-3 round
-    # runs, about 0.1 s on 2 cores, where the 13 rounds took about 3.4 s.
-    # Base 2 passes every Fermat number, so it could not show the second
-    # composite.
+def _assert_too_large(q):
     started = time.monotonic()
     with pytest.raises(ValueError) as err:
         prime_power(q)
     assert time.monotonic() - started < 1
     assert str(err.value) == (
-        f"cannot tell whether {q} is a prime power: primality is decided only "
-        "below 3317044064679887385961981"
-        if prime else f"{q} is not a prime power"
+        f"order {q} is too large: orders must be below 3317044064679887385961981"
     )
 
 
 @pytest.mark.parametrize(
-    "q", [(2**89 - 1) * (10**18 + 3), 399165290221 * 798330580441]
+    "q",
+    [
+        2**89 - 1,
+        1287836182261 * 2575672364521,
+        (2**89 - 1) * (10**18 + 3),
+        pytest.param(10**4000 + 1, id="10^4000+1"),
+    ],
 )
-def test_prime_power_rejects_a_large_composite_with_large_factors(q):
-    # a witness of compositeness is exact at any size; the second product is
-    # the least composite that the first 12 bases all pass, and 41 shows it
-    with pytest.raises(ValueError) as err:
-        prime_power(q)
-    assert str(err.value) == f"{q} is not a prime power"
+def test_prime_power_states_the_limit_of_the_primality_test(q):
+    # 2**89 - 1 is prime; the first product, PRIME_TEST_LIMIT itself, is the
+    # least composite that no base shows composite. Every order at or above
+    # the limit is rejected before any root is taken, a 4001-digit one too.
+    assert q >= PRIME_TEST_LIMIT
+    _assert_too_large(q)
 
 
 _P18 = 10**18 + 3  # prime
 
 
 @pytest.mark.parametrize(
-    "q, expected",
+    "q",
     [
-        (2**3329, (2, 3329)),
-        (3**2100, (3, 2100)),
-        (7**1184, (7, 1184)),
-        (_P18**56, (_P18, 56)),
-        # near misses: one off a power, a power of a composite, a power
-        # times a prime, and a product of powers of two large primes
-        (2**3329 + 1, None),
-        (2**3329 - 1, None),
-        (3**2100 - 1, None),
-        (_P18**56 + 2, None),
-        (15**1000, None),
-        (3 * 2**3329, None),
-        (_P18**55 * (10**18 + 9), None),
+        2**3329, 3**2100, 7**1184, _P18**56,
+        2**3329 + 1, 2**3329 - 1, 3**2100 - 1, _P18**56 + 2,
+        15**1000, 3 * 2**3329, _P18**55 * (10**18 + 9),
     ],
     ids=[
         "2^3329", "3^2100", "7^1184", "p^56",
         "2^3329+1", "2^3329-1", "3^2100-1", "p^56+2", "15^1000", "3*2^3329", "p^55*p'",
     ],
 )
-def test_prime_power_on_thousand_digit_orders(q, expected):
-    # about 1000 digits: each exponent is a prime tried once per root taken,
-    # from a start within 2**-30 of the root
+def test_prime_power_on_thousand_digit_orders(q):
+    # about 1000 digits: prime powers and near misses alike are rejected by
+    # size alone, at once
+    _assert_too_large(q)
+
+
+@pytest.mark.parametrize("q", [399165290221 * 798330580441])
+def test_prime_power_rejects_a_large_composite_with_large_factors(q):
+    # the least composite that the first 12 bases all pass; 41 shows it
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
+    assert str(err.value) == f"{q} is not a prime power"
+
+
+_P12 = 10**12 + 39  # prime, as is 10**12 + 61
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (2**81, (2, 81)),
+        (3**51, (3, 51)),
+        (7**28, (7, 28)),
+        (_P12**2, (_P12, 2)),
+        # near misses: one off a power, a power of a composite, a power
+        # times a prime, a product of two large primes, and the last order
+        # below the limit
+        (2**81 + 1, None),
+        (2**81 - 1, None),
+        (3**51 - 1, None),
+        (_P12**2 + 2, None),
+        (6**30, None),
+        (15**20, None),
+        (3 * 2**79, None),
+        (_P12 * (10**12 + 61), None),
+        (PRIME_TEST_LIMIT - 1, None),
+    ],
+    ids=[
+        "2^81", "3^51", "7^28", "p^2",
+        "2^81+1", "2^81-1", "3^51-1", "p^2+2", "6^30", "15^20", "3*2^79", "p*p'", "limit-1",
+    ],
+)
+def test_prime_power_on_orders_near_the_limit(q, expected):
+    assert q < PRIME_TEST_LIMIT
     started = time.monotonic()
     if expected is None:
         with pytest.raises(ValueError) as err:
@@ -374,18 +389,58 @@ def test_prime_power_on_thousand_digit_orders(q, expected):
         assert str(err.value) == f"{q} is not a prime power"
     else:
         assert prime_power(q) == expected
-    assert time.monotonic() - started < 2
+    assert time.monotonic() - started < 1
+
+
+def _primes_below(n):
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i in range(n) if sieve[i]]
+
+
+PRIMES_BELOW_2_20 = _primes_below(1 << 20)
+
+
+def _largest_exponent(p, below):
+    """The largest e with p**e < below."""
+    e = 0
+    while p ** (e + 1) < below:
+        e += 1
+    return e
+
+
+@given(data=st.data())
+def test_prime_power_splits_powers_of_one_prime_and_rejects_two(data):
+    # a sieve is the oracle for the primes; every order stays below the limit
+    primes = st.sampled_from(PRIMES_BELOW_2_20)
+    p = data.draw(primes, label="p")
+    e = data.draw(st.integers(1, _largest_exponent(p, PRIME_TEST_LIMIT)), label="e")
+    assert prime_power(p**e) == (p, e)
+    p2 = data.draw(primes.filter(lambda x: x != p), label="p2")
+    below = (PRIME_TEST_LIMIT - 1) // p2 + 1
+    a = data.draw(st.integers(1, _largest_exponent(p, below)), label="a")
+    below = (PRIME_TEST_LIMIT - 1) // p**a + 1
+    b = data.draw(st.integers(1, _largest_exponent(p2, below)), label="b")
+    q = p**a * p2**b
+    assert q < PRIME_TEST_LIMIT
+    with pytest.raises(ValueError) as err:
+        prime_power(q)
+    assert str(err.value) == f"{q} is not a prime power"
 
 
 def test_iroot_is_the_floor_of_the_root():
     rng = random.Random(0)
-    for bits in (1, 2, 10, 53, 54, 64, 200, 1100, 3400):
+    for bits in (1, 2, 10, 53, 54, 64, 81, 82):
         for _ in range(20):
             n = rng.getrandbits(bits) | 1 << bits - 1
             for e in {1, 2, 3, 5, rng.randrange(1, bits + 2), bits, bits + 1}:
                 r = _iroot(n, e)
                 assert r**e <= n < (r + 1) ** e, (n, e)
-    # at, just below and just above exact powers, up to a root above 2**53
-    for root, e in [(2, 3329), (3, 2100), (10**17 + 1, 3), (2**60 + 1, 2), (2**1000 - 1, 3)]:
+    # at, just below and just above exact powers below the limit
+    for root, e in [(2, 81), (3, 51), (10**8 + 1, 3), (2**40 + 1, 2), (2**27 - 1, 3)]:
+        assert root**e < PRIME_TEST_LIMIT
         for n, want in [(root**e - 1, root - 1), (root**e, root), (root**e + 1, root)]:
             assert _iroot(n, e) == want, (root, e)
