@@ -243,29 +243,41 @@ def _serve(conn, fn, args):
             conn.send((False, err))
 
 
-def _in_order(conns, chunks):
-    """Hand chunks to idle workers and yield their results in chunk order."""
-    pending = iter(range(len(chunks)))
+def _in_order(conns, items, chunksize, bind, answered):
+    """Hand chunks of items to idle workers and yield their results in order.
+
+    Item i is sent as bind(i, items[i], answered) when its chunk is handed
+    out, and answered[i] is set once its result comes back.
+    """
+    starts = range(0, len(items), chunksize)
+    pending = iter(starts)
     owner, done = {}, {}
-    for conn, i in zip(conns, pending):
-        conn.send(chunks[i])
-        owner[conn] = i
-    for i in range(len(chunks)):
-        while i not in done:
+
+    def hand(conn, start):
+        stop = min(start + chunksize, len(items))
+        conn.send([bind(i, items[i], answered) for i in range(start, stop)])
+        owner[conn] = start
+
+    for conn, start in zip(conns, pending):
+        hand(conn, start)
+    for start in starts:
+        while start not in done:
             for conn in multiprocessing.connection.wait(list(owner)):
-                done[owner.pop(conn)] = conn.recv()
-                j = next(pending, None)
-                if j is not None:
-                    conn.send(chunks[j])
-                    owner[conn] = j
-        ok, results = done.pop(i)
+                first = owner.pop(conn)
+                ok, results = done[first] = conn.recv()
+                if ok:
+                    answered[first : first + len(results)] = results
+                nxt = next(pending, None)
+                if nxt is not None:
+                    hand(conn, nxt)
+        ok, results = done.pop(start)
         if not ok:
             raise results
         yield from results
 
 
 @contextlib.contextmanager
-def _pooled(workers, fn, args, items, chunksize):
+def _pooled(workers, fn, args, items, chunksize, bind=lambda i, item, answered: item):
     """Yield the results of fn(*args, item) over items, in order.
 
     With one worker or at most one item they are computed lazily in this
@@ -276,21 +288,32 @@ def _pooled(workers, fn, args, items, chunksize):
     of sending a result cannot hang this process, as it can with the shared
     result queue of multiprocessing.Pool; a worker that dies surfaces here
     as EOFError.
+
+    Item i is passed as bind(i, item, answered), computed when it is handed
+    out. answered lists every item's result, None until it is known: in
+    this process every earlier result is known by then, and in a pool every
+    one but those of the chunks other workers are still running.
     """
+    answered = [None] * len(items)
     if workers <= 1 or len(items) <= 1:
-        yield (fn(*args, item) for item in items)
+
+        def serial():
+            for i, item in enumerate(items):
+                answered[i] = fn(*args, bind(i, item, answered))
+                yield answered[i]
+
+        yield serial()
         return
-    chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
     conns, procs = [], []
     try:
-        for _ in range(min(workers, len(chunks))):
+        for _ in range(min(workers, len(range(0, len(items), chunksize)))):
             here, there = multiprocessing.Pipe()
             proc = multiprocessing.Process(target=_serve, args=(there, fn, args), daemon=True)
             proc.start()
             there.close()
             conns.append(here)
             procs.append(proc)
-        yield _in_order(conns, chunks)
+        yield _in_order(conns, items, chunksize, bind, answered)
     finally:
         for proc in procs:
             proc.kill()
@@ -300,24 +323,42 @@ def _pooled(workers, fn, args, items, chunksize):
             conn.close()
 
 
+def _scan_capped(graph, t, job):
+    """``_scan_completions`` of job = (limit, prefix), as the pool sends it.
+
+    A limit below 1 scans nothing: the counts before the prefix already
+    fill the budget, so its result is never read.
+    """
+    limit, prefix = job
+    return _scan_completions(graph, t, limit, prefix) if limit > 0 else (0, None)
+
+
 def _scan_level(graph, t, budget, workers):
     """Scan one class count under a budget.
 
     One worker scans the level in one canonical recursion. A pool splits it
-    into restricted-growth prefixes, about eight per worker, and reads the
-    results in prefix order, which is canonical order; a witness counts only
-    within the budget. So the outcome and the node count are identical for
+    into restricted-growth prefixes, at the least depth that gives eight per
+    worker, and reads the results in prefix order, which is canonical order;
+    a witness counts only within the budget. A prefix is handed out capped
+    at the budget less the counts already returned for the prefixes before
+    it, and not scanned once they fill it, so a worker stops about where
+    one recursion would. A prefix still running elsewhere is not
+    subtracted, so the cap is never below what one recursion has left at
+    that prefix, and the outcome and the node count are identical for
     every worker count. Returns (nodes, witness); nodes reaching the budget
     without a witness means it ran out.
     """
     size = len(graph)
-    depth, span = 0, 1
-    while workers > 1 and span < 8 * workers and depth < size:
+    depth, prefixes = 0, [()]
+    while workers > 1 and len(prefixes) < 8 * workers and depth < size:
         depth += 1
-        span *= min(depth, t) + 1
-    prefixes = _rgs_prefixes(size, t, depth)
+        prefixes = _rgs_prefixes(size, t, depth)
+
+    def capped(i, prefix, answered):
+        return budget - sum(r[0] for r in answered[:i] if r is not None), prefix
+
     nodes = 0
-    with _pooled(workers, _scan_completions, (graph, t, budget), prefixes, 1) as results:
+    with _pooled(workers, _scan_capped, (graph, t), prefixes, 1, capped) as results:
         for count, witness in results:
             nodes += count
             if witness is not None and nodes <= budget:

@@ -5,6 +5,13 @@ points of a fixed support frame. A batch of k random zeta sets separates
 almost all pairs of common vertices. A conflict graph collects the pairs
 that survive, and l further classes built from searching-set codes finish
 the separation. Everything left over lands in the final remainder class.
+
+Every returned partition is verified. The conflict graph is read off the
+groups of all 2n vertices that share their vectors to H0 and the zeta
+sets, and verification splits only those groups by the vectors to the
+later classes. No other pair can collide, since it already differs in a
+coordinate of H0 or a zeta set, so the split finds exactly the collisions
+that a check of every class finds.
 """
 
 from __future__ import annotations
@@ -197,28 +204,39 @@ class ConflictGraph:
     entirely lines: ``cliques`` and ``members``, the vertices of the
     cliques, are (points, lines) pairs. ``x_edge_count`` counts only pairs
     of common vertices; the support point or line joins a clique when it
-    collides with a common vertex.
+    collides with a common vertex. ``groups`` holds every group of vertex
+    ids (points 0..n-1, lines n..2n-1) that share their representation,
+    majors included and sides mixed, as ``signature_groups`` gives them.
     """
 
     cliques: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
     members: tuple[tuple[int, ...], tuple[int, ...]]
     x_edge_count: int
+    groups: tuple[tuple[int, ...], ...]
 
 
 def build_conflict_graph(
     plane: IncidencePlane, frame: Frame, family: list[VertexSet]
 ) -> ConflictGraph:
-    """Group common and support vertices by representation under a disjoint family."""
-    sides = zip(packed_signatures(plane, family), frame.commons, frame.supports)
+    """Group common and support vertices by representation under a disjoint family.
+
+    One ``signature_groups`` call groups all 2n vertices. A side's cliques
+    are those groups restricted to the side's vertices other than its
+    majors, that is to its commons and support, keeping the restrictions of
+    two or more: two vertices of a side share a representation exactly when
+    they lie in one group, so these are the groups of the side's domain.
+    """
+    n = plane.n
+    psig, lsig = packed_signatures(plane, family)
+    groups = signature_groups(psig + lsig, range(2 * n))
     cliques, members, x_edges = [], [], 0
-    for sigs, commons, support in sides:
-        domain = [*commons, support]
-        groups = signature_groups(list(map(sigs.__getitem__, domain)), domain)
-        side = tuple(sorted(tuple(sorted(g)) for g in groups))
-        cliques.append(side)
-        members.append(tuple(sorted(v for c in side for v in c)))
-        x_edges += pair_count(len(c) - (support in c) for c in side)
-    return ConflictGraph(tuple(cliques), tuple(members), x_edges)
+    for side, (majors, support) in enumerate(zip(frame.majors, frame.supports)):
+        lo, skip = side * n, set(majors)
+        kept = (tuple(v - lo for v in g if lo <= v < lo + n and v - lo not in skip) for g in groups)
+        cliques.append(tuple(sorted(c for c in kept if len(c) > 1)))
+        members.append(tuple(sorted(v for c in cliques[side] for v in c)))
+        x_edges += pair_count(len(c) - (support in c) for c in cliques[side])
+    return ConflictGraph(tuple(cliques), tuple(members), x_edges, tuple(map(tuple, groups)))
 
 
 def searching_family(domain, count: int, excluded=()) -> list[list]:
@@ -431,7 +449,13 @@ def draw_conflict(
 def _attempt(
     plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
 ) -> tuple[Partition, list[ZetaSet], list[H2Spec]] | str:
-    """One attempt: its verified partition, zeta sets and specs, or its obstruction."""
+    """One attempt: its verified partition, zeta sets and specs, or its obstruction.
+
+    The partition's first 1 + k classes are the family of the conflict
+    graph, so ``is_resolving`` gets the graph's groups as known for them
+    and signs only the searching classes and the remainder. Its verdict is
+    that of a check of every class, groups and count alike.
+    """
     q = plane.q
     family, zetas, conflict = draw_conflict(plane, frame, k, rng)
     if conflict.x_edge_count * 8 > q:
@@ -452,7 +476,7 @@ def _attempt(
     names = ["H0"] + [f"Z{i}" for i in range(1, k + 1)]
     names += [f"S{i}" for i in range(1, len(specs) + 1)] + ["Hrest"]
     partition = Partition(classes, names)
-    verdict = is_resolving(plane, partition)
+    verdict = is_resolving(plane, partition, (len(family), conflict.groups))
     if not verdict.resolving:
         return f"verification failed: {len(verdict.collision_groups)} colliding groups"
     return partition, zetas, specs

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 DEFAULT_ORDER_LIMIT = 1 << 20
+_ORDER_BITS = DEFAULT_ORDER_LIMIT.bit_length()
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -141,13 +142,24 @@ class Field:
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log")
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+        """Check e, then the order, then p's primality, cheapest first.
+
+        For p >= 2 an exponent of DEFAULT_ORDER_LIMIT.bit_length() or more
+        puts p**e above the limit, so it is rejected without forming the
+        power. The message writes the order out when e is 1 or when
+        e * floor(log2 p) is below PRIME_TEST_LIMIT's bit length, as it is
+        for every order ``prime_power`` accepts, and as p**e otherwise, so
+        no order too long for int-to-str conversion is formatted.
+        """
         if e < 1:
             raise ValueError(f"extension degree must be positive, got {e}")
+        if p > 1 and (e >= _ORDER_BITS or p**e > DEFAULT_ORDER_LIMIT):
+            shown = e == 1 or e * (p.bit_length() - 1) < PRIME_TEST_LIMIT.bit_length()
+            order = p**e if shown else f"{p}**{e}"
+            raise ValueError(f"field order {order} exceeds limit {DEFAULT_ORDER_LIMIT}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p**e
-        if q > DEFAULT_ORDER_LIMIT:
-            raise ValueError(f"field order {q} exceeds limit {DEFAULT_ORDER_LIMIT}")
         self.p = p
         self.e = e
         self.q = q

@@ -213,13 +213,35 @@ def pair_count(sizes: Iterable[int]) -> int:
     return sum(k * (k - 1) // 2 for k in sizes)
 
 
-def is_resolving(plane: IncidencePlane, partition: Partition) -> Verdict:
-    """Decide whether all 2n representation vectors are pairwise distinct."""
+def is_resolving(
+    plane: IncidencePlane,
+    partition: Partition,
+    known: tuple[int, Sequence[Sequence[int]]] | None = None,
+) -> Verdict:
+    """Decide whether all 2n representation vectors are pairwise distinct.
+
+    ``known = (m, groups)`` lists the groups of vertex ids (points 0..n-1,
+    then lines n..2n-1) whose members share their vectors to the first m
+    classes, as ``signature_groups`` gives them for ``packed_signatures``
+    of those classes. Only the other classes are then signed, and each
+    group is split by those tail vectors. That is exact: a vertex's full
+    vector is its head vector plus its tail vector shifted by 2m bits, so
+    two vertices collide exactly when they share a head group and a tail.
+    A vertex in no group already differs from every other. The default is
+    m = 0 with one group of every vertex, which signs every class. The
+    groups are those of the full vectors, in the order the known groups
+    give them.
+    """
     partition.validate(plane)
     n = plane.n
-    psig, lsig = packed_signatures(plane, partition.classes)
-    groups = signature_groups(psig + lsig, range(2 * n))
-    collisions = [[vertex_at(v, n) for v in g] for g in groups]
+    m, known_groups = known or (0, [range(2 * n)])
+    psig, lsig = packed_signatures(plane, partition.classes[m:])
+    sigs = psig + lsig
+    collisions = [
+        [vertex_at(v, n) for v in g]
+        for group in known_groups
+        for g in signature_groups(list(map(sigs.__getitem__, group)), group)
+    ]
     return Verdict(not collisions, collisions)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import json
 import multiprocessing
 import os
 import random
@@ -238,14 +240,16 @@ def test_exhaustive_pd_raises_on_a_witness_that_does_not_resolve(
     )
 
 
+# points P0..P3 and lines L0..L3 (ids 4..7) with only P0 and P1 on L0; its
+# first 3-class witness is the 410th partition, 109 into the third of five
+# depth-3 prefixes
+_SMALL_GRAPH = [[4], [4], [], [], [0, 1], [], [], []]
+_SMALL_CASES = [(100, 100, False), (405, 405, False), (410, 410, True), (500, 410, True)]
+
+
 def test_scan_level_budget_rule_is_worker_independent():
-    # points P0..P3 and lines L0..L3 (ids 4..7) with only P0 and P1 on L0;
-    # its first 3-class witness is the 410th partition, 109 into the third
-    # of five depth-3 prefixes; at budget 405 the pool sees that witness
-    # but it lies past the budget
-    graph = [[4], [4], [], [], [0, 1], [], [], []]
-    cases = [(100, 100, False), (405, 405, False), (410, 410, True), (500, 410, True)]
-    for budget, nodes, found in cases:
+    graph = _SMALL_GRAPH
+    for budget, nodes, found in _SMALL_CASES:
         results = [_scan_level(graph, 3, budget, workers) for workers in (1, 2)]
         assert results[0] == results[1]
         count, witness = results[0]
@@ -253,6 +257,99 @@ def test_scan_level_budget_rule_is_worker_independent():
     prefixes = _rgs_prefixes(8, 3, 3)
     counts = [_scan_completions(graph, 3, 10**9, p)[0] for p in prefixes[:3]]
     assert len(prefixes) == 5 and sum(counts[:2]) == 301 < 405 and counts[2] == 109
+
+
+@contextlib.contextmanager
+def _all_at_once(workers, fn, args, items, chunksize, bind):
+    # a pool with a worker per item: each is handed out before any returns
+    jobs = [bind(i, item, [None] * len(items)) for i, item in enumerate(items)]
+    yield (fn(*args, job) for job in jobs)
+
+
+def test_scan_level_counts_a_witness_only_within_the_budget(monkeypatch):
+    # prefixes handed out before any count returns get the whole budget, so
+    # at budget 405 the witness's prefix reaches it, 5 partitions past it
+    real, seen = analysis._scan_completions, []
+
+    def recorded(graph, t, limit, prefix):
+        count, witness = real(graph, t, limit, prefix)
+        seen.append(witness is not None)
+        return count, witness
+
+    monkeypatch.setattr(analysis, "_scan_completions", recorded)
+    monkeypatch.setattr(analysis, "_pooled", _all_at_once)
+    for budget, nodes, found in _SMALL_CASES:
+        seen.clear()
+        count, witness = _scan_level(_SMALL_GRAPH, 3, budget, 2)
+        assert (count, witness is not None) == (nodes, found)
+        assert any(seen) == (budget >= 405)
+
+
+@contextlib.contextmanager
+def _first_returns_last(workers, fn, args, items, chunksize, bind):
+    # two workers, one held by the first item while the other runs the rest:
+    # each later item is handed out knowing every earlier result but the first
+    answered = [None] * len(items)
+    first = bind(0, items[0], answered)
+    for i in range(1, len(items)):
+        answered[i] = fn(*args, bind(i, items[i], answered))
+    answered[0] = fn(*args, first)
+    yield iter(answered)
+
+
+def test_scan_level_scans_nothing_once_returned_counts_fill_the_budget(plane_for, monkeypatch):
+    graph = _incidence_graph(plane_for(2))
+    budget = 50_000
+    real, scans = analysis._scan_completions, []
+
+    def recorded(graph, t, limit, prefix):
+        count, witness = real(graph, t, limit, prefix)
+        scans.append((limit, count))
+        return count, witness
+
+    serial = _scan_level(graph, 3, budget, 1)
+    monkeypatch.setattr(analysis, "_scan_completions", recorded)
+    monkeypatch.setattr(analysis, "_pooled", _first_returns_last)
+    assert _scan_level(graph, 3, budget, 2) == serial == (budget, None)
+    assert all(count <= limit for limit, count in scans)
+    assert len(scans) < len(_rgs_prefixes(len(graph), 3, 5)) == 41
+
+
+def test_scan_level_caps_each_prefix_at_the_budget_left_by_returned_counts(
+    plane_for, monkeypatch, tmp_path
+):
+    # PG(2,2) has pd 4, so level 3 holds no witness and the budget runs out
+    # there, split into 41 prefixes for two workers
+    graph = _incidence_graph(plane_for(2))
+    budget, log = 100_000, tmp_path / "scans.jsonl"
+    real = analysis._scan_completions
+
+    def recorded(graph, t, limit, prefix):
+        count, witness = real(graph, t, limit, prefix)
+        with open(log, "a") as out:
+            out.write(json.dumps([list(prefix), limit, count]) + "\n")
+        return count, witness
+
+    serial = _scan_level(graph, 3, budget, 1)
+    monkeypatch.setattr(analysis, "_scan_completions", recorded)
+    assert _scan_level(graph, 3, budget, 2) == serial == (budget, None)
+    scans = {tuple(p): (limit, count) for p, limit, count in map(json.loads, log.open())}
+    prefixes = _rgs_prefixes(len(graph), 3, 5)
+    assert len(prefixes) == 41 and set(scans) <= set(prefixes)
+    last = max(map(prefixes.index, scans))
+    sizes = [real(graph, 3, budget, p)[0] for p in prefixes[: last + 1]]
+    for j, prefix in enumerate(prefixes[: last + 1]):
+        if prefix not in scans:
+            continue
+        limit, count = scans[prefix]
+        # never past its cap, and the cap is never below what one recursion
+        # has left at this prefix; a cap below 1 scans nothing
+        assert count == min(limit, sizes[j])
+        assert limit >= budget - sum(sizes[:j])
+        # with two workers, at most one earlier prefix was still running
+        returned = [scans[p][1] for p in prefixes[:j] if p in scans]
+        assert budget - limit >= sum(returned) - max(returned, default=0)
+    assert min(limit for limit, _ in scans.values()) < budget
 
 
 def _fail_at_three(item):

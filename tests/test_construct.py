@@ -25,7 +25,16 @@ from planepart.construct import (
     select_class_lines,
     zeta_count,
 )
-from planepart.metric import LINE, POINT, Verdict, VertexId, VertexSet, packed_signatures
+from planepart.metric import (
+    LINE,
+    POINT,
+    Verdict,
+    VertexId,
+    VertexSet,
+    packed_signatures,
+    pair_count,
+    signature_groups,
+)
 from planepart.plane import IncidencePlane
 
 from conftest import prime_powers, relabelled_plane
@@ -315,7 +324,7 @@ def test_build_h2_stalls_name_the_side_that_stalled(plane_for):
     # text show which side build_h2 told the selector it runs.
     plane = plane_for(16)
     frame = choose_frame(plane)
-    empty = ConflictGraph(((), ()), ((), ()), 0)
+    empty = ConflictGraph(((), ()), ((), ()), 0, ())
     # every common point used: the lines are chosen, then no point is free
     used = VertexSet.from_indices(points=frame.commons[0])
     with pytest.raises(SelectionError, match="^no free point on target line L"):
@@ -336,7 +345,7 @@ def test_build_h2_rejects_a_conflict_side_too_large_for_the_searching_sets(plane
     for side in (0, 1):
         members = [(), ()]
         members[side] = frame.commons[side][:17]
-        conflict = ConflictGraph(((), ()), tuple(members), 0)
+        conflict = ConflictGraph(((), ()), tuple(members), 0, ())
         with pytest.raises(SelectionError, match=infeasible):
             build_h2(plane, frame, conflict, VertexSet())
 
@@ -382,6 +391,31 @@ def test_conflict_graph_cliques_are_pure_and_counted(plane_for):
             assert len(clique) >= 2
         expect += sum(c * (c - 1) // 2 for c in Counter(sigs[v] for v in commons).values())
     assert graph.x_edge_count == expect
+
+
+@pytest.mark.parametrize("q, seed, k", [(9, 1, 3), (16, None, 4), (16, 3, 4), (27, None, 6)])
+def test_conflict_cliques_are_the_all_vertex_groups_restricted_to_each_side(
+    q, seed, k, plane_for
+):
+    plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
+    fr = choose_frame(plane)
+    family, _, graph = draw_conflict(plane, fr, k, random.Random(seed or 0))
+    psig, lsig = packed_signatures(plane, family)
+    assert graph.groups == tuple(map(tuple, signature_groups(psig + lsig, range(2 * plane.n))))
+    # the groups hold majors, which the cliques leave out
+    n = plane.n
+    assert any(v % n in fr.majors[v >= n] for g in graph.groups for v in g)
+    # the rule the cliques had before the all-vertex groups: each side's
+    # commons and support grouped by that side's signatures alone
+    pairs = 0
+    for side, (sigs, commons, support) in enumerate(zip((psig, lsig), fr.commons, fr.supports)):
+        domain = [*commons, support]
+        groups = signature_groups(list(map(sigs.__getitem__, domain)), domain)
+        expect = tuple(sorted(tuple(sorted(g)) for g in groups))
+        assert expect and graph.cliques[side] == expect
+        assert graph.members[side] == tuple(sorted(v for c in expect for v in c))
+        pairs += pair_count(len(c) - (support in c) for c in expect)
+    assert graph.x_edge_count == pairs
 
 
 def test_construct_q64_shape(q64):
@@ -547,16 +581,16 @@ def test_construct_retries_after_a_failed_verification(plane_for, monkeypatch, c
     collide = Verdict(False, [[VertexId(POINT, 0), VertexId(POINT, 1)]])
     calls = []
 
-    def first_collides(plane, partition):
+    def first_collides(plane, partition, known=None):
         calls.append(partition)
-        return collide if len(calls) == 1 else real(plane, partition)
+        return collide if len(calls) == 1 else real(plane, partition, known)
 
     monkeypatch.setattr(construct, "is_resolving", first_collides)
     caplog.set_level(logging.INFO, logger="planepart.construct")
     result = construct_partition(plane, seed=0, max_retries=2)
     assert result.retries == 1
     assert "attempt 0 for q=16: verification failed: 1 colliding groups" in caplog.messages
-    monkeypatch.setattr(construct, "is_resolving", lambda plane, partition: collide)
+    monkeypatch.setattr(construct, "is_resolving", lambda plane, partition, known=None: collide)
     with pytest.raises(ConstructionError) as err:
         construct_partition(plane, seed=0, max_retries=1)
     assert err.value.obstruction == "verification failed: 1 colliding groups"

@@ -71,6 +71,39 @@ def test_order_limit_enforced():
         build_field(2, 21)
 
 
+@pytest.mark.parametrize(
+    "p, e, order",
+    [
+        # a 4423-bit prime, and a composite of that size: no primality test
+        (2**4423 - 1, 1, str(2**4423 - 1)),
+        (2**4423 + 1, 1, str(2**4423 + 1)),
+        # an exponent that no order at the limit reaches: p**e is not formed
+        (3, 10**12, "3**1000000000000"),
+        (2**4423 - 1, 21, f"{2**4423 - 1}**21"),
+        # p**4 has more than the 4300 digits int-to-str converts
+        (2**4423 - 1, 4, f"{2**4423 - 1}**4"),
+        # a composite p whose order is above the limit gets the limit message
+        (4, 11, "4194304"),
+    ],
+    ids=[
+        "prime-4423-bits", "composite-4423-bits", "e-1e12", "prime-4423-bits-e-21",
+        "prime-4423-bits-e-4", "4-e-11",
+    ],
+)
+def test_field_checks_the_order_before_the_characteristic(p, e, order):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        build_field(p, e)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == f"field order {order} exceeds limit 1048576"
+
+
+def test_extension_degree_is_checked_first():
+    with pytest.raises(ValueError) as err:
+        build_field(4, 0)
+    assert str(err.value) == "extension degree must be positive, got 0"
+
+
 def test_extension_degree_must_be_positive():
     with pytest.raises(ValueError) as err:
         build_field(2, 0)

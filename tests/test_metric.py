@@ -297,6 +297,28 @@ def test_is_resolving_agrees_with_unseparated_pairs(plane_for):
         assert {uw for g in verdict.collision_groups for uw in combinations(g, 2)} == set(pairs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_resolving_splits_known_head_groups_like_the_full_check(data, plane_for):
+    # built and relabelled planes; partitions from singletons (resolving) to
+    # one class, so points and lines may share a vector; the first m
+    # classes are signed here, and is_resolving signs only the rest
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    seed = data.draw(st.none() | st.integers(0, 3))
+    plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    partition = random_partition(rng, plane.n, data.draw(st.integers(1, 2 * plane.n)))
+    m = data.draw(st.integers(0, partition.m))
+    psig, lsig = packed_signatures(plane, partition.classes[:m])
+    head_groups = signature_groups(psig + lsig, range(2 * plane.n))
+
+    full = is_resolving(plane, partition)
+    split = is_resolving(plane, partition, (m, head_groups))
+    assert split.resolving == full.resolving
+    assert len(split.collision_groups) == len(full.collision_groups)
+    assert set(map(frozenset, split.collision_groups)) == set(map(frozenset, full.collision_groups))
+
+
 def test_signature_groups_first_seen_order_and_pair_count():
     groups = signature_groups([5, 1, 5, 2, 1, 5], "abcdef")
     assert groups == [["a", "c", "f"], ["b", "e"]]
