@@ -670,7 +670,7 @@ class EstimateReport:
 
 
 def _estimate_trial(plane, frame, k, seed, trial) -> int:
-    return draw_conflict(plane, frame, k, random.Random((seed << 32) | trial))[2].x_edge_count
+    return draw_conflict(plane, frame, k, random.Random((seed << 32) | trial))[1].x_edge_count
 
 
 def estimate_unseparated(

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .metric import (
     Partition,
     VertexSet,
-    _iter_bits,
     is_resolving,
     packed_signatures,
     pair_count,
@@ -114,7 +113,7 @@ def expected_unseparated_bound(q: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class Frame:
-    """Support, major and common vertices of a plane, as (points, lines) pairs.
+    """Support and major vertices of a plane, as (points, lines) pairs.
 
     Index 0 of each pair holds points and index 1 lines, the order of
     ``packed_signatures``' (psig, lsig). The support point lies on the
@@ -125,57 +124,34 @@ class Frame:
 
     supports: tuple[int, int]
     majors: tuple[tuple[int, ...], tuple[int, ...]]
-    commons: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _frame_side(plane: IncidencePlane, p0: int, l0: int):
-    """Major points and common points for support (p0, l0).
-
-    Run on the dual plane with (l0, p0) it gives the major lines and the
-    common lines.
-    """
-    majors = tuple(p for p in plane.line_points[l0] if p != p0)
-    commons = tuple(_iter_bits(((1 << plane.n) - 1) & ~plane.line_masks[l0]))
-    return majors, commons
 
 
 def choose_frame(plane: IncidencePlane) -> Frame:
     """Label the plane relative to an incident support point and line.
 
-    The support is the lowest point id with its lowest incident line.
+    The support is the lowest point id with its lowest incident line. The
+    major points are read off the support line's row and the major lines
+    off the support point's column, each in row order.
     """
-    supports = (0, plane.point_lines[0][0])
-    sides = (_frame_side(plane, *supports), _frame_side(plane.dual(), *supports[::-1]))
-    return Frame(supports, *zip(*sides))
-
-
-@dataclass(frozen=True)
-class ZetaSet:
-    """Mixed class of size q on a major base point and major base line.
-
-    The point half is a floor(q/2) subset of the base line with the support
-    point removed; the line half joins the base point to the complementary
-    points of the base line.
-    """
-
-    base_point: int
-    base_line: int
-    point_half: tuple[int, ...]
-    line_half: tuple[int, ...]
-
-    def members(self) -> VertexSet:
-        return VertexSet.from_indices(self.point_half, self.line_half)
+    p0, l0 = 0, plane.point_lines[0][0]
+    majors = (
+        tuple(p for p in plane.line_points[l0] if p != p0),
+        tuple(li for li in plane.point_lines[p0] if li != l0),
+    )
+    return Frame((p0, l0), majors)
 
 
 def sample_zeta_sets(
     plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
-) -> list[ZetaSet]:
-    """Draw k zeta sets on distinct base points and distinct base lines.
+) -> list[VertexSet]:
+    """Draw k zeta sets on distinct major base points and base lines.
 
-    Bases are sampled without replacement and paired by sampling order;
-    each point half is a uniform floor(q/2) subset of its base line. The
-    returned sets are pairwise disjoint and avoid the major points. k is
-    not checked here; ``zeta_count`` checks it.
+    Bases are sampled without replacement and paired by sampling order.
+    Each set is a mixed class of size q: its points are a uniform
+    floor(q/2) subset of its base line with the support point removed, and
+    its lines join its base point to the other points of the base line.
+    The returned sets are pairwise disjoint and avoid the major points. k
+    is not checked here; ``zeta_count`` checks it.
     """
     q = plane.q
     base_points = rng.sample(frame.majors[0], k)
@@ -184,15 +160,13 @@ def sample_zeta_sets(
     out = []
     for bp, bl in zip(base_points, base_lines):
         on_line = [p for p in plane.line_points[bl] if p != p0]
-        half = sorted(rng.sample(on_line, q // 2))
-        half_set = set(half)
-        joined = []
+        half = rng.sample(on_line, q // 2)
         bp_mask = plane.point_masks[bp]
-        for r in on_line:
-            if r not in half_set:
-                meet = bp_mask & plane.point_masks[r]
-                joined.append(meet.bit_length() - 1)
-        out.append(ZetaSet(bp, bl, tuple(half), tuple(sorted(joined))))
+        joined = [
+            (bp_mask & plane.point_masks[r]).bit_length() - 1
+            for r in set(on_line).difference(half)
+        ]
+        out.append(VertexSet.from_indices(half, joined))
     return out
 
 
@@ -340,38 +314,23 @@ def select_class_lines(
     return sorted(chosen)
 
 
-@dataclass(frozen=True)
-class H2Spec:
-    """Searching sets and chosen vertices of one separating class.
-
-    Each field is a (points, lines) pair: the targets among the major
-    vertices, the conflict vertices in the class, and the chosen vertices.
-    """
-
-    targets: tuple[tuple[int, ...], tuple[int, ...]]
-    conflicts: tuple[tuple[int, ...], tuple[int, ...]]
-    chosen: tuple[tuple[int, ...], tuple[int, ...]]
-
-    def members(self) -> VertexSet:
-        return VertexSet.from_indices(*self.chosen)
-
-
 def build_h2(
     plane: IncidencePlane,
     frame: Frame,
     conflict: ConflictGraph,
     used: VertexSet,
-) -> tuple[list[H2Spec], VertexSet]:
+) -> tuple[list[VertexSet], VertexSet]:
     """Build the ``default_searching_count(q)`` separating classes.
 
-    Each side has two searching-set families: one over its major vertices
-    and one over its side of the conflict graph, the support vertex
-    excluded. Class j combines the j-th set of each family. Its lines come
-    from select_class_lines on the plane and the support line, and its
-    points from the same selector on the dual plane, the support point and
-    the dual of ``used``. Both stay disjoint from everything already
-    assigned. Returns the specs and ``used`` grown by every chosen line and
-    point; a conflict side too large for the count raises SelectionError.
+    Each side has two searching-set families: its targets, over its major
+    vertices, and its conflicts, over its side of the conflict graph, the
+    support vertex excluded. Class j combines the j-th set of each family.
+    Its lines come from select_class_lines on the plane and the support
+    line, and its points from the same selector on the dual plane, the
+    support point and the dual of ``used``. Both stay disjoint from
+    everything already assigned. Returns the classes and ``used`` grown by
+    every chosen line and point; a conflict side too large for the count
+    raises SelectionError.
     """
     count = default_searching_count(plane.q)
     views = (plane, plane.dual())
@@ -384,10 +343,10 @@ def build_h2(
     except ValueError as exc:
         raise SelectionError(f"searching families infeasible: {exc}") from exc
     conflict_sets = [set(c) for c in conflict.members]
-    specs = []
+    classes = []
     for j in range(count):
-        targets = tuple(tuple(f[j]) for f in target_families)
-        in_class = tuple(tuple(f[j]) for f in conflict_families)
+        targets = [f[j] for f in target_families]
+        in_class = [f[j] for f in conflict_families]
         forbidden = [c.difference(q) for c, q in zip(conflict_sets, in_class)]
         chosen = [(), ()]
         # view 0 chooses lines and view 1 points, so view s's picks are the
@@ -398,20 +357,21 @@ def build_h2(
                 views[side], side, frame.supports[1 - side], targets[side],
                 in_class[side], forbidden[side], forbidden[1 - side], used,
             )
-            chosen[1 - side] = tuple(picks)
+            chosen[1 - side] = picks
             used = (used | VertexSet.from_indices(lines=picks)).dual()
-        specs.append(H2Spec(targets, in_class, tuple(chosen)))
-    return specs, used
+        classes.append(VertexSet.from_indices(*chosen))
+    return classes, used
 
 
 @dataclass
 class ConstructionResult:
-    """Verified resolving partition with the data that produced it."""
+    """Verified resolving partition with the parameters that produced it.
+
+    The partition's class names give each class its role: H0, the zeta
+    sets Z1..Zk, the searching classes S1..Sl and the remainder Hrest.
+    """
 
     partition: Partition
-    frame: Frame
-    zeta_sets: list[ZetaSet]
-    h2: list[H2Spec]
     q: int
     k: int
     l: int
@@ -422,34 +382,23 @@ class ConstructionResult:
     def class_count(self) -> int:
         return self.partition.m
 
-    def roles(self) -> dict[str, str]:
-        names = self.partition.class_names()
-        out = {names[0]: "major-points"}
-        for name in names[1 : 1 + self.k]:
-            out[name] = "zeta"
-        for name in names[1 + self.k : 1 + self.k + self.l]:
-            out[name] = "searching"
-        out[names[-1]] = "remainder"
-        return out
-
 
 def draw_conflict(
     plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
-) -> tuple[list[VertexSet], list[ZetaSet], ConflictGraph]:
+) -> tuple[list[VertexSet], ConflictGraph]:
     """First stage of a construction attempt, the one ``estimate`` samples.
 
-    Draws k zeta sets and returns the family H0, Z1..Zk, the zeta sets and
-    the conflict graph of the pairs that family leaves unseparated.
+    Draws k zeta sets and returns the family H0, Z1..Zk, whose entries
+    after the first are the zeta sets, and the conflict graph of the pairs
+    that family leaves unseparated.
     """
-    zetas = sample_zeta_sets(plane, frame, k, rng)
-    family = [VertexSet.from_indices(points=frame.majors[0])] + [z.members() for z in zetas]
-    return family, zetas, build_conflict_graph(plane, frame, family)
+    family = [VertexSet.from_indices(points=frame.majors[0])]
+    family += sample_zeta_sets(plane, frame, k, rng)
+    return family, build_conflict_graph(plane, frame, family)
 
 
-def _attempt(
-    plane: IncidencePlane, frame: Frame, k: int, rng: random.Random
-) -> tuple[Partition, list[ZetaSet], list[H2Spec]] | str:
-    """One attempt: its verified partition, zeta sets and specs, or its obstruction.
+def _attempt(plane: IncidencePlane, frame: Frame, k: int, rng: random.Random) -> Partition | str:
+    """One attempt: its verified partition, or its obstruction.
 
     The partition's first 1 + k classes are the family of the conflict
     graph, so ``is_resolving`` gets the graph's groups as known for them
@@ -457,7 +406,7 @@ def _attempt(
     that of a check of every class, groups and count alike.
     """
     q = plane.q
-    family, zetas, conflict = draw_conflict(plane, frame, k, rng)
+    family, conflict = draw_conflict(plane, frame, k, rng)
     if conflict.x_edge_count * 8 > q:
         return (
             f"unseparated pair budget exceeded: {conflict.x_edge_count} pairs "
@@ -467,19 +416,19 @@ def _attempt(
     for z in family[1:]:
         used = used | z
     try:
-        specs, used = build_h2(plane, frame, conflict, used)
+        searching, used = build_h2(plane, frame, conflict, used)
     except SelectionError as exc:
         return str(exc)
     full = (1 << plane.n) - 1
-    classes = family + [s.members() for s in specs]
+    classes = family + searching
     classes.append(VertexSet(full & ~used.point_mask, full & ~used.line_mask))
     names = ["H0"] + [f"Z{i}" for i in range(1, k + 1)]
-    names += [f"S{i}" for i in range(1, len(specs) + 1)] + ["Hrest"]
+    names += [f"S{i}" for i in range(1, len(searching) + 1)] + ["Hrest"]
     partition = Partition(classes, names)
     verdict = is_resolving(plane, partition, (len(family), conflict.groups))
     if not verdict.resolving:
         return f"verification failed: {len(verdict.collision_groups)} colliding groups"
-    return partition, zetas, specs
+    return partition
 
 
 def construct_partition(
@@ -519,9 +468,8 @@ def construct_partition(
         raise ConstructionError(q, seed, max_retries + 1, outcome)
     if attempt:
         log.info("construction for q=%d succeeded after %d retries", q, attempt)
-    partition, zetas, specs = outcome
     return ConstructionResult(
-        partition, frame, zetas, specs, q=q, k=k, l=len(specs), seed=seed, retries=attempt
+        outcome, q=q, k=k, l=default_searching_count(q), seed=seed, retries=attempt
     )
 
 

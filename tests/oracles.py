@@ -30,13 +30,17 @@ only.
   their ``line_points`` rows as sets, with no use of the masks. On
   ``plane.dual()`` it is the line joining two points. The construction's
   selector, which reads meets off the masks, is checked against it.
+- ``commons`` lists a frame's common vertices, the points off its support
+  line and the lines missing its support point, by ``incident`` one bit
+  at a time. The construction keeps no such list; the tests build domains
+  and cases from it.
 - ``vertex_set_from_vertices``, ``vertices_of``, ``zeta_size`` and
   ``conflict_vertex_count`` convert or count, for the assertions.
 
 Pairs follow the package's (points, lines) order: index 0 is the plane's
 points and index 1 its lines, as in ``distance_columns``' two columns,
-``packed_signatures``' (psig, lsig) and the construction's ``Frame``,
-``ConflictGraph`` and ``H2Spec`` fields.
+``packed_signatures``' (psig, lsig), ``commons`` and the construction's
+``Frame`` and ``ConflictGraph`` fields.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from collections import deque
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from planepart.construct import ConflictGraph, ZetaSet
+from planepart.construct import ConflictGraph, Frame
 from planepart.metric import (
     LINE,
     POINT,
@@ -67,6 +71,14 @@ def meet(plane: IncidencePlane, a: int, b: int) -> int:
     """The point common to distinct lines a and b, from their point rows."""
     (point,) = set(plane.line_points[a]) & set(plane.line_points[b])
     return point
+
+
+def commons(plane: IncidencePlane, frame: Frame) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Points off the support line and lines missing the support point, in id order."""
+    p0, l0 = frame.supports
+    points = tuple(p for p in range(plane.n) if not incident(plane, p, l0))
+    lines = tuple(li for li in range(plane.n) if not incident(plane, p0, li))
+    return points, lines
 
 
 def pg2_triples(q: int) -> list[tuple[int, int, int]]:
@@ -204,8 +216,8 @@ def separation_probability_bound(q: int, k: int) -> tuple[float, float]:
     return lhs, 0.5**k
 
 
-def zeta_size(z: ZetaSet) -> int:
-    return len(z.point_half) + len(z.line_half)
+def zeta_size(z: VertexSet) -> int:
+    return bin(z.point_mask).count("1") + bin(z.line_mask).count("1")
 
 
 def conflict_vertex_count(graph: ConflictGraph) -> int:

@@ -659,7 +659,7 @@ def test_estimate_deterministic_single_trial():
 def test_estimate_samples_the_first_stage_of_construct(plane_for):
     """Trial 0 of seed 0 draws from the stream of construct's attempt 0 of seed 0."""
     plane = plane_for(16)
-    _, _, conflict = draw_conflict(plane, choose_frame(plane), 15, random.Random(0))
+    _, conflict = draw_conflict(plane, choose_frame(plane), 15, random.Random(0))
     assert estimate_unseparated(16, trials=1, seed=0).counts[0] == conflict.x_edge_count
 
 
@@ -693,7 +693,7 @@ def test_more_zeta_sets_never_unseparate(plane_for):
     zetas = sample_zeta_sets(plane, fr, 16, random.Random(4))
     counts = []
     for k in range(1, 17):
-        family = [h0] + [z.members() for z in zetas[:k]]
+        family = [h0] + zetas[:k]
         counts.append(build_conflict_graph(plane, fr, family).x_edge_count)
     assert counts == sorted(counts, reverse=True)
 

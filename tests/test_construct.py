@@ -39,6 +39,7 @@ from planepart.plane import IncidencePlane
 
 from conftest import prime_powers, relabelled_plane
 from oracles import (
+    commons,
     conflict_vertex_count,
     distance_columns,
     distance_to_set,
@@ -56,16 +57,17 @@ def q64(plane_for):
 
 
 def test_frame_counts_q2(plane_for):
-    fr = choose_frame(plane_for(2))
+    plane = plane_for(2)
+    fr = choose_frame(plane)
     assert fr.supports[0] == 0
     assert [len(majors) for majors in fr.majors] == [2, 2]
-    assert [len(commons) for commons in fr.commons] == [4, 4]
+    assert [len(side) for side in commons(plane, fr)] == [4, 4]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_common_vertex_count_is_2q_squared(q, plane_for):
-    fr = choose_frame(plane_for(q))
-    assert sum(map(len, fr.commons)) == 2 * q * q
+    plane = plane_for(q)
+    assert sum(map(len, commons(plane, choose_frame(plane)))) == 2 * q * q
 
 
 def test_frame_meet_and_join_tables(plane_for):
@@ -73,8 +75,9 @@ def test_frame_meet_and_join_tables(plane_for):
     fr = choose_frame(plane)
     # on the dual, the meet of two points is their join and incidence is
     # read with the roles exchanged
+    common = commons(plane, fr)
     for side, view in enumerate((plane, plane.dual())):
-        for u in fr.commons[1 - side]:
+        for u in common[1 - side]:
             v = meet(view, u, fr.supports[1 - side])
             assert v in fr.majors[side]
             assert incident(view, v, u)
@@ -87,19 +90,27 @@ def test_zeta_sets_have_size_q(q, plane_for):
     zetas = sample_zeta_sets(plane, fr, min(3, q), random.Random(1))
     for z in zetas:
         assert zeta_size(z) == q
-        assert len(z.point_half) == q // 2
-        assert len(z.line_half) == q - q // 2
+        assert bin(z.point_mask).count("1") == q // 2
+        assert bin(z.line_mask).count("1") == q - q // 2
 
 
 def test_zeta_geometry(plane_for):
+    # the point half lies on a major line, the join of any two of its
+    # points; dually the line half passes through a major point, the meet
+    # of any two of its lines
     plane = plane_for(5)
     fr = choose_frame(plane)
     for z in sample_zeta_sets(plane, fr, 4, random.Random(3)):
-        for p in z.point_half:
-            assert incident(plane, p, z.base_line)
+        points, lines = z.point_ids(), z.line_ids()
+        base_line = meet(plane.dual(), *points[:2])
+        assert base_line in fr.majors[1]
+        for p in points:
+            assert incident(plane, p, base_line)
             assert p != fr.supports[0]
-        for ln in z.line_half:
-            assert incident(plane, z.base_point, ln)
+        base_point = meet(plane, *lines[:2])
+        assert base_point in fr.majors[0]
+        for ln in lines:
+            assert incident(plane, base_point, ln)
             assert ln not in fr.majors[1] and ln != fr.supports[1]
 
 
@@ -127,8 +138,7 @@ def test_zeta_disjointness_100_seeds(plane_for):
     for seed in range(100):
         zetas = sample_zeta_sets(plane, fr, 15, random.Random(seed))
         pm = lm = 0
-        for z in zetas:
-            m = z.members()
+        for m in zetas:
             assert not m.point_mask & pm
             assert not m.line_mask & lm
             assert not m.point_mask & h0_points
@@ -251,26 +261,32 @@ def test_frame_dual_is_the_frame_of_the_dual_plane(plane_for):
     # relabel lines so that line 0 is the lowest line through point 0; then
     # the plane and its dual both take support (0, 0) and their frames must
     # be each other with points and lines exchanged
-    plane = plane_for(4)
-    rows = list(plane.line_points)
-    l0 = plane.point_lines[0][0]
-    rows[0], rows[l0] = rows[l0], rows[0]
-    swapped = IncidencePlane(plane.q, rows)
-    fr = choose_frame(swapped)
-    assert fr.supports == (0, 0)
-    dual_fr = choose_frame(swapped.dual())
-    for field in ("supports", "majors", "commons"):
-        assert getattr(dual_fr, field) == getattr(fr, field)[::-1]
+    planes = (plane_for(4), relabelled_plane(plane_for, 9, 3), relabelled_plane(plane_for, 16, 5))
+    for plane in planes:
+        rows = list(plane.line_points)
+        l0 = plane.point_lines[0][0]
+        rows[0], rows[l0] = rows[l0], rows[0]
+        swapped = IncidencePlane(plane.q, rows)
+        fr = choose_frame(swapped)
+        assert fr.supports == (0, 0)
+        dual_fr = choose_frame(swapped.dual())
+        for field in ("supports", "majors"):
+            assert getattr(dual_fr, field) == getattr(fr, field)[::-1]
 
 
 @pytest.mark.parametrize("q, seed", [(2, None), (4, None), (8, None), (9, 3), (16, 5)])
 def test_frame_commons_are_the_complement_of_the_support_row_and_column(plane_for, q, seed):
-    # the complements are read one incidence bit at a time, through the oracle
+    # the majors are the support row and column less the support pair, read
+    # one incidence bit at a time through the oracle, and with the supports
+    # they leave exactly the oracle's commons
     plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
     fr = choose_frame(plane)
     p0, l0 = fr.supports
-    assert fr.commons[0] == tuple(p for p in range(plane.n) if not incident(plane, p, l0))
-    assert fr.commons[1] == tuple(li for li in range(plane.n) if not incident(plane, p0, li))
+    assert incident(plane, p0, l0)
+    assert fr.majors[0] == tuple(p for p in range(plane.n) if p != p0 and incident(plane, p, l0))
+    assert fr.majors[1] == tuple(l for l in range(plane.n) if l != l0 and incident(plane, p0, l))
+    for side, common in enumerate(commons(plane, fr)):
+        assert sorted((*fr.majors[side], fr.supports[side], *common)) == list(range(plane.n))
 
 
 def test_select_class_lines_on_dual_picks_points_q4(plane_for):
@@ -282,7 +298,7 @@ def test_select_class_lines_on_dual_picks_points_q4(plane_for):
     assert len(chosen) == len(targets)
     joins = [meet(dual, pt, fr.supports[0]) for pt in chosen]
     for pt, join in zip(chosen, joins):
-        assert pt in fr.commons[0]
+        assert pt in commons(plane, fr)[0]
         assert join in targets
         assert incident(plane, pt, join)
     assert sorted(joins) == sorted(targets)
@@ -312,7 +328,7 @@ def test_point_side_selection_error_names_a_line_and_a_point(plane_for):
     stuck_target = rf"^no free point on target line L{t}: .* conflict line$"
     with pytest.raises(SelectionError, match=stuck_target):
         select_class_lines(dual, 1, p0, [t], [], [], options, VertexSet())
-    u = fr.commons[1][0]
+    u = commons(plane, fr)[1][0]
     used = VertexSet.from_indices(points=plane.line_points[u])
     stuck_conflict = rf"^no free point on conflict line L{u}: .* support point "
     with pytest.raises(SelectionError, match=stuck_conflict):
@@ -326,10 +342,11 @@ def test_build_h2_stalls_name_the_side_that_stalled(plane_for):
     frame = choose_frame(plane)
     empty = ConflictGraph(((), ()), ((), ()), 0, ())
     # every common point used: the lines are chosen, then no point is free
-    used = VertexSet.from_indices(points=frame.commons[0])
+    common = commons(plane, frame)
+    used = VertexSet.from_indices(points=common[0])
     with pytest.raises(SelectionError, match="^no free point on target line L"):
         build_h2(plane, frame, empty, used)
-    used = VertexSet.from_indices(lines=frame.commons[1])
+    used = VertexSet.from_indices(lines=common[1])
     with pytest.raises(SelectionError, match="^no free line through target point P"):
         build_h2(plane, frame, empty, used)
 
@@ -344,7 +361,7 @@ def test_build_h2_rejects_a_conflict_side_too_large_for_the_searching_sets(plane
     )
     for side in (0, 1):
         members = [(), ()]
-        members[side] = frame.commons[side][:17]
+        members[side] = commons(plane, frame)[side][:17]
         conflict = ConflictGraph(((), ()), tuple(members), 0, ())
         with pytest.raises(SelectionError, match=infeasible):
             build_h2(plane, frame, conflict, VertexSet())
@@ -354,7 +371,7 @@ def test_select_class_lines_conflict_requirements(plane_for):
     plane = plane_for(8)
     fr = choose_frame(plane)
     targets = list(fr.majors[0])[:4]
-    u, other = fr.commons[0][:2]
+    u, other = commons(plane, fr)[0][:2]
     chosen = select_class_lines(plane, 0, fr.supports[1], targets, [u], [other], [], VertexSet())
     through_u = [ln for ln in chosen if incident(plane, u, ln)]
     assert len(through_u) == 1
@@ -367,8 +384,9 @@ def test_select_class_lines_conflict_requirements(plane_for):
 def test_conflict_graph_empty_when_fully_separated(plane_for):
     plane = plane_for(2)
     fr = choose_frame(plane)
-    family = [VertexSet.from_indices(points=[p]) for p in (*fr.commons[0], fr.supports[0])]
-    family += [VertexSet.from_indices(lines=[l]) for l in (*fr.commons[1], fr.supports[1])]
+    common = commons(plane, fr)
+    family = [VertexSet.from_indices(points=[p]) for p in (*common[0], fr.supports[0])]
+    family += [VertexSet.from_indices(lines=[l]) for l in (*common[1], fr.supports[1])]
     graph = build_conflict_graph(plane, fr, family)
     assert conflict_vertex_count(graph) == 0
     assert graph.x_edge_count == 0
@@ -378,18 +396,17 @@ def test_conflict_graph_cliques_are_pure_and_counted(plane_for):
     plane = plane_for(16)
     fr = choose_frame(plane)
     h0 = VertexSet.from_indices(points=fr.majors[0])
-    zetas = sample_zeta_sets(plane, fr, 6, random.Random(5))
-    family = [h0] + [z.members() for z in zetas]
+    family = [h0] + sample_zeta_sets(plane, fr, 6, random.Random(5))
     graph = build_conflict_graph(plane, fr, family)
     # each side's cliques are pure, and the edge count matches an
     # independent recount from the signatures of the common vertices
     expect = 0
-    sides = zip(packed_signatures(plane, family), fr.commons, fr.supports, graph.cliques)
-    for sigs, commons, support, cliques in sides:
+    sides = zip(packed_signatures(plane, family), commons(plane, fr), fr.supports, graph.cliques)
+    for sigs, common, support, cliques in sides:
         for clique in cliques:
-            assert set(clique) <= {*commons, support}
+            assert set(clique) <= {*common, support}
             assert len(clique) >= 2
-        expect += sum(c * (c - 1) // 2 for c in Counter(sigs[v] for v in commons).values())
+        expect += sum(c * (c - 1) // 2 for c in Counter(sigs[v] for v in common).values())
     assert graph.x_edge_count == expect
 
 
@@ -399,7 +416,7 @@ def test_conflict_cliques_are_the_all_vertex_groups_restricted_to_each_side(
 ):
     plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
     fr = choose_frame(plane)
-    family, _, graph = draw_conflict(plane, fr, k, random.Random(seed or 0))
+    family, graph = draw_conflict(plane, fr, k, random.Random(seed or 0))
     psig, lsig = packed_signatures(plane, family)
     assert graph.groups == tuple(map(tuple, signature_groups(psig + lsig, range(2 * plane.n))))
     # the groups hold majors, which the cliques leave out
@@ -408,8 +425,9 @@ def test_conflict_cliques_are_the_all_vertex_groups_restricted_to_each_side(
     # the rule the cliques had before the all-vertex groups: each side's
     # commons and support grouped by that side's signatures alone
     pairs = 0
-    for side, (sigs, commons, support) in enumerate(zip((psig, lsig), fr.commons, fr.supports)):
-        domain = [*commons, support]
+    sides = zip((psig, lsig), commons(plane, fr), fr.supports)
+    for side, (sigs, common, support) in enumerate(sides):
+        domain = [*common, support]
         groups = signature_groups(list(map(sigs.__getitem__, domain)), domain)
         expect = tuple(sorted(tuple(sorted(g)) for g in groups))
         assert expect and graph.cliques[side] == expect
@@ -426,13 +444,24 @@ def test_construct_q64_shape(q64):
     names = res.partition.class_names()
     assert names[0] == "H0" and names[1] == "Z1" and names[22] == "S1" and names[-1] == "Hrest"
     assert is_resolving(plane, res.partition).resolving
-    roles = res.roles()
-    assert roles["H0"] == "major-points" and roles["Hrest"] == "remainder"
+    zetas = [f"Z{i}" for i in range(1, 22)]
+    assert names == ["H0", *zetas, *(f"S{i}" for i in range(1, 7)), "Hrest"]
+
+
+def searching_sets(frame, conflict, count):
+    """Per searching class, its (targets, conflicts), each a (points, lines)
+    pair of searching-family sets, as build_h2's docstring states them."""
+    targets = [searching_family(majors, count) for majors in frame.majors]
+    conflicts = [
+        searching_family(c, count, {v}.intersection(c))
+        for c, v in zip(conflict.members, frame.supports)
+    ]
+    return [([t[j] for t in targets], [c[j] for c in conflicts]) for j in range(count)]
 
 
 def test_construct_h0_is_exactly_the_point_side_majors(q64):
     plane, res = q64
-    fr = res.frame
+    fr = choose_frame(plane)
     h0 = res.partition.classes[0]
     assert h0.point_mask == plane.line_masks[fr.supports[1]] & ~(1 << fr.supports[0])
     assert h0.line_mask == 0
@@ -440,34 +469,32 @@ def test_construct_h0_is_exactly_the_point_side_majors(q64):
 
 def test_h2_separates_majors_by_membership(q64):
     plane, res = q64
-    fr = res.frame
-    for j, spec in enumerate(res.h2):
-        cls = res.partition.classes[1 + res.k + j]
+    fr = choose_frame(plane)
+    searching = res.partition.classes[1 + res.k : 1 + res.k + res.l]
+    targets = [searching_family(majors, res.l) for majors in fr.majors]
+    for j, cls in enumerate(searching):
         for side, kind in enumerate((POINT, LINE)):
             for v in fr.majors[side]:
-                d = 1 if v in spec.targets[side] else 2
+                d = 1 if v in targets[side][j] else 2
                 assert distance_to_set(plane, VertexId(kind, v), cls) == d
 
 
 def test_h2_support_coordinates_are_two(q64):
     plane, res = q64
-    fr = res.frame
-    for j in range(res.l):
-        cls = res.partition.classes[1 + res.k + j]
+    fr = choose_frame(plane)
+    for cls in res.partition.classes[1 + res.k : 1 + res.k + res.l]:
         for kind, support in zip((POINT, LINE), fr.supports):
             assert distance_to_set(plane, VertexId(kind, support), cls) == 2
 
 
 def test_h2_conflict_point_coordinates(q64):
     plane, res = q64
-    fr = res.frame
-    h0 = res.partition.classes[0]
-    zclasses = res.partition.classes[1 : 1 + res.k]
-    conflict = build_conflict_graph(plane, fr, [h0] + list(zclasses))
-    for j, spec in enumerate(res.h2):
-        cls = res.partition.classes[1 + res.k + j]
+    fr = choose_frame(plane)
+    conflict = build_conflict_graph(plane, fr, res.partition.classes[: 1 + res.k])
+    searching = res.partition.classes[1 + res.k : 1 + res.k + res.l]
+    for cls, (_, conflicts) in zip(searching, searching_sets(fr, conflict, res.l)):
         for side, kind in enumerate((POINT, LINE)):
-            in_class = set(spec.conflicts[side])
+            in_class = set(conflicts[side])
             for v in conflict.members[side]:
                 if v == fr.supports[side]:
                     continue
@@ -491,7 +518,7 @@ def test_h2_classes_disjoint_from_everything_prior(q64):
 
 def test_conflict_size_bound_when_budget_holds(q64):
     plane, res = q64
-    fr = res.frame
+    fr = choose_frame(plane)
     family = [res.partition.classes[0]] + list(res.partition.classes[1 : 1 + res.k])
     graph = build_conflict_graph(plane, fr, family)
     assert graph.x_edge_count * 8 <= plane.q
@@ -500,7 +527,7 @@ def test_conflict_size_bound_when_budget_holds(q64):
 
 def test_remainder_class_holds_support_and_major_lines(q64):
     plane, res = q64
-    fr = res.frame
+    fr = choose_frame(plane)
     rest = res.partition.classes[-1]
     assert rest.point_mask >> fr.supports[0] & 1
     assert rest.line_mask >> fr.supports[1] & 1
@@ -602,24 +629,23 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
     plane = relabelled_plane(plane_for, q, seed)
     frame = choose_frame(plane)
     k = zeta_count(q, None)
-    family, zetas, conflict = draw_conflict(plane, frame, k, random.Random(seed))
+    family, conflict = draw_conflict(plane, frame, k, random.Random(seed))
 
-    assert len(zetas) == k and family[1:] == [z.members() for z in zetas]
+    assert len(family) == 1 + k
     majors = sum(1 << p for p in frame.majors[0])
     assert family[0].point_mask == majors and family[0].line_mask == 0
     taken_points, taken_lines = majors, 0
-    for z in zetas:
-        m = z.members()
-        assert zeta_size(z) == q == bin(m.point_mask).count("1") + bin(m.line_mask).count("1")
+    for m in family[1:]:
+        assert zeta_size(m) == q and bin(m.point_mask).count("1") == q // 2
         assert not m.point_mask & taken_points and not m.line_mask & taken_lines
         taken_points |= m.point_mask
         taken_lines |= m.line_mask
 
     # representations of the common and support vertices, from the oracle
-    sides = zip(frame.commons, frame.supports, conflict.cliques)
+    sides = zip(commons(plane, frame), frame.supports, conflict.cliques)
     pairs = 0
-    for side, (commons, support, cliques) in enumerate(sides):
-        ids = [*commons, support]
+    for side, (common, support, cliques) in enumerate(sides):
+        ids = [*common, support]
         id_lists = (ids, []) if side == 0 else ([], ids)
         columns = [distance_columns(plane, s, *id_lists)[side] for s in family]
         codes = dict(zip(ids, zip(*columns)))
@@ -628,7 +654,7 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
             for code, size in Counter(codes.values()).items() if size > 1
         )
         assert sorted(cliques) == expect
-        pairs += sum(c * (c - 1) // 2 for c in Counter(codes[v] for v in commons).values())
+        pairs += sum(c * (c - 1) // 2 for c in Counter(codes[v] for v in common).values())
     assert conflict.x_edge_count == pairs
 
     try:
@@ -643,36 +669,35 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
 def test_relabelled_planes_keep_the_searching_class_contracts(plane_for, q, seed):
     plane = relabelled_plane(plane_for, q, seed)
     frame = choose_frame(plane)
-    family, _, conflict = draw_conflict(plane, frame, zeta_count(q, None), random.Random(seed))
+    family, conflict = draw_conflict(plane, frame, zeta_count(q, None), random.Random(seed))
     used = family[0]
     for z in family[1:]:
         used = used | z
     try:
-        specs, grown = build_h2(plane, frame, conflict, used)
+        classes, grown = build_h2(plane, frame, conflict, used)
     except SelectionError:
         return
-    assert len(specs) == default_searching_count(q)
-    for spec in specs:
-        m = spec.members()
+    count = default_searching_count(q)
+    assert len(classes) == count
+    for m in classes:
         assert not m.point_mask & used.point_mask and not m.line_mask & used.line_mask
         used = used | m
     assert grown == used
 
     # Side 0 chose lines on the plane and side 1 points on its dual, where
     # the oracle's meet of two lines is the join of two points.
-    # The picks made on view s, which chooses the other side's vertices,
-    # are stored at spec.chosen[1 - s].
+    # The picks made on view s are the other side's vertices.
     views = (plane, plane.dual())
-    conflicts = [set(c) for c in conflict.members]
-    for spec in specs:
-        forbidden = [c.difference(s) for c, s in zip(conflicts, spec.conflicts)]
-        for side, chosen in enumerate(spec.chosen[::-1]):
+    members = [set(c) for c in conflict.members]
+    for m, (targets, conflicts) in zip(classes, searching_sets(frame, conflict, count)):
+        forbidden = [c.difference(s) for c, s in zip(members, conflicts)]
+        for side, chosen in enumerate((m.line_ids(), m.point_ids())):
             view, support = views[side], frame.supports[1 - side]
             assert support not in chosen
             # each target is on one chosen line; no other support point is
-            assert sorted(meet(view, v, support) for v in chosen) == sorted(spec.targets[side])
+            assert sorted(meet(view, v, support) for v in chosen) == sorted(targets[side])
             rows = [set(view.line_points[v]) for v in chosen]
-            for u in spec.conflicts[side]:
+            for u in conflicts[side]:
                 assert sum(u in row for row in rows) == 1
             for u in forbidden[side]:
                 assert not any(u in row for row in rows)

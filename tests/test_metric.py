@@ -23,6 +23,7 @@ from planepart.plane import bitmask
 from conftest import relabelled_plane, replace_one_field
 from oracles import (
     bfs_distance,
+    commons,
     distance_columns,
     distance_to_set,
     incident,
@@ -57,14 +58,15 @@ def random_partition(rng, n, m=None):
 def test_distance_cases_on_frame_sets(plane_for):
     plane = plane_for(4)
     fr = choose_frame(plane)
+    common = commons(plane, fr)
     h0 = VertexSet.from_indices(points=fr.majors[0])
     cases = [
         (VertexId(POINT, fr.supports[0]), 2),
         (VertexId(POINT, fr.majors[0][0]), 0),
-        (VertexId(POINT, fr.commons[0][0]), 2),
+        (VertexId(POINT, common[0][0]), 2),
         (VertexId(LINE, fr.supports[1]), 1),
         (VertexId(LINE, fr.majors[1][0]), 3),
-        (VertexId(LINE, fr.commons[1][0]), 1),
+        (VertexId(LINE, common[1][0]), 1),
     ]
     for v, expect in cases:
         assert distance_to_set(plane, v, h0) == expect
