@@ -14,15 +14,21 @@ so the rows left unread could not change it, and both planes are exact.
 A large class, such as the construction's remainder, then stops long
 before its last member. It then transposes the 2m planes of a side into
 one integer per vertex: the planes are stacked into one integer, written
-out once as a bit string, and each vertex reads its column of that
-string. Set j occupies bits 2j and 2j+1 of a vertex's integer.
+out once as a bit string, and each vertex asked for reads its column of
+that string. Set j occupies bits 2j and 2j+1 of a vertex's integer.
+
+``is_resolving`` asks only for the vertices it has to split: with known
+head groups, the members of those groups, since a vertex in no group
+already differs from every other; by default, every vertex.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .plane import IncidencePlane, bitmask
@@ -127,11 +133,14 @@ class Partition:
             raise ValueError("classes do not cover every vertex")
 
 
-def _point_signatures(plane: IncidencePlane, sets: Sequence[tuple[int, int]]) -> list[int]:
-    """Packed distance vectors of every point to nonempty (line mask, point mask) sets."""
+def _point_signatures(
+    plane: IncidencePlane, sets: Sequence[tuple[int, int]], ids: Sequence[int]
+) -> list[int]:
+    """Packed distance vectors of the points in ids, in ids order, to nonempty
+    (line mask, point mask) sets."""
     n = plane.n
     if not sets:
-        return [0] * n
+        return [0] * len(ids)
     line_masks = plane.line_masks
     full = (1 << n) - 1
     stack = shift = 0
@@ -146,7 +155,8 @@ def _point_signatures(plane: IncidencePlane, sets: Sequence[tuple[int, int]]) ->
         stack |= ((near if member else full) | far << n) << shift
         shift += 2 * n
     bits = format(stack, f"0{shift}b")
-    return [int(bits[i::n], 2) for i in range(n - 1, -1, -1)]
+    top = n - 1
+    return [int(bits[top - i::n], 2) for i in ids]
 
 
 def packed_signatures(
@@ -173,6 +183,8 @@ def packed_signatures(
     is stacked at bit offset b*n of one integer, which is written out once
     as a bit string 2mn characters wide, the top planes zero-padded. Vertex
     v's column, every n-th character from n-1-v, reads plane b at bit b.
+    Only the columns of the ids asked for are read, and here that is every
+    id; ``is_resolving`` with known groups reads only their members'.
     An empty family gives every vertex 0. Lines are the points of the dual
     plane, so the line side reads each set's masks the other way round.
     The lists hold every point and every line in id order.
@@ -180,8 +192,9 @@ def packed_signatures(
     sets = [(s.line_mask, s.point_mask) for s in family]
     if (0, 0) in sets:
         raise ValueError("distance to an empty set is undefined")
-    psig = _point_signatures(plane, sets)
-    lsig = _point_signatures(plane.dual(), [(pm, lm) for lm, pm in sets])
+    ids = range(plane.n)
+    psig = _point_signatures(plane, sets, ids)
+    lsig = _point_signatures(plane.dual(), [(pm, lm) for lm, pm in sets], ids)
     return psig, lsig
 
 
@@ -222,25 +235,32 @@ def is_resolving(
 
     ``known = (m, groups)`` lists the groups of vertex ids (points 0..n-1,
     then lines n..2n-1) whose members share their vectors to the first m
-    classes, as ``signature_groups`` gives them for ``packed_signatures``
-    of those classes. Only the other classes are then signed, and each
-    group is split by those tail vectors. That is exact: a vertex's full
-    vector is its head vector plus its tail vector shifted by 2m bits, so
-    two vertices collide exactly when they share a head group and a tail.
-    A vertex in no group already differs from every other. The default is
-    m = 0 with one group of every vertex, which signs every class. The
-    groups are those of the full vectors, in the order the known groups
-    give them.
+    classes, each group in ascending id order, as ``signature_groups``
+    gives them for ``packed_signatures`` of those classes. Only the other
+    classes are then signed, and only for the members of the groups:
+    each group's points, then its lines as ids of the dual plane, have
+    their tail vectors read, and the group is split by them. That is
+    exact: a vertex's full vector is its head vector plus its tail vector
+    shifted by 2m bits, so two vertices collide exactly when they share a
+    head group and a tail. A vertex in no group already differs from
+    every other, so its tail vector is never needed. The default is m = 0
+    with one group of every vertex, which signs every class for every
+    vertex. The groups are those of the full vectors, in the order the
+    known groups give them.
     """
     partition.validate(plane)
     n = plane.n
     m, known_groups = known or (0, [range(2 * n)])
-    psig, lsig = packed_signatures(plane, partition.classes[m:])
-    sigs = psig + lsig
+    sets = [(s.line_mask, s.point_mask) for s in partition.classes[m:]]
+    cuts = [bisect_left(g, n) for g in known_groups]
+    points = [v for g, c in zip(known_groups, cuts) for v in g[:c]]
+    lines = [v - n for g, c in zip(known_groups, cuts) for v in g[c:]]
+    psig = iter(_point_signatures(plane, sets, points))
+    lsig = iter(_point_signatures(plane.dual(), [(pm, lm) for lm, pm in sets], lines))
     collisions = [
-        [vertex_at(v, n) for v in g]
-        for group in known_groups
-        for g in signature_groups(list(map(sigs.__getitem__, group)), group)
+        [vertex_at(v, n) for v in group]
+        for g, c in zip(known_groups, cuts)
+        for group in signature_groups([*islice(psig, c), *islice(lsig, len(g) - c)], g)
     ]
     return Verdict(not collisions, collisions)
 

@@ -57,17 +57,29 @@ def q64(plane_for):
 
 
 def test_frame_counts_q2(plane_for):
+    # the supports and the majors of a side leave its 4 common vertices
     plane = plane_for(2)
     fr = choose_frame(plane)
     assert fr.supports[0] == 0
     assert [len(majors) for majors in fr.majors] == [2, 2]
-    assert [len(side) for side in commons(plane, fr)] == [4, 4]
+    left = [plane.n - len({*majors, s}) for majors, s in zip(fr.majors, fr.supports)]
+    assert left == [4, 4]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_common_vertex_count_is_2q_squared(q, plane_for):
+    # each side's majors are q distinct vertices of the support row or
+    # column other than the supports, read through the oracle; the row and
+    # column hold q + 1, so the majors are all of them less the supports,
+    # and the commons number n - 1 - q = q*q per side
     plane = plane_for(q)
-    assert sum(map(len, commons(plane, choose_frame(plane)))) == 2 * q * q
+    fr = choose_frame(plane)
+    p0, l0 = fr.supports
+    assert incident(plane, p0, l0)
+    assert [len(set(majors)) for majors in fr.majors] == [q, q]
+    assert all(p != p0 and incident(plane, p, l0) for p in fr.majors[0])
+    assert all(l != l0 and incident(plane, p0, l) for l in fr.majors[1])
+    assert sum(plane.n - 1 - len(majors) for majors in fr.majors) == 2 * q * q
 
 
 def test_frame_meet_and_join_tables(plane_for):

@@ -12,6 +12,7 @@ from planepart.metric import (
     Partition,
     VertexId,
     VertexSet,
+    _point_signatures,
     packed_signatures,
     pair_count,
     partition_from_doc,
@@ -129,6 +130,23 @@ def test_packed_signatures_equal_the_distance_column_fold(data, plane_for):
         with_empty = family[:at] + [VertexSet()] + family[at:]
         with pytest.raises(ValueError, match="^distance to an empty set is undefined$"):
             packed_signatures(plane, with_empty)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_point_signatures_of_any_ids_are_those_entries_of_the_full_lists(data, plane_for):
+    # ids in any order, repeats and the empty list included, on the plane
+    # and on its dual; the full lists come from the one-set-at-a-time oracle
+    q = data.draw(st.sampled_from([2, 3, 4, 5]), label="q")
+    seed = data.draw(st.none() | st.integers(0, 3), label="relabel seed")
+    plane = plane_for(q) if seed is None else relabelled_plane(plane_for, q, seed)
+    n = plane.n
+    family = data.draw(st.lists(_vertex_sets(n), min_size=1, max_size=12), label="family")
+    sets = [(s.line_mask, s.point_mask) for s in family]
+    views = ((plane, sets), (plane.dual(), [(pm, lm) for lm, pm in sets]))
+    for (view, view_sets), full in zip(views, _distance_column_fold(plane, family)):
+        ids = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n), label="ids")
+        assert _point_signatures(view, view_sets, ids) == [full[i] for i in ids]
 
 
 @pytest.mark.parametrize("q", [2, 4])
