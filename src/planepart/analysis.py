@@ -446,7 +446,8 @@ class _Descent:
     assignment; ``nb[c][u]``, the number of neighbours of u in class c;
     ``sides[c]``, the point and line counts of class c; the packed
     signatures, first taken from ``packed_signatures``, whose docstring
-    states the code rule; a Counter of them; and ``pairs``, the number of
+    states the code rule; ``counts``, a plain dict from each signature to
+    the number of vertices that have it; and ``pairs``, the number of
     colliding pairs. Moves read the rule off the counts (see ``code``).
 
     Moving v from class src to class c changes coordinates src and c only,
@@ -467,7 +468,7 @@ class _Descent:
                 self.nb[assign[w]][u] += 1
         psig, lsig = packed_signatures(plane, _assignment_to_partition(assign, t, n).classes)
         self.sigs = psig + lsig
-        self.counts = Counter(self.sigs)
+        self.counts = dict(Counter(self.sigs))
         self.pairs = pair_count(self.counts.values())
 
     def code(self, u: int, c: int) -> int:
@@ -489,9 +490,12 @@ class _Descent:
         else its side's far code. A neighbour w keeps code 0 to src when it
         is in src, else gets 1 when another neighbour of it is in src, else
         its side's far code, and gets code 0 or 1 to c. Without a far-code
-        flip only these are rescored against the Counter. With one, a copy
-        of the signatures also turns, on v's side, src's code 2 into 3 or
-        c's code 3 into 2, and its pairs are counted afresh.
+        flip only these are rescored against the counts, and their new
+        signatures also pair among themselves: with dup = len(new) -
+        len(set(new)), no pair at 0, one at 1, and only at 2 or more (a
+        triple, or two repeated values) are they counted by value. With a
+        flip, a copy of the signatures also turns, on v's side, src's code
+        2 into 3 or c's code 3 into 2, and its pairs are counted afresh.
         """
         n, assign, sigs, counts, have = self.n, self.assign, self.sigs, self.counts, self.sides
         src = assign[v]
@@ -550,9 +554,11 @@ class _Descent:
                 # A new signature shared by k others adds k pairs; equal new
                 # signatures also pair among themselves.
                 gained = sum(map(get, new, zeros))
-                distinct = set(new)
-                if len(distinct) < len(new):
-                    gained += pair_count(map(new.count, distinct))
+                dup = len(new) - len(set(new))
+                if dup == 1:
+                    gained += 1
+                elif dup:
+                    gained += pair_count(Counter(new).values())
                 pairs = rest + gained
             out.append((c, pairs))
             if pairs < self.pairs:
@@ -583,9 +589,10 @@ class _Descent:
                 counts[sigs[u]] = k
             else:
                 counts.pop(sigs[u])
-            sigs[u] = sigs[u] & keep | self.code(u, src) << 2 * src | self.code(u, c) << 2 * c
-            pairs += counts[sigs[u]]
-            counts[sigs[u]] += 1
+            s = sigs[u] = sigs[u] & keep | self.code(u, src) << 2 * src | self.code(u, c) << 2 * c
+            k = counts.get(s, 0)
+            pairs += k
+            counts[s] = k + 1
         self.pairs = pairs
 
 

@@ -640,6 +640,95 @@ def test_descent_skips_a_move_that_first_fills_a_side(plane_for):
     assert state.scores(n + 1) == []
 
 
+@pytest.mark.parametrize(
+    "assign, v, c, repeats",
+    [
+        ([2, 0, 1, 0, 1, 1, 0, 2, 1, 1, 0, 1, 0, 1], 2, 0, [2]),
+        ([2, 0, 1, 0, 1, 1, 0, 2, 1, 1, 0, 1, 0, 1], 6, 1, [3]),
+        ([2, 0, 0, 1, 2, 0, 1, 2, 1, 2, 2, 1, 2, 0], 0, 1, [2, 2]),
+    ],
+)
+def test_descent_scores_a_candidate_whose_new_signatures_repeat(
+    plane_for, assign, v, c, repeats
+):
+    """The touched vertices' new signatures are paired among themselves exactly.
+
+    On PG(2,2) with t=3 and no far-code flip: moving P2 to class 0 gives
+    L2 and L6 one signature (one repeat, one pair); moving P6 to class 1
+    gives P6, L2 and L4 one signature (a triple); moving P0 to class 1
+    gives P0 and L1 one signature and L3 and L5 another (two repeats).
+    """
+    plane = plane_for(2)
+    state = _Descent(plane, _incidence_graph(plane), list(assign), 3)
+    src, side = assign[v], v >= plane.n
+    assert state.sides[src][side] > 1 and state.sides[c][side] > 0
+    moved = list(assign)
+    moved[v] = c
+    sigs = _recount(plane, moved, 3)[0]
+    new = Counter(sigs[u] for u in [v, *state.adj[v]])
+    assert sorted((k for k in new.values() if k > 1), reverse=True) == repeats
+    assert c in [d for d, _ in state.scores(v)]
+    _check_scores(plane, state, v)
+
+
+def _reference_search(plane, t, attempts, seed):
+    """randomized_upper_bound restated without _Descent.
+
+    The same seeded starts; vertices in id order, target classes ascending,
+    every candidate scored by a full recount, and the first one below the
+    pair count taken, after which the scan restarts at vertex 0. A vertex
+    alone in its class is not moved. Returns the first partition with no
+    colliding pair, else None.
+    """
+    size = 2 * plane.n
+    for attempt in range(attempts):
+        rng = random.Random((seed << 32) | attempt)
+        order = list(range(size))
+        rng.shuffle(order)
+        assign = [0] * size
+        for c, v in enumerate(order[:t]):
+            assign[v] = c
+        for v in order[t:]:
+            assign[v] = rng.randrange(t)
+        pairs = _recount(plane, assign, t)[1]
+        v = 0
+        while pairs and v < size:
+            src = assign[v]
+            targets = [c for c in range(t) if c != src] if assign.count(src) > 1 else []
+            for c in targets:
+                moved = list(assign)
+                moved[v] = c
+                after = _recount(plane, moved, t)[1]
+                if after < pairs:
+                    assign, pairs, v = moved, after, 0
+                    break
+            else:
+                v += 1
+        if pairs == 0:
+            return _assignment_to_partition(assign, t, plane.n)
+    return None
+
+
+@pytest.mark.parametrize(
+    "q, t, seeds, found",
+    # t=3 at q=2 is below the counting bound, and at q=3 every attempt at
+    # t=4 stalls at a local minimum.
+    [
+        (2, 3, [0, 1], False),
+        (2, 5, [0, 1, 2], True),
+        (3, 4, [0, 1], False),
+        (3, 5, [0, 1, 2, 3], True),
+        (3, 6, [0, 1, 2], True),
+    ],
+)
+def test_randomized_upper_bound_follows_the_reference_descent(plane_for, q, t, seeds, found):
+    plane = plane_for(q)
+    for seed in seeds:
+        expected = _reference_search(plane, t, 4, seed)
+        assert (expected is not None) == found, seed
+        assert randomized_upper_bound(plane, t, attempts=4, seed=seed) == expected, seed
+
+
 def test_randomized_upper_bound_arg_checks(plane_for):
     plane = plane_for(2)
     with pytest.raises(ValueError):
