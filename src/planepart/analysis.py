@@ -209,6 +209,7 @@ def _scan_completions(graph, t, limit, prefix):
         return False
 
     rec(0, 0)
+    del rec  # rec holds itself through its cell: free it without the cyclic collector
     return verified, witness
 
 
@@ -623,6 +624,10 @@ def randomized_upper_bound(
     3 to c into 2 alike, which separates none of their pairs, and a pair
     across the sides was already apart at c (codes 1 or 3 against 0 or 2).
 
+    Each move must leave the pair count it was scored at, else RuntimeError:
+    a scoring that disagrees with ``move`` could otherwise take moves that
+    do not lower the count, and the scan would never end.
+
     Returns the first witness that ``is_resolving`` accepts, or None when
     every attempt stalls at a local minimum.
     """
@@ -648,7 +653,13 @@ def randomized_upper_bound(
         while state.pairs and v < size:
             scored = state.scores(v)
             if scored and scored[-1][1] < state.pairs:
-                state.move(v, scored[-1][0])
+                c, pairs = scored[-1]
+                state.move(v, c)
+                if state.pairs != pairs:
+                    raise RuntimeError(
+                        f"q={plane.q}, t={t}: moving vertex {v} to class {c} left "
+                        f"{state.pairs} colliding pairs, but it was scored at {pairs}"
+                    )
                 v = 0
             else:
                 v += 1

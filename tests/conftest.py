@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import random
 
 import pytest
@@ -7,6 +9,17 @@ from planepart import build_plane
 from planepart.plane import load_plane, plane_to_doc
 
 _PLANES = {}
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.fixture(scope="session")

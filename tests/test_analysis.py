@@ -1,9 +1,11 @@
 import contextlib
+import gc
 import itertools
 import json
 import multiprocessing
 import os
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -25,7 +27,7 @@ from planepart.analysis import (
 from planepart.construct import build_conflict_graph, choose_frame, draw_conflict, sample_zeta_sets
 from planepart.metric import VertexSet, packed_signatures, pair_count, signature_groups
 
-from conftest import prime_powers
+from conftest import collector, prime_powers
 from oracles import all_pairs_distances, distance_columns
 
 
@@ -129,6 +131,16 @@ def test_scan_respects_limit():
     graph = [[] for _ in range(8)]
     count, witness = _scan_completions(graph, 3, 10, (0,))
     assert count == 10 and witness is None
+
+
+def test_scan_leaves_no_cycle_for_the_collector(plane_for):
+    # the CLI runs scans with the cyclic collector paused
+    graph = _incidence_graph(plane_for(2))
+    gc.collect()
+    with collector(False):
+        for t in (2, 3):
+            _scan_completions(graph, t, 1000, (0,))
+        assert gc.collect() == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -727,6 +739,32 @@ def test_randomized_upper_bound_follows_the_reference_descent(plane_for, q, t, s
         expected = _reference_search(plane, t, 4, seed)
         assert (expected is not None) == found, seed
         assert randomized_upper_bound(plane, t, attempts=4, seed=seed) == expected, seed
+
+
+def test_randomized_upper_bound_rejects_a_move_that_misses_its_score(plane_for, monkeypatch):
+    scores = _Descent.scores
+    calls = 0
+
+    def one_low(self, v):
+        # reports the last candidate one pair below its real count
+        nonlocal calls
+        calls += 1
+        assert calls <= 10_000, "the descent did not stop"
+        out = scores(self, v)
+        if out:
+            c, pairs = out[-1]
+            out[-1] = (c, pairs - 1)
+        return out
+
+    monkeypatch.setattr(_Descent, "scores", one_low)
+    with pytest.raises(RuntimeError) as err:
+        randomized_upper_bound(plane_for(3), 5, attempts=4, seed=0)
+    message = str(err.value)
+    left, scored = map(int, re.fullmatch(
+        r"q=3, t=5: moving vertex \d+ to class \d+ left (\d+) colliding pairs, "
+        r"but it was scored at (\d+)", message
+    ).groups())
+    assert left == scored + 1
 
 
 def test_randomized_upper_bound_arg_checks(plane_for):

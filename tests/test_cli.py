@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -7,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from planepart import analysis, build_plane, is_resolving
+from planepart import analysis, build_plane, cli, is_resolving
 from planepart.cli import main
 from planepart.metric import partition_from_doc
 
-from conftest import relabelled
+from conftest import collector, relabelled
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -322,7 +323,10 @@ def test_out_of_range_messages(capsys):
         ("estimate", "--q", "16", "--workers", "-2"): "worker count must be at least 1, got -2",
         ("search", "--q", "2", "--method", "randomized", "--tmin", "12", "--tmax", "14",
          "--workers", "0"): "worker count must be at least 1, got 0",
-        ("plane", "--q", "2097152"): "field order 2097152 exceeds limit 1048576",
+        ("plane", "--q", "2097152"):
+            "plane of order 2097152 needs about 2.58e+15 GB to hold, above the limit of 4.29 GB",
+        ("plane", "--q", "512"):
+            "plane of order 512 needs about 10.3 GB to hold, above the limit of 4.29 GB",
         ("plane", "--q", "1"): "plane order must be at least 2, got 1",
         ("plane", "--q", "2000000000000000006"): "2000000000000000006 is not a prime power",
         ("bounds", "--q", "6000000000000000018"): "6000000000000000018 is not a prime power",
@@ -527,3 +531,45 @@ def test_verify_text_cuts_the_group_list_at_20(capsys, tmp_path):
     assert lines[0] == "not resolving: 27 colliding groups"
     assert len(lines) == 22
     assert lines[-1] == "  ... 7 more groups"
+
+
+def test_bounds_takes_an_order_too_large_to_build(capsys):
+    code, out, _ = run(capsys, "bounds", "--q", "512")
+    assert code == 0
+    assert json.loads(out) == analysis.lower_bound(512).to_doc()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_its_state(tmp_path, capsys, monkeypatch, enabled):
+    absent = str(tmp_path / "absent.json")
+    cases = [
+        (["bounds", "--q", "16"], 0),
+        (["verify", "--plane", absent, "--partition", absent], 2),
+        (["plane"], 2),  # argparse: --q is required
+    ]
+    seen = []
+
+    def fail(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
+
+    with collector(enabled):
+        for argv, code in cases:
+            assert main(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        monkeypatch.setitem(cli._HANDLERS, "bounds", fail)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["bounds", "--q", "16"])
+        assert gc.isenabled() is enabled
+    assert seen == [False]
+    capsys.readouterr()
+
+
+def test_plane_command_runs_no_collection(tmp_path):
+    # empty generations, so no collection falls between a snapshot and the call
+    gc.collect()
+    before = [gen["collections"] for gen in gc.get_stats()]
+    code = main(["plane", "--q", "64", "--out", str(tmp_path / "plane.json")])
+    after = [gen["collections"] for gen in gc.get_stats()]
+    assert code == 0
+    assert after == before

@@ -4,6 +4,7 @@ import json
 import operator
 import random
 import sys
+import tracemalloc
 from array import array
 from itertools import chain, combinations
 from unittest import mock
@@ -92,6 +93,36 @@ def test_single_flipped_bit_breaks_two_axioms():
     mutated = IncidencePlane(plane.q, line_points)
     with pytest.raises(ValueError, match=r"^axiom violation \(line-size\): line L4 "):
         validate_axioms(mutated)
+
+
+def test_a_plane_too_large_to_hold_is_refused_before_anything_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            build_plane(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "plane of order 512 needs about 10.3 GB to hold, above the limit of 4.29 GB"
+    )
+    assert peak < 1 << 20
+    n = 512 * 512 + 512 + 1
+    with mock.patch.object(plane_mod, "build_field", side_effect=AssertionError("built")):
+        with pytest.raises(ValueError, match="^plane of order 512 needs about 10.3 GB"):
+            load_plane({"lines": [{}] * n})
+        for q in (1024, 1021 * 1021):
+            with pytest.raises(ValueError, match=f"^plane of order {q} needs about"):
+                build_plane(q)
+
+
+def test_every_order_up_to_401_is_small_enough_to_build():
+    orders = prime_powers(2, 409)
+    for q in orders[:-1]:
+        plane_mod._check_plane_bytes(q)
+    assert orders[-2:] == [401, 409]
+    with pytest.raises(ValueError, match="^plane of order 409 needs about 4.31 GB"):
+        plane_mod._check_plane_bytes(409)
 
 
 def test_empty_plane_order_undeterminable():
