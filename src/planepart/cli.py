@@ -18,10 +18,19 @@ it, so PG(2,q)'s rows are scanned again and again while they are built.
 Pausing only the build moves that work into the next collection, so the
 pause spans the whole command. That is safe because a command makes few
 cycles, bounded in number, and they are collected once the collector is
-back on: the parser's own (about 380 objects, argparse's actions and
-help formatters), and none that grows with the work, since
-``analysis._scan_completions`` drops its recursive closure when it
-returns. Forked pool workers inherit the pause and run the same code.
+back on: a JSON report's (about 33 objects, the recursive closures that
+``json.dumps`` with an indent encodes through), argparse's help
+formatters on a usage error or ``--help``, and none that grows with the
+work, since ``analysis._scan_completions`` drops its recursive closure
+when it returns. A text report leaves none. Forked pool workers inherit
+the pause and run the same code.
+
+``build_parser`` builds the parser once per process, and every ``main``
+call parses with it: building took about 1.1 ms and left about 350
+objects of cyclic garbage (its actions and help formatters), where a
+parse makes a new ``Namespace`` and argparse keeps no state between
+parses. Logging is still configured on every call, because its handler
+binds ``sys.stderr`` as it is then, which callers and tests redirect.
 
 Measured on 2 cores (Python 3.11), alternating runs against the collector
 left on: ``construct --q 256 --seed 7`` spent 0.43 s in 352 collections
@@ -34,6 +43,7 @@ and 2 workers and of ``estimate --q 64 --workers 2`` did not rise.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import logging
@@ -94,6 +104,7 @@ def _read_json(path: str):
             raise ValueError(f"{path}: {err}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planepart",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .plane import IncidencePlane, bitmask
+from .plane import IncidencePlane, bitmask, vertex_names
 
 POINT = "P"
 LINE = "L"
@@ -279,8 +279,10 @@ def partition_to_doc(plane: IncidencePlane, partition: Partition) -> dict:
 def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
     """Parse a partition document and check it covers every vertex once.
 
-    Member names are read with one lookup each in a table of the canonical
-    names P0..P(n-1) and L0..L(n-1), which maps them to vertex ids. A class
+    Member names are read with one lookup each in ``vertex_names(n)``, the
+    table of the canonical names P0..P(n-1) and L0..L(n-1) that the plane
+    loader reads too, which maps them to vertex ids; only the table of the
+    last n is kept, so the verify of a loaded plane builds it once. A class
     holding any other name, such as "P03", a number or an index of n or
     more, is parsed member by member with ``VertexId.parse`` and range
     checked instead, so it gives the same classes and messages.
@@ -291,7 +293,7 @@ def partition_from_doc(doc: dict, plane: IncidencePlane) -> Partition:
         raise ValueError(f"partition order {doc['q']!r} does not match plane order {plane.q}")
     n = plane.n
     full = (1 << n) - 1
-    index = {f"P{i}": i for i in range(n)} | {f"L{i}": n + i for i in range(n)}
+    index = vertex_names(n).ids
     classes = []
     names = []
     for pos, entry in enumerate(doc["classes"]):

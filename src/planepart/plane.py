@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from operator import getitem, is_, itemgetter, or_
+from typing import NamedTuple
 
 from .galois import Field, build_field, prime_power
 
@@ -270,6 +271,26 @@ def plane_to_doc(plane: IncidencePlane) -> dict:
     }
 
 
+class VertexNames(NamedTuple):
+    """The canonical names of n points and n lines."""
+
+    points: list[str]  # P0..P(n-1), indexed by point id
+    ids: dict[str, int]  # "Pi" to i and "Li" to n + i, the vertex ids
+
+
+@lru_cache(maxsize=1)
+def vertex_names(n: int) -> VertexNames:
+    """The name table of n points and n lines, made once for the last n
+    asked for and shared by every caller, who must not change it. It holds
+    about 0.23 MB at n = 1057 (q = 32), 3.9 MB at n = 16513 (q = 128) and
+    16 MB at n = 65793 (q = 256), by tracemalloc."""
+    # a list: _parse_lines maps its __getitem__ over rows, and a tuple's is slower
+    points = [f"P{i}" for i in range(n)]
+    ids = dict(zip(points, range(n)))
+    ids.update(zip([f"L{i}" for i in range(n)], range(n, 2 * n)))
+    return VertexNames(points, ids)
+
+
 def _point_id(name, li: int) -> int:
     m = _POINT_ID.fullmatch(str(name))
     if not m:
@@ -287,39 +308,52 @@ def _line_id(name, n: int) -> int:
     return li
 
 
-def _point_ids(points: list, index: dict, li: int) -> tuple[int, ...]:
-    """The ids of line li's point names, in their order: one table lookup
-    each, or the point-id pattern for a line with a name the table lacks."""
+def _line_index(name, ids: dict, n: int) -> int:
+    """The line id of a line name: one table lookup, or the line-id pattern
+    for a name the table lacks or gives a point."""
     try:
-        return tuple(map(index.__getitem__, points))
+        li = ids[name] - n
     except (KeyError, TypeError):
-        return tuple(_point_id(name, li) for name in points)
+        return _line_id(name, n)
+    return li if li >= 0 else _line_id(name, n)
+
+
+def _point_ids(points: list, ids: dict, n: int, li: int) -> tuple[int, ...]:
+    """The ids of line li's point names, in their order: one table lookup
+    each, or the point-id pattern for a line with a name the table lacks
+    or gives a line."""
+    try:
+        pts = tuple(map(ids.__getitem__, points))
+    except (KeyError, TypeError):
+        pass
+    else:
+        if max(pts, default=0) < n:
+            return pts
+    return tuple(_point_id(name, li) for name in points)
 
 
 def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, ...]]:
     """The point ids of each line of the document, indexed by line id.
 
-    A line id is read with one lookup in a table of L0..L(n-1), and a point
-    name with one lookup in a table of P0..P(n-1). An id or a name the
-    tables lack, such as "L01", "P007", a number or an id of n or more, is
-    read with the line-id or point-id pattern instead; both ways give the
-    same ids. With ``built``, the PG(2,q) of the document's shape, an entry
-    that lists built line i's point names in its order, under id Li, keeps
-    the built row itself, and its names are not parsed.
+    Names are read in ``vertex_names(n)``, the table of P0..P(n-1) and
+    L0..L(n-1) that ``metric.partition_from_doc`` reads too; only the
+    table of the last n is kept, so loading planes of one order builds it
+    once. A line id is one lookup in it, and so is a point name. An id or
+    a name the table lacks, such as "L01", "P007", a number or an id of n
+    or more, or one naming the other kind of vertex, is read with the
+    line-id or point-id pattern instead; both ways give the same ids. With
+    ``built``, the PG(2,q) of the document's shape, an entry that lists
+    built line i's point names in its order, under id Li, keeps the built
+    row itself, and its names are not parsed.
     """
     n = len(lines)
     line_points: list[tuple[int, ...] | None] = [None] * n
-    names = [f"P{i}" for i in range(n)]
-    index = dict(zip(names, range(n)))
-    line_index = {f"L{i}": i for i in range(n)}
+    names, ids = vertex_names(n)
     name_of = names.__getitem__
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
-        try:
-            li = line_index[entry["id"]]
-        except (KeyError, TypeError):
-            li = _line_id(entry["id"], n)
+        li = _line_index(entry["id"], ids, n)
         if line_points[li] is not None:
             raise ValueError(f"duplicate line id L{li}")
         points = entry["points"]
@@ -328,7 +362,7 @@ def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, .
         if built is not None and points == list(map(name_of, built.line_points[li])):
             line_points[li] = built.line_points[li]
             continue
-        pts = _point_ids(points, index, li)
+        pts = _point_ids(points, ids, n, li)
         if len(set(pts)) != len(pts):
             raise ValueError(f"line L{li} repeats a point")
         line_points[li] = pts

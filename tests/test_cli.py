@@ -573,3 +573,53 @@ def test_plane_command_runs_no_collection(tmp_path):
     after = [gen["collections"] for gen in gc.get_stats()]
     assert code == 0
     assert after == before
+
+
+def test_one_parser_serves_every_call():
+    assert cli.build_parser() is cli.build_parser()
+
+
+_REPEATED_COMMANDS = {
+    "verify": ["verify", "--plane", "{plane}", "--partition", "{partition}"],
+    "search": ["search", "--q", "4", "--method", "randomized", "--tmin", "4", "--tmax", "6",
+               "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPEATED_COMMANDS))
+def test_a_repeated_command_leaves_no_cyclic_garbage(tmp_path, capsys, command):
+    plane_file, part_file = tmp_path / "plane.json", tmp_path / "partition.json"
+    assert run(capsys, "plane", "--q", "16", "--out", str(plane_file))[0] == 0
+    assert run(capsys, "construct", "--q", "16", "--out", str(part_file))[0] == 0
+    argv = [a.format(plane=plane_file, partition=part_file) for a in _REPEATED_COMMANDS[command]]
+    argv += ["--out", str(tmp_path / "report")]
+
+    def garbage(fmt):
+        main(argv + ["--format", fmt])  # warm-up: builds the parser and the name table
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv + ["--format", fmt]) == 0
+            gc.collect()
+        finally:
+            gc.set_debug(0)
+        saved = list(gc.garbage)
+        gc.garbage.clear()
+        return saved
+
+    assert garbage("text") == []
+    # json.dumps with indent encodes through recursive closures, a cycle of
+    # its own on each JSON report; none of it is the parser's
+    assert not [o for o in garbage("json") if type(o).__module__ == "argparse"]
+
+
+def test_usage_error_help_and_a_command_in_one_process(capsys):
+    calls = [("plane",), ("--help",), ("verify", "--help"), ("bounds", "--q", "16")]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [2, 0, 0, 0]
+    required = "planepart plane: error: the following arguments are required: --q\n"
+    assert first[0][2].endswith(required)
+    assert first[1][1].startswith("usage: planepart [-h]")
+    assert first[2][1].startswith("usage: planepart verify [-h]")
+    assert json.loads(first[3][1]) == analysis.lower_bound(16).to_doc()
+    assert [run(capsys, *argv) for argv in calls] == first

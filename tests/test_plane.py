@@ -2,11 +2,14 @@ import gc
 import hashlib
 import json
 import operator
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from array import array
 from itertools import chain, combinations
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -453,6 +456,18 @@ def _fano_with_line_id(pos, line_id):
     return doc
 
 
+# Each edit renames L0 of PG(2,2); the messages are those of the per-name
+# pattern, and a point name, which the table holds, is still no line id.
+_LINE_ID_ERRORS = {
+    "point": ("P3", "bad line id 'P3'"),
+    "padded point": ("P03", "bad line id 'P03'"),
+    "number": (3, "bad line id 3"),
+    "null": (None, "bad line id None"),
+    "padded repeat": ("L03", "duplicate line id L3"),
+    "padded beyond": ("L0007", "line id L7 out of range for 7 lines"),
+}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -460,8 +475,10 @@ def _fano_with_line_id(pos, line_id):
         ({"q": 2}, "plane document must be an object with a 'lines' array"),
         (_fano_with_line_id(0, "L7"), "line id L7 out of range for 7 lines"),
         (_fano_with_line_id(1, "L0"), "duplicate line id L0"),
+        *[(_fano_with_line_id(0, line_id), message)
+          for line_id, message in _LINE_ID_ERRORS.values()],
     ],
-    ids=["array", "no-lines", "line-beyond", "line-twice"],
+    ids=["array", "no-lines", "line-beyond", "line-twice", *_LINE_ID_ERRORS],
 )
 def test_load_boundary_messages_are_pinned(doc, message):
     with pytest.raises(ValueError) as err:
@@ -520,6 +537,9 @@ _POINT_NAME_ERRORS = {
     "padded beyond": ("P0070", "point ids must be exactly P0..P6; unexpected [70]"),
     # a padded spelling of a point already on the line is a repeat
     "padded repeat": ("P03", "line L0 repeats a point"),
+    # line names are in the table, as vertex ids n and above
+    "line": ("L5", "bad point id 'L5' on line L0"),
+    "line 0": ("L0", "bad point id 'L0' on line L0"),
 }
 
 
@@ -532,6 +552,65 @@ def test_point_names_the_table_misses_keep_their_messages(case):
     with pytest.raises(ValueError) as err:
         load_plane(doc)
     assert str(err.value) == message
+
+
+# Loads PG(2,q)'s own file, then one with Pi and Li renamed P(n-1-i) and
+# L(n-1-i), whose canonical names are all read in the name table, and
+# parses a partition of it; prints what each gives.
+_LOAD_ORDER = """
+from planepart import build_plane
+from planepart.metric import partition_from_doc
+from planepart.plane import load_plane, plane_to_doc
+
+def load_order(q):
+    doc = plane_to_doc(build_plane(q))
+    n = len(doc["lines"])
+    flip = lambda name: f"{name[0]}{n - 1 - int(name[1:])}"
+    flipped = {"lines": [
+        {"id": flip(e["id"]), "points": [flip(p) for p in e["points"]]} for e in doc["lines"]
+    ]}
+    partition = {"classes": [
+        {"name": "even", "members": [f"P{i}" for i in range(0, n, 2)]
+                                    + [f"L{i}" for i in range(1, n, 2)]},
+        {"name": "odd", "members": [f"P{i}" for i in range(1, n, 2)]
+                                   + [f"L{i}" for i in range(0, n, 2)]},
+    ]}
+    out = []
+    for plane_doc in (doc, flipped):
+        plane = load_plane(plane_doc)
+        parsed = partition_from_doc(partition, plane)
+        out.append((plane.q, plane.line_points, plane.point_lines, plane.line_masks,
+                    plane.point_masks, parsed.names, parsed.classes))
+    return repr(out)
+"""
+
+
+def test_the_name_table_follows_the_order_in_one_process():
+    namespace = {}
+    exec(_LOAD_ORDER, namespace)
+    in_process = [namespace["load_order"](q) for q in (2, 3, 2)]
+    env = {**os.environ, "PYTHONPATH": str(Path(plane_mod.__file__).parents[1])}
+    fresh = {
+        q: subprocess.run(
+            [sys.executable, "-c", _LOAD_ORDER + f"print(load_order({q}))"],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for q in (2, 3)
+    }
+    assert [text + "\n" for text in in_process] == [fresh[2], fresh[3], fresh[2]]
+    namespace["load_order"](3)  # the table cached is now of another order
+    for name, message in _POINT_NAME_ERRORS.values():
+        doc = plane_to_doc(build_plane(2))
+        doc["lines"][0]["points"][0] = name
+        with pytest.raises(ValueError) as err:
+            load_plane(doc)
+        assert str(err.value) == message
+    for line_id, message in _LINE_ID_ERRORS.values():
+        with pytest.raises(ValueError) as err:
+            load_plane(_fano_with_line_id(0, line_id))
+        assert str(err.value) == message
+    info = plane_mod.vertex_names.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
 
 
 def test_non_prime_power_order_rejected():
