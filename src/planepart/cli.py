@@ -26,18 +26,11 @@ when it returns. A text report leaves none. Forked pool workers inherit
 the pause and run the same code.
 
 ``build_parser`` builds the parser once per process, and every ``main``
-call parses with it: building took about 1.1 ms and left about 350
-objects of cyclic garbage (its actions and help formatters), where a
-parse makes a new ``Namespace`` and argparse keeps no state between
-parses. Logging is still configured on every call, because its handler
-binds ``sys.stderr`` as it is then, which callers and tests redirect.
-
-Measured on 2 cores (Python 3.11), alternating runs against the collector
-left on: ``construct --q 256 --seed 7`` spent 0.43 s in 352 collections
-and now runs none, 2.32 -> 2.03 s wall (medians of 8 runs each);
-``verify --plane`` on a q=128 file 1.08 -> 0.92 s; the benchmark's
-``verify_file_q32`` 42.2 -> 46.5 jobs/s. Peak RSS of ``search --q 2`` at 1
-and 2 workers and of ``estimate --q 64 --workers 2`` did not rise.
+call parses with it: building leaves cyclic garbage (its actions and help
+formatters), where a parse makes a new ``Namespace`` and argparse keeps no
+state between parses. Logging is still configured on every call, because
+its handler binds ``sys.stderr`` as it is then, which callers and tests
+redirect.
 """
 
 from __future__ import annotations
@@ -270,10 +263,15 @@ def _cmd_search(args) -> int:
         )
         log.info("search finished in %.2fs after %d partitions", result.wall_time, result.nodes)
         doc = result.to_doc(target)
-        pd = f"pd = {result.lower}" if result.exact else f"pd in [{result.lower}, {result.upper}]"
+        if result.exact:
+            pd, scanned = f"pd = {result.lower}", ""
+        elif result.upper is None:  # every level up to --tmax scanned, none with a witness
+            pd, scanned = f"pd >= {result.lower}", f"no witness up to t={args.tmax}; "
+        else:
+            pd, scanned = f"pd in [{result.lower}, {result.upper}]", ""
         text = (
             f"{pd} for q={target.q} "
-            f"({result.nodes} partitions verified, {result.wall_time:.2f}s)\n"
+            f"({scanned}{result.nodes} partitions verified, {result.wall_time:.2f}s)\n"
         )
         _emit(args, doc, text)
         return EXIT_OK

@@ -175,15 +175,14 @@ class ConflictGraph:
     """Same-representation pairs among common and support vertices.
 
     The graph is a disjoint union of cliques, each entirely points or
-    entirely lines: ``cliques`` and ``members``, the vertices of the
-    cliques, are (points, lines) pairs. ``x_edge_count`` counts only pairs
-    of common vertices; the support point or line joins a clique when it
-    collides with a common vertex. ``groups`` holds every group of vertex
+    entirely lines: ``members``, the vertices of the cliques, is a
+    (points, lines) pair. ``x_edge_count`` counts only pairs of common
+    vertices; the support point or line joins a clique when it collides
+    with a common vertex. ``groups`` holds every group of vertex
     ids (points 0..n-1, lines n..2n-1) that share their representation,
     majors included and sides mixed, as ``signature_groups`` gives them.
     """
 
-    cliques: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
     members: tuple[tuple[int, ...], tuple[int, ...]]
     x_edge_count: int
     groups: tuple[tuple[int, ...], ...]
@@ -203,14 +202,14 @@ def build_conflict_graph(
     n = plane.n
     psig, lsig = packed_signatures(plane, family)
     groups = signature_groups(psig + lsig, range(2 * n))
-    cliques, members, x_edges = [], [], 0
+    members, x_edges = [], 0
     for side, (majors, support) in enumerate(zip(frame.majors, frame.supports)):
         lo, skip = side * n, set(majors)
         kept = (tuple(v - lo for v in g if lo <= v < lo + n and v - lo not in skip) for g in groups)
-        cliques.append(tuple(sorted(c for c in kept if len(c) > 1)))
-        members.append(tuple(sorted(v for c in cliques[side] for v in c)))
-        x_edges += pair_count(len(c) - (support in c) for c in cliques[side])
-    return ConflictGraph(tuple(cliques), tuple(members), x_edges, tuple(map(tuple, groups)))
+        cliques = [c for c in kept if len(c) > 1]
+        members.append(tuple(sorted(v for c in cliques for v in c)))
+        x_edges += pair_count(len(c) - (support in c) for c in cliques)
+    return ConflictGraph(tuple(members), x_edges, tuple(map(tuple, groups)))
 
 
 def searching_family(domain, count: int, excluded=()) -> list[list]:

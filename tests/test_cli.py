@@ -513,6 +513,17 @@ def test_search_randomized_without_a_witness(capsys):
     )
 
 
+def test_search_exhaustive_without_a_witness(capsys):
+    # no level up to --tmax holds a witness, so the bracket has no upper end
+    argv = ["search", "--q", "2", "--tmax", "2", "--workers", "1"]
+    code, out, _ = run(capsys, *argv)
+    doc = json.loads(out)
+    assert (code, doc["bracket"], doc["nodes"]) == (0, {"lower": 3, "upper": None}, 8192)
+    code, out, err = run(capsys, *argv, "--format", "text")
+    head = "pd >= 3 for q=2 (no witness up to t=2; 8192 partitions verified, "
+    assert (code, err, out.startswith(head), out.endswith("s)\n")) == (0, "", True, True)
+
+
 def test_verify_text_cuts_the_group_list_at_20(capsys, tmp_path):
     # PG(2,7) split by point and line id mod 5 leaves 27 colliding groups
     n = 57

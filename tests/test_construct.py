@@ -352,7 +352,7 @@ def test_build_h2_stalls_name_the_side_that_stalled(plane_for):
     # text show which side build_h2 told the selector it runs.
     plane = plane_for(16)
     frame = choose_frame(plane)
-    empty = ConflictGraph(((), ()), ((), ()), 0, ())
+    empty = ConflictGraph(((), ()), 0, ())
     # every common point used: the lines are chosen, then no point is free
     common = commons(plane, frame)
     used = VertexSet.from_indices(points=common[0])
@@ -374,7 +374,7 @@ def test_build_h2_rejects_a_conflict_side_too_large_for_the_searching_sets(plane
     for side in (0, 1):
         members = [(), ()]
         members[side] = commons(plane, frame)[side][:17]
-        conflict = ConflictGraph(((), ()), tuple(members), 0, ())
+        conflict = ConflictGraph(tuple(members), 0, ())
         with pytest.raises(SelectionError, match=infeasible):
             build_h2(plane, frame, conflict, VertexSet())
 
@@ -404,6 +404,14 @@ def test_conflict_graph_empty_when_fully_separated(plane_for):
     assert graph.x_edge_count == 0
 
 
+def side_cliques(plane, frame, graph, side):
+    """The conflict groups restricted to a side's commons and support, each
+    as that side's ids, keeping the restrictions of two or more."""
+    lo, domain = side * plane.n, {*commons(plane, frame)[side], frame.supports[side]}
+    cut = (tuple(v - lo for v in g if v - lo in domain) for g in graph.groups)
+    return tuple(sorted(c for c in cut if len(c) > 1))
+
+
 def test_conflict_graph_cliques_are_pure_and_counted(plane_for):
     plane = plane_for(16)
     fr = choose_frame(plane)
@@ -413,8 +421,10 @@ def test_conflict_graph_cliques_are_pure_and_counted(plane_for):
     # each side's cliques are pure, and the edge count matches an
     # independent recount from the signatures of the common vertices
     expect = 0
-    sides = zip(packed_signatures(plane, family), commons(plane, fr), fr.supports, graph.cliques)
-    for sigs, common, support, cliques in sides:
+    sides = zip(packed_signatures(plane, family), commons(plane, fr), fr.supports)
+    for side, (sigs, common, support) in enumerate(sides):
+        cliques = side_cliques(plane, fr, graph, side)
+        assert graph.members[side] == tuple(sorted(v for c in cliques for v in c))
         for clique in cliques:
             assert set(clique) <= {*common, support}
             assert len(clique) >= 2
@@ -442,7 +452,7 @@ def test_conflict_cliques_are_the_all_vertex_groups_restricted_to_each_side(
         domain = [*common, support]
         groups = signature_groups(list(map(sigs.__getitem__, domain)), domain)
         expect = tuple(sorted(tuple(sorted(g)) for g in groups))
-        assert expect and graph.cliques[side] == expect
+        assert expect and side_cliques(plane, fr, graph, side) == expect
         assert graph.members[side] == tuple(sorted(v for c in expect for v in c))
         pairs += pair_count(len(c) - (support in c) for c in expect)
     assert graph.x_edge_count == pairs
@@ -654,9 +664,9 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
         taken_lines |= m.line_mask
 
     # representations of the common and support vertices, from the oracle
-    sides = zip(commons(plane, frame), frame.supports, conflict.cliques)
+    sides = zip(commons(plane, frame), frame.supports)
     pairs = 0
-    for side, (common, support, cliques) in enumerate(sides):
+    for side, (common, support) in enumerate(sides):
         ids = [*common, support]
         id_lists = (ids, []) if side == 0 else ([], ids)
         columns = [distance_columns(plane, s, *id_lists)[side] for s in family]
@@ -665,7 +675,7 @@ def test_relabelled_planes_keep_the_first_stage_contracts(plane_for, q, seed):
             tuple(sorted(v for v in ids if codes[v] == code))
             for code, size in Counter(codes.values()).items() if size > 1
         )
-        assert sorted(cliques) == expect
+        assert list(side_cliques(plane, frame, conflict, side)) == expect
         pairs += sum(c * (c - 1) // 2 for c in Counter(codes[v] for v in common).values())
     assert conflict.x_edge_count == pairs
 
