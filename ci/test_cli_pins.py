@@ -88,7 +88,7 @@ PINS = [
     # refused before any root is taken; 10**4000 + 1 has 4001 digits, within the CLI's 4300.
     *(Pin(f"bounds --q {q}", 5, code=2, stderr=HUGE.format(q))
       for q in (3317044064679887385961981, 10**4000 + 1)),
-    # About 0.7 s: the JSON decode, then one read comparing each line's names with the built row's.
+    # The file is the canonical text, compared with the built plane's and never decoded. 0.5 s.
     Pin("verify --plane {d}/plane128.json --partition {d}/partition128.json"),
     # L1's first point replaced by the first point off L1 leaves that point on 128 lines. The
     # loader counts the rows' ids before it sorts a row or builds a mask. About 0.8 s.
@@ -191,6 +191,7 @@ def files(tmp_path_factory):
             edit(source, f"relabelled_{source}", renamed, lambda x: f"{x[0]}{n - 1 - int(x[1:])}")
     for source in "plane32", "partition32":
         edit(source, f"padded_{source}", renamed, lambda x: f"{x[0]}{int(x[1:]):04d}")
+    edit("plane128", "compact128", lambda doc: doc)
     edit("plane128", "moved128", moved)
     edit("plane128", "corrupt128", swapped)
     return d
@@ -236,6 +237,15 @@ def test_zero_padded_q32_names_verify_like_canonical_ones(files):
     canonical, padded = (run(f"verify --plane {files}/{prefix}plane32.json --partition "
                              f"{files}/{prefix}partition32.json") for prefix in ("", "padded_"))
     assert canonical == padded and canonical[0] == 0 and RESOLVING in canonical[1].decode()
+
+
+def test_compact_q128_file_verifies_like_the_canonical_one(files):
+    # Without the indent the text is not canonical, so it is decoded and each
+    # entry keeps its built row by the name comparison. About 0.8 s each.
+    canonical, compact = (run(f"verify --plane {files}/{plane}.json "
+                              f"--partition {files}/partition128.json")
+                          for plane in ("plane128", "compact128"))
+    assert canonical == compact and canonical[0] == 0 and RESOLVING in canonical[1].decode()
 
 
 def test_repeated_in_process_commands_match_one_shot_commands(files, tmp_path):

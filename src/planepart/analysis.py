@@ -5,10 +5,9 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import random
+import signal
 import sys
 import time
 from collections import Counter
@@ -234,8 +233,25 @@ def _class_count_range(t_min: int, t_max: int | None, size: int, start: int = 1)
     return t_min, t_max
 
 
-def _serve(conn, fn, args):
-    """Pool worker: answer each chunk of items with its fn(*args, item) list."""
+@contextlib.contextmanager
+def _sigterm_held():
+    """Keep SIGTERM pending in this thread for the block, where signal masks
+    exist; yields the mask to restore, or None."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield None
+        return
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _serve(conn, fn, args, mask):
+    """Pool worker: answer each chunk of items with its fn(*args, item) list,
+    under the signal mask its parent had before it held SIGTERM (if any)."""
+    if mask is not None:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     while True:
         chunk = conn.recv()
         try:
@@ -250,6 +266,8 @@ def _in_order(conns, items, chunksize, bind, answered):
     Item i is sent as bind(i, items[i], answered) when its chunk is handed
     out, and answered[i] is set once its result comes back.
     """
+    from multiprocessing.connection import wait
+
     starts = range(0, len(items), chunksize)
     pending = iter(starts)
     owner, done = {}, {}
@@ -263,7 +281,7 @@ def _in_order(conns, items, chunksize, bind, answered):
         hand(conn, start)
     for start in starts:
         while start not in done:
-            for conn in multiprocessing.connection.wait(list(owner)):
+            for conn in wait(list(owner)):
                 first = owner.pop(conn)
                 ok, results = done[first] = conn.recv()
                 if ok:
@@ -305,15 +323,24 @@ def _pooled(workers, fn, args, items, chunksize, bind=lambda i, item, answered: 
 
         yield serial()
         return
+    # imported only here, so that a command that runs no pool does not load
+    # multiprocessing: about 1.8 MB of resident memory and 10 ms of start-up
+    import multiprocessing
+
     conns, procs = [], []
     try:
-        for _ in range(min(workers, len(range(0, len(items), chunksize)))):
-            here, there = multiprocessing.Pipe()
-            proc = multiprocessing.Process(target=_serve, args=(there, fn, args), daemon=True)
-            proc.start()
-            there.close()
-            conns.append(here)
-            procs.append(proc)
+        # A SIGTERM handler that raises (``cli.main`` sets one) runs only once
+        # every worker forked is in procs, for the finally below to kill.
+        with _sigterm_held() as mask:
+            for _ in range(min(workers, len(range(0, len(items), chunksize)))):
+                here, there = multiprocessing.Pipe()
+                proc = multiprocessing.Process(
+                    target=_serve, args=(there, fn, args, mask), daemon=True
+                )
+                proc.start()
+                there.close()
+                conns.append(here)
+                procs.append(proc)
         yield _in_order(conns, items, chunksize, bind, answered)
     finally:
         for proc in procs:

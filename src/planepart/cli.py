@@ -1,10 +1,17 @@
 """Command line surface for reproducible batch runs.
 
 Exit codes: 0 success (and a resolving verify verdict), 1 verify found
-collisions, 2 usage or input error, 3 construction failed after retries.
-JSON is the machine format; text renders the same data for humans. The
-environment variable PLANEPART_LOG (debug or info) turns on diagnostics
-on standard error.
+collisions, 2 usage or input error, 3 construction failed after retries,
+143 terminated by SIGTERM (a command turns it into ``SystemExit(143)``,
+so cleanup such as killing pool workers runs). JSON is the machine
+format; text renders the same data for humans. The environment variable
+PLANEPART_LOG (debug or info) turns on diagnostics on standard error.
+
+A ``--plane`` file is read as text and handed to ``plane.read_plane``: a
+canonical text, the bytes ``planepart plane`` writes, is compared with the
+built PG(2,q) and never becomes a document; any other text is decoded and
+loaded as a document. Either way a file that is not UTF-8 or not JSON, or
+that nests too deeply, is an input error naming the file.
 
 Each command runs with Python's cyclic garbage collector paused: ``main``
 records ``gc.isenabled()``, disables the collector before parsing and
@@ -36,13 +43,16 @@ redirect.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
 import logging
 import os
+import signal
 import sys
-from typing import Iterable, Iterator
+import threading
+from typing import Iterable
 
 from . import analysis, construct, metric, plane as plane_mod
 
@@ -83,18 +93,35 @@ def _resolve_plane(args):
         raise ValueError("exactly one of --q and --plane is required")
     if args.q is not None:
         return plane_mod.build_plane(args.q)
-    return plane_mod.load_plane(_read_json(args.plane))
+    with _naming_decode_errors(args.plane):  # the text is not kept here, so a decode can free it
+        return plane_mod.read_plane(_read_text(args.plane))
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; ValueError naming the file when it cannot be decoded."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
+@contextlib.contextmanager
+def _naming_decode_errors(path: str):
+    """Turn a JSON decode error of the file's text into a ValueError naming the file."""
+    try:
+        yield
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply to read") from None
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _read_json(path: str):
     """The JSON document in a file; ValueError naming the file when it cannot be decoded."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nests too deeply to read") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValueError(f"{path}: {err}") from None
+    text = _read_text(path)
+    with _naming_decode_errors(path):
+        return json.loads(text)
 
 
 @functools.cache
@@ -174,25 +201,11 @@ def _write(args, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _plane_json(built) -> Iterator[str]:
-    """The text of ``json.dumps(plane_to_doc(built), indent=2, sort_keys=True)``
-    and a newline, one line entry at a time, so the document is never whole
-    in memory."""
-    yield '{\n  "lines": ['
-    sep = "\n"
-    for i, pts in enumerate(built.line_points):
-        points = '",\n        "P'.join(map(str, pts))
-        yield (f'{sep}    {{\n      "id": "L{i}",\n      "points": [\n'
-               f'        "P{points}"\n      ]\n    }}')
-        sep = ",\n"
-    yield f'\n  ],\n  "q": {built.q}\n}}\n'
-
-
 def _cmd_plane(args) -> int:
     built = plane_mod.build_plane(args.q)
     n, q = built.n, built.q
     text = f"plane of order {q}: {n} points, {n} lines, {q + 1} points per line\n"
-    _write(args, _plane_json(built) if args.format == "json" else [text])
+    _write(args, plane_mod.plane_text(built) if args.format == "json" else [text])
     return EXIT_OK
 
 
@@ -308,6 +321,27 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_raising_exit():
+    """In the main thread, SIGTERM raises SystemExit(143) until the block
+    ends, when the previous handler is restored. A default SIGTERM ends the
+    process without unwinding, so the ``finally`` that kills
+    ``analysis._pooled``'s workers would never run and they would be left
+    computing. Other threads cannot set a handler, and keep the previous one."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:  # None: a handler not set from Python, which cannot be put back
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 _HANDLERS = {
     "plane": _cmd_plane,
     "construct": _cmd_construct,
@@ -329,7 +363,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return EXIT_USAGE if exc.code else EXIT_OK
         try:
-            return _HANDLERS[args.command](args)
+            with _sigterm_raising_exit():
+                return _HANDLERS[args.command](args)
         except (ValueError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_USAGE

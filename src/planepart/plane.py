@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from operator import getitem, is_, itemgetter, or_
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .galois import Field, build_field, prime_power
 
@@ -291,6 +292,58 @@ def vertex_names(n: int) -> VertexNames:
     return VertexNames(points, ids)
 
 
+# The canonical plane text, json.dumps(plane_to_doc(plane), indent=2,
+# sort_keys=True) + "\n", is a head, one entry per line and a tail that
+# holds the order; the points of an entry are names joined by _POINT_SEP.
+_HEAD = '{\n  "lines": ['
+_POINT_SEP = '",\n        "'
+_ORDER_TAIL = re.compile(r'\n  "q": ([1-9][0-9]{0,8})\n\}\n\Z')
+
+
+def _entry(sep: str, line: str, points: str) -> str:
+    return (f'{sep}    {{\n      "id": "{line}",\n      "points": [\n'
+            f'        "{points}"\n      ]\n    }}')
+
+
+def _tail(q: int) -> str:
+    return f'\n  ],\n  "q": {q}\n}}\n'
+
+
+def plane_text(plane: IncidencePlane) -> Iterator[str]:
+    """The canonical text of a plane with at least one line, one line
+    entry at a time, so the text is never whole in memory: ``planepart
+    plane`` writes it, and ``read_plane`` compares a file with it. Names
+    come from the shared ``vertex_names(n)`` table."""
+    join, name = _POINT_SEP.join, vertex_names(plane.n).points.__getitem__
+    yield _HEAD
+    sep = "\n"
+    for i, row in enumerate(plane.line_points):
+        yield _entry(sep, f"L{i}", join(map(name, row)))
+        sep = ",\n"
+    yield _tail(plane.q)
+
+
+def _text_length(q: int) -> int:
+    """len of the canonical text of a plane of order q, from q alone: every
+    id of 0..n-1 names one line and lies on q+1 lines, so the names take
+    (q+2)*(n + the digits of 0..n-1) characters, and each entry adds its
+    separator, q point separators and a fixed frame."""
+    n = q * q + q + 1
+    digits, low = n, 10  # the digits of 0..n-1: one each, one more per power of ten passed
+    while low < n:
+        digits += n - low
+        low *= 10
+    frame = len(_entry("", "", "")) + q * len(_POINT_SEP) + 2
+    return len(_HEAD) + (q + 2) * (n + digits) + n * frame - 1 + len(_tail(q))
+
+
+def _declared_order(text: str) -> int | None:
+    """The q of a text that ends as a canonical one, with ``"q": <q>`` and a
+    closing brace, else None."""
+    tail = _ORDER_TAIL.search(text, max(0, len(text) - 32))
+    return None if tail is None else int(tail[1])
+
+
 def _point_id(name, li: int) -> int:
     m = _POINT_ID.fullmatch(str(name))
     if not m:
@@ -369,11 +422,12 @@ def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, .
     return line_points
 
 
-def _pg2_shaped_like(doc: dict, q: int) -> IncidencePlane | None:
-    """PG(2,q), built, when the document has its shape: q >= 2 is a prime
-    power that a declared "q" does not contradict, there are q*q + q + 1
-    line entries and each is an object with a list of q+1 points. Else None,
-    so a document that cannot list PG(2,q)'s rows pays for no build."""
+def _pg2_shaped_like(doc: dict, q: int, built: IncidencePlane | None) -> IncidencePlane | None:
+    """PG(2,q) when the document has its shape: q >= 2 is a prime power that
+    a declared "q" does not contradict, there are q*q + q + 1 line entries
+    and each is an object with a list of q+1 points. It is ``built`` when
+    that is of order q, else built here. Else None, so a document that
+    cannot list PG(2,q)'s rows pays for no build."""
     lines = doc["lines"]
     if q < 2 or q * q + q + 1 != len(lines) or doc.get("q", q) != q:
         return None
@@ -387,10 +441,10 @@ def _pg2_shaped_like(doc: dict, q: int) -> IncidencePlane | None:
         for entry in lines
     ):
         return None
-    return build_pg2(build_field(*order))
+    return built if built is not None and built.q == q else build_pg2(build_field(*order))
 
 
-def load_plane(doc: dict) -> IncidencePlane:
+def load_plane(doc: dict, built: IncidencePlane | None = None) -> IncidencePlane:
     """Parse and validate a plane document.
 
     The order q is inferred from the line count n = q*q + q + 1 and must be
@@ -401,13 +455,18 @@ def load_plane(doc: dict) -> IncidencePlane:
     The document is read once, by ``_parse_lines``. When n = q*q + q + 1
     for a prime power q >= 2 that a declared "q" does not contradict, and
     every entry is an object with a list of q+1 points, PG(2,q) is built
-    first, as ``build_plane`` builds it. An entry ``{"id": "Li", "points":
+    first, as ``build_plane`` builds it, unless ``built``, a plane that
+    ``build_plane`` returned, is of order q: then that plane is used, so a
+    caller that built PG(2,q) already does not pay twice. Either way the
+    result is the same. An entry ``{"id": "Li", "points":
     [...]}`` that lists built line i's point names in its order, taken from
     the n names P0..P(n-1), keeps the built row, and its names are not
     parsed. When every entry does so, in any entry order (line ids are
     distinct, so each built line is listed once), the document loads as
     the built plane, without masks or ``validate_axioms``: every file
-    ``planepart plane`` writes is one, shuffled or not. That is sound
+    ``planepart plane`` writes is one, shuffled or not, though
+    ``read_plane`` recognises an unshuffled one from its text, which then
+    never becomes a document. That is sound
     because the incidence is then identical, id for id, to the built
     plane's, and PG(2,q) over a field satisfies the axioms: the tests run
     ``validate_axioms`` on every built plane up to q = 81, and CI on
@@ -432,7 +491,7 @@ def load_plane(doc: dict) -> IncidencePlane:
     q = (math.isqrt(4 * n - 3) - 1) // 2
     if q * q + q + 1 == n:
         _check_plane_bytes(q)
-    built = _pg2_shaped_like(doc, q)
+    built = _pg2_shaped_like(doc, q, built)
     line_points = _parse_lines(lines, built)
     if built is not None and all(map(is_, line_points, built.line_points)):
         return built
@@ -457,3 +516,40 @@ def load_plane(doc: dict) -> IncidencePlane:
     plane = IncidencePlane(q, line_points)
     validate_axioms(plane)
     return plane
+
+
+def read_plane(text: str) -> IncidencePlane:
+    """Load the plane that a JSON text holds, as ``load_plane(json.loads(text))``
+    does, with the same result or the same error.
+
+    A canonical text, the one ``plane_text`` writes for PG(2,q), never
+    becomes a document. The order is taken from the text's last lines,
+    ``"q": <q>``. When q is a prime power whose plane ``_check_plane_bytes``
+    admits and the text has the canonical length for q, PG(2,q) is built
+    and the text is compared with ``plane_text`` of it, entry by entry,
+    stopping at the first difference. A text that matches is returned as
+    the built plane, without a JSON decode, a parse or ``validate_axioms``:
+    it decodes to ``plane_to_doc`` of the built plane, for which
+    ``load_plane`` returns that plane. Any other text is decoded and loaded
+    by ``load_plane``, given the plane built here, if any, so no text builds
+    PG(2,q) twice. json.JSONDecodeError and RecursionError from the decode
+    propagate.
+    """
+    built = None
+    q = _declared_order(text)
+    if q is not None and len(text) == _text_length(q):
+        try:
+            built = build_plane(q)
+        except ValueError:  # no PG(2,q) to hold: not a prime power, or too large
+            pass
+    if built is not None:
+        pos = 0
+        for chunk in plane_text(built):
+            if not text.startswith(chunk, pos):
+                break
+            pos += len(chunk)
+        else:
+            return built
+    doc = json.loads(text)
+    del text  # the last reference when the caller kept none: freed before the load
+    return load_plane(doc, built)

@@ -1,8 +1,13 @@
+import contextlib
 import gc
 import hashlib
 import json
+import os
 import random
+import signal
+import subprocess
 import sys
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -634,3 +639,69 @@ def test_usage_error_help_and_a_command_in_one_process(capsys):
     assert first[2][1].startswith("usage: planepart verify [-h]")
     assert json.loads(first[3][1]) == analysis.lower_bound(16).to_doc()
     assert [run(capsys, *argv) for argv in calls] == first
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        return [int(child) for child in fh.read().split()]
+
+
+@pytest.mark.skipif(sys.platform != "linux" or (os.cpu_count() or 1) < 2,
+                    reason="reads /proc for the two pool workers")
+def test_sigterm_to_the_main_process_ends_its_pool_workers():
+    # search --q 3 runs for hours; only the main process is signalled
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-m", "planepart.cli", "search", "--q", "3",
+                             "--workers", "2"], env=env, start_new_session=True,
+                            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        # polled without a pause, so that the signal can land while the pool
+        # is still starting its workers
+        deadline = time.monotonic() + 30
+        while len(workers := _children(proc.pid)) < 2:
+            assert time.monotonic() < deadline, "no two pool workers within 30 s"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        for pid in workers:  # killed and reaped by the main process, not orphaned
+            assert not os.path.exists(f"/proc/{pid}"), pid
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_a_command_turns_sigterm_into_exit_and_restores_the_previous_handler(
+        capsys, monkeypatch):
+    seen, bounds = [], cli._HANDLERS["bounds"]
+    monkeypatch.setitem(cli._HANDLERS, "bounds", lambda args: seen.append(
+        signal.getsignal(signal.SIGTERM)) or bounds(args))
+
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert run(capsys, "bounds", "--q", "4")[0] == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    with pytest.raises(SystemExit) as exited:
+        seen[0](signal.SIGTERM, None)
+    assert exited.value.code == 143
+
+
+def test_a_command_that_runs_no_pool_does_not_import_multiprocessing(tmp_path):
+    # the pool machinery is about 1.8 MB resident; verify, construct and
+    # bounds never start a pool, so they do not pay for it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    script = (
+        "import sys\nfrom planepart import cli\n"
+        f"assert cli.main(['construct', '--q', '16', '--out', {str(tmp_path / 'p.json')!r}]) == 0\n"
+        f"assert cli.main(['verify', '--q', '16', '--partition', {str(tmp_path / 'p.json')!r},"
+        f" '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -19,7 +19,7 @@ from planepart import build_plane, is_resolving, plane_to_doc
 from planepart.galois import build_field, prime_power
 from planepart.metric import partition_from_doc
 from planepart import plane as plane_mod
-from planepart.plane import IncidencePlane, load_plane, validate_axioms
+from planepart.plane import IncidencePlane, load_plane, read_plane, validate_axioms
 
 from conftest import prime_powers, relabelled, replace_one_field
 from oracles import incident, pg2_triples
@@ -303,8 +303,8 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     )
 
 
-def _load_spied(doc):
-    """``load_plane(doc)`` (or the ValueError it raised) and a count of what it
+def _load_spied(doc, load=load_plane):
+    """``load(doc)`` (or the ValueError it raised) and a count of what it
     ran: ``builds`` calls of ``build_pg2``, ``parses`` of a line's names one
     by one, ``sorts`` of all rows by ``_rows_and_cols``, and ``masks``, the
     ``bitmask`` and ``IncidencePlane._set`` calls made outside ``build_pg2``,
@@ -343,7 +343,7 @@ def _load_spied(doc):
             mock.patch.object(plane_mod, "_point_ids", counting("parses", parse)), \
             mock.patch.object(plane_mod, "_rows_and_cols", counting("sorts", sort)):
         try:
-            result = load_plane(doc)
+            result = load(doc)
         except ValueError as err:
             result = err
     return result, calls
@@ -801,3 +801,84 @@ def test_pair_checks_match_a_set_count_oracle(q, plane_for):
             validate_axioms(mutated)
         assert str(err.value) == f"axiom violation ({kind}): {message}"
     assert swaps_only >= 10
+
+
+def _canonical(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("q", prime_powers(2, 32))
+def test_the_canonical_text_is_the_json_of_the_document_and_its_length_is_known(q, plane_for):
+    plane = plane_for(q)
+    text = "".join(plane_mod.plane_text(plane))
+    assert text == _canonical(plane_to_doc(plane))
+    assert plane_mod._text_length(q) == len(text)
+
+
+@pytest.mark.parametrize("q", prime_powers(2, 16))
+def test_a_canonical_text_loads_as_the_built_plane_without_a_json_decode(q):
+    text = _canonical(plane_to_doc(build_plane(q)))
+    with mock.patch("json.loads", side_effect=AssertionError("decoded")):
+        plane, calls = _load_spied(text, read_plane)
+    assert plane is calls["built"] and calls["builds"] == 1
+    assert calls["parses"] == calls["sorts"] == calls["masks"] == 0
+    built = build_plane(q)
+    for side in ("line_points", "point_lines", "line_masks", "point_masks"):
+        assert getattr(plane, side) == getattr(built, side)
+
+
+@pytest.mark.parametrize("q", [4, 32])
+def test_a_text_of_canonical_length_that_differs_builds_the_plane_once(q):
+    # two entries swapped keep the length, so the text is built for and
+    # compared, then decoded; the document's entries keep the same build's rows
+    doc = plane_to_doc(build_plane(q))
+    doc["lines"][1], doc["lines"][-1] = doc["lines"][-1], doc["lines"][1]
+    plane, calls = _load_spied(_canonical(doc), read_plane)
+    assert plane is calls["built"] and calls["builds"] == 1 and calls["parses"] == 0
+    # one incidence moved: one build, the edited line parsed, today's message
+    err, calls = _load_spied(_canonical(_moved_incidence(q)), read_plane)
+    assert str(err) == str(_load_spied(_moved_incidence(q))[0])
+    assert calls["builds"] == 1 and calls["parses"] == 1 and calls["masks"] == 0
+
+
+def _outcome(load, text):
+    """The order and rows of the plane a load gives, or its error's type and message."""
+    try:
+        plane = load(text)
+    except ValueError as err:  # json.JSONDecodeError included
+        return type(err), str(err)
+    return plane.q, plane.line_points
+
+
+_TEXT_CHARS = st.sampled_from('0123456789PLq", \n[]{}:-.x') | st.characters(max_codepoint=0x2FF)
+
+
+@st.composite
+def _edited_canonical_text(draw):
+    q = draw(st.sampled_from([2, 3, 4]), label="q")
+    doc = plane_to_doc(build_plane(q))
+    text = _canonical(doc)
+    edit = draw(st.sampled_from(["change", "delete", "insert", "swap", "newline", "order"]))
+    at = draw(st.integers(0, len(text) - 1), label="at")
+    if edit == "change":
+        return text[:at] + draw(_TEXT_CHARS.filter(lambda c: c != text[at])) + text[at + 1:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "insert":
+        return text[:at] + draw(_TEXT_CHARS) + text[at:]
+    if edit == "swap":
+        i, j = draw(st.lists(st.integers(0, len(doc["lines"]) - 1), min_size=2, max_size=2,
+                             unique=True), label="entries")
+        lines = doc["lines"]
+        lines[i], lines[j] = lines[j], lines[i]
+        return _canonical(doc)
+    if edit == "newline":
+        return text[:-1]
+    doc["q"] = draw(st.integers(-1, 20).filter(lambda order: order != q), label="declared")
+    return _canonical(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edited_canonical_text())
+def test_an_edited_canonical_text_reads_like_its_decoded_document(text):
+    assert _outcome(read_plane, text) == _outcome(lambda t: load_plane(json.loads(t)), text)
