@@ -91,13 +91,13 @@ PINS = [
     # The file is the canonical text, compared with the built plane's and never decoded. 0.5 s.
     Pin("verify --plane {d}/plane128.json --partition {d}/partition128.json"),
     # L1's first point replaced by the first point off L1 leaves that point on 128 lines. The
-    # loader counts the rows' ids before it sorts a row or builds a mask. About 0.8 s.
+    # loader parses every row and counts its ids before it sorts a row or builds a mask. 1.3 s.
     Pin("verify --plane {d}/moved128.json --partition {d}/partition128.json", code=2,
         stderr="error: axiom violation (point-degree): point P0 lies on 128 lines, expected 129\n"),
     # P16385 (L0 only) and P256 (L1 only) swapped keep sizes and degrees: the pair check. 2.1 s.
     Pin("verify --plane {d}/corrupt128.json --partition {d}/partition128.json", code=2,
         stderr="error: axiom violation (point-pair): points P0 and P256 lie on 0 common lines\n"),
-    # Pi and Li renamed P(n-1-i) and L(n-1-i) are not the built rows, so the full loader's
+    # Pi and Li renamed P(n-1-i) and L(n-1-i) are not the canonical text, so the full loader's
     # parse, transpose, masks and validate_axioms run: PG(2,125) and PG(2,128) pass. 3.5 s, 3.9 s.
     *(Pin(f"verify --plane {{d}}/relabelled_plane{q}.json --partition {{d}}/relabelled_{p}.json",
           has=(RESOLVING,)) for q, p in PARTITIONS[:2]),
@@ -231,17 +231,17 @@ def test_field_tables_up_to_order_1024_are_pinned():
 
 
 def test_zero_padded_q32_names_verify_like_canonical_ones(files):
-    # Zero-padded names ("P0007", "L0007") miss the name comparison and the
-    # parse's name tables, so the padded file runs the full loader: the
-    # per-name parse, transpose, masks and validate_axioms. About 0.15 s.
+    # Zero-padded names ("P0007", "L0007") miss the parse's name tables, so
+    # the padded file's names take the per-name pattern before the
+    # transpose, masks and validate_axioms. About 0.15 s.
     canonical, padded = (run(f"verify --plane {files}/{prefix}plane32.json --partition "
                              f"{files}/{prefix}partition32.json") for prefix in ("", "padded_"))
     assert canonical == padded and canonical[0] == 0 and RESOLVING in canonical[1].decode()
 
 
 def test_compact_q128_file_verifies_like_the_canonical_one(files):
-    # Without the indent the text is not canonical, so it is decoded and each
-    # entry keeps its built row by the name comparison. About 0.8 s each.
+    # Without the indent the text is not canonical, so it is decoded and the
+    # full loader checks the axioms. About 0.8 s for the canonical file, 5 s compact.
     canonical, compact = (run(f"verify --plane {files}/{plane}.json "
                               f"--partition {files}/partition128.json")
                           for plane in ("plane128", "compact128"))

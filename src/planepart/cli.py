@@ -10,8 +10,9 @@ PLANEPART_LOG (debug or info) turns on diagnostics on standard error.
 A ``--plane`` file is read as text and handed to ``plane.read_plane``: a
 canonical text, the bytes ``planepart plane`` writes, is compared with the
 built PG(2,q) and never becomes a document; any other text is decoded and
-loaded as a document. Either way a file that is not UTF-8 or not JSON, or
-that nests too deeply, is an input error naming the file.
+loaded as a document by ``plane.load_plane``, which parses it and checks the
+axioms. Either way a file that is not UTF-8 or not JSON, or that nests too
+deeply, is an input error naming the file.
 
 Each command runs with Python's cyclic garbage collector paused: ``main``
 records ``gc.isenabled()``, disables the collector before parsing and

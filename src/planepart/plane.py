@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import chain, repeat
-from operator import getitem, is_, itemgetter, or_
+from operator import getitem, itemgetter, or_
 from typing import Iterator, NamedTuple
 
 from .galois import Field, build_field, prime_power
@@ -285,7 +285,7 @@ def vertex_names(n: int) -> VertexNames:
     asked for and shared by every caller, who must not change it. It holds
     about 0.23 MB at n = 1057 (q = 32), 3.9 MB at n = 16513 (q = 128) and
     16 MB at n = 65793 (q = 256), by tracemalloc."""
-    # a list: _parse_lines maps its __getitem__ over rows, and a tuple's is slower
+    # a list: plane_text maps its __getitem__ over rows, and a tuple's is slower
     points = [f"P{i}" for i in range(n)]
     ids = dict(zip(points, range(n)))
     ids.update(zip([f"L{i}" for i in range(n)], range(n, 2 * n)))
@@ -385,7 +385,7 @@ def _point_ids(points: list, ids: dict, n: int, li: int) -> tuple[int, ...]:
     return tuple(_point_id(name, li) for name in points)
 
 
-def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, ...]]:
+def _parse_lines(lines: list) -> list[tuple[int, ...]]:
     """The point ids of each line of the document, indexed by line id.
 
     Names are read in ``vertex_names(n)``, the table of P0..P(n-1) and
@@ -394,15 +394,11 @@ def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, .
     once. A line id is one lookup in it, and so is a point name. An id or
     a name the table lacks, such as "L01", "P007", a number or an id of n
     or more, or one naming the other kind of vertex, is read with the
-    line-id or point-id pattern instead; both ways give the same ids. With
-    ``built``, the PG(2,q) of the document's shape, an entry that lists
-    built line i's point names in its order, under id Li, keeps the built
-    row itself, and its names are not parsed.
+    line-id or point-id pattern instead; both ways give the same ids.
     """
     n = len(lines)
     line_points: list[tuple[int, ...] | None] = [None] * n
-    names, ids = vertex_names(n)
-    name_of = names.__getitem__
+    ids = vertex_names(n).ids
     for pos, entry in enumerate(lines):
         if not isinstance(entry, dict) or "id" not in entry or "points" not in entry:
             raise ValueError(f"line entry {pos} must have 'id' and 'points'")
@@ -412,9 +408,6 @@ def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, .
         points = entry["points"]
         if not isinstance(points, list):
             raise ValueError(f"points of line L{li} must be an array")
-        if built is not None and points == list(map(name_of, built.line_points[li])):
-            line_points[li] = built.line_points[li]
-            continue
         pts = _point_ids(points, ids, n, li)
         if len(set(pts)) != len(pts):
             raise ValueError(f"line L{li} repeats a point")
@@ -422,29 +415,7 @@ def _parse_lines(lines: list, built: IncidencePlane | None) -> list[tuple[int, .
     return line_points
 
 
-def _pg2_shaped_like(doc: dict, q: int, built: IncidencePlane | None) -> IncidencePlane | None:
-    """PG(2,q) when the document has its shape: q >= 2 is a prime power that
-    a declared "q" does not contradict, there are q*q + q + 1 line entries
-    and each is an object with a list of q+1 points. It is ``built`` when
-    that is of order q, else built here. Else None, so a document that
-    cannot list PG(2,q)'s rows pays for no build."""
-    lines = doc["lines"]
-    if q < 2 or q * q + q + 1 != len(lines) or doc.get("q", q) != q:
-        return None
-    try:
-        order = prime_power(q)
-    except ValueError:  # no PG(2,q) to compare with
-        return None
-    if not all(
-        isinstance(entry, dict) and isinstance(entry.get("points"), list)
-        and len(entry["points"]) == q + 1
-        for entry in lines
-    ):
-        return None
-    return built if built is not None and built.q == q else build_pg2(build_field(*order))
-
-
-def load_plane(doc: dict, built: IncidencePlane | None = None) -> IncidencePlane:
+def load_plane(doc: dict) -> IncidencePlane:
     """Parse and validate a plane document.
 
     The order q is inferred from the line count n = q*q + q + 1 and must be
@@ -452,35 +423,15 @@ def load_plane(doc: dict, built: IncidencePlane | None = None) -> IncidencePlane
     one of P0..P(n-1) must appear. Raises ValueError on malformed input or
     on the first axiom violation.
 
-    The document is read once, by ``_parse_lines``. When n = q*q + q + 1
-    for a prime power q >= 2 that a declared "q" does not contradict, and
-    every entry is an object with a list of q+1 points, PG(2,q) is built
-    first, as ``build_plane`` builds it, unless ``built``, a plane that
-    ``build_plane`` returned, is of order q: then that plane is used, so a
-    caller that built PG(2,q) already does not pay twice. Either way the
-    result is the same. An entry ``{"id": "Li", "points":
-    [...]}`` that lists built line i's point names in its order, taken from
-    the n names P0..P(n-1), keeps the built row, and its names are not
-    parsed. When every entry does so, in any entry order (line ids are
-    distinct, so each built line is listed once), the document loads as
-    the built plane, without masks or ``validate_axioms``: every file
-    ``planepart plane`` writes is one, shuffled or not, though
-    ``read_plane`` recognises an unshuffled one from its text, which then
-    never becomes a document. That is sound
-    because the incidence is then identical, id for id, to the built
-    plane's, and PG(2,q) over a field satisfies the axioms: the tests run
-    ``validate_axioms`` on every built plane up to q = 81, and CI on
-    PG(2,125) and PG(2,128) through relabelled files.
-
-    Any other document, such as a zero-padded, relabelled,
-    non-Desarguesian or invalid one, or one incidence away from PG(2,q),
-    takes the full loader, and the built plane is released. One count of
-    the rows' point ids gives the coverage of P0..P(n-1) and every point's
-    degree, and the line sizes and point degrees are checked by the size
-    check that ``validate_axioms`` runs on masks, so with the same
-    messages, before any row is sorted or transposed and before any mask
-    is built: only a document whose sizes hold pays for the sort, the 2n
-    masks and the point-pair check.
+    The document is read once, by ``_parse_lines``, and no plane is built
+    to compare it with: every document, PG(2,q)'s own included, passes
+    ``validate_axioms`` or is refused. One count of the rows' point ids
+    gives the coverage of P0..P(n-1) and every point's degree, and the line
+    sizes and point degrees are checked by the size check that
+    ``validate_axioms`` runs on masks, so with the same messages, before
+    any row is sorted or transposed and before any mask is built: only a
+    document whose sizes hold pays for the sort, the 2n masks and the
+    point-pair check.
     """
     if not isinstance(doc, dict) or "lines" not in doc:
         raise ValueError("plane document must be an object with a 'lines' array")
@@ -491,11 +442,7 @@ def load_plane(doc: dict, built: IncidencePlane | None = None) -> IncidencePlane
     q = (math.isqrt(4 * n - 3) - 1) // 2
     if q * q + q + 1 == n:
         _check_plane_bytes(q)
-    built = _pg2_shaped_like(doc, q, built)
-    line_points = _parse_lines(lines, built)
-    if built is not None and all(map(is_, line_points, built.line_points)):
-        return built
-    built = None  # released before the sort and the masks
+    line_points = _parse_lines(lines)
     if q < 1 or q * q + q + 1 != n:
         raise ValueError(f"{n} lines is not q*q + q + 1 for any order q >= 1")
     if q < 2:
@@ -518,38 +465,47 @@ def load_plane(doc: dict, built: IncidencePlane | None = None) -> IncidencePlane
     return plane
 
 
+def _canonical_plane(text: str) -> IncidencePlane | None:
+    """PG(2,q) when the text is its canonical text, else None. The order is
+    taken from the text's last lines, ``"q": <q>``; only when the text has
+    the canonical length for q, and q is a prime power whose plane
+    ``_check_plane_bytes`` admits, is PG(2,q) built, and the text is then
+    compared with ``plane_text`` of it, entry by entry, stopping at the
+    first difference. A plane built for a text that differs is dropped on
+    return."""
+    q = _declared_order(text)
+    if q is None or len(text) != _text_length(q):
+        return None
+    try:
+        built = build_plane(q)
+    except ValueError:  # no PG(2,q) to hold: not a prime power, or too large
+        return None
+    pos = 0
+    for chunk in plane_text(built):
+        if not text.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return built
+
+
 def read_plane(text: str) -> IncidencePlane:
     """Load the plane that a JSON text holds, as ``load_plane(json.loads(text))``
     does, with the same result or the same error.
 
     A canonical text, the one ``plane_text`` writes for PG(2,q), never
-    becomes a document. The order is taken from the text's last lines,
-    ``"q": <q>``. When q is a prime power whose plane ``_check_plane_bytes``
-    admits and the text has the canonical length for q, PG(2,q) is built
-    and the text is compared with ``plane_text`` of it, entry by entry,
-    stopping at the first difference. A text that matches is returned as
-    the built plane, without a JSON decode, a parse or ``validate_axioms``:
-    it decodes to ``plane_to_doc`` of the built plane, for which
-    ``load_plane`` returns that plane. Any other text is decoded and loaded
-    by ``load_plane``, given the plane built here, if any, so no text builds
-    PG(2,q) twice. json.JSONDecodeError and RecursionError from the decode
-    propagate.
+    becomes a document: it is returned as the plane built to compare it
+    with, without a JSON decode, a parse or ``validate_axioms``. That is
+    sound because it decodes to ``plane_to_doc`` of that plane, whose
+    incidence is PG(2,q)'s over a field, which satisfies the axioms: the
+    tests run ``validate_axioms`` on every built plane up to q = 81, and CI
+    on PG(2,125) and PG(2,128) through relabelled files. Any other text is
+    decoded and given to ``load_plane`` alone, after the plane built for
+    it, if any, is dropped. json.JSONDecodeError and RecursionError from
+    the decode propagate.
     """
-    built = None
-    q = _declared_order(text)
-    if q is not None and len(text) == _text_length(q):
-        try:
-            built = build_plane(q)
-        except ValueError:  # no PG(2,q) to hold: not a prime power, or too large
-            pass
-    if built is not None:
-        pos = 0
-        for chunk in plane_text(built):
-            if not text.startswith(chunk, pos):
-                break
-            pos += len(chunk)
-        else:
-            return built
+    plane = _canonical_plane(text)
+    if plane is not None:
+        return plane
     doc = json.loads(text)
     del text  # the last reference when the caller kept none: freed before the load
-    return load_plane(doc, built)
+    return load_plane(doc)

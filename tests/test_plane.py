@@ -25,11 +25,12 @@ from conftest import prime_powers, relabelled, replace_one_field
 from oracles import incident, pg2_triples
 
 
-def _load_counting_checks(doc):
-    """``load_plane(doc)`` and how often it ran ``validate_axioms``: 0 when the
-    document loaded as the built plane, 1 when it took the full loader."""
+def _load_counting_checks(doc, load=load_plane):
+    """``load(doc)`` and how often it ran ``validate_axioms``: 0 when it
+    returned the plane built for a canonical text, 1 when it took the full
+    loader."""
     with mock.patch("planepart.plane.validate_axioms", wraps=validate_axioms) as check:
-        plane = load_plane(doc)
+        plane = load(doc)
     return plane, check.call_count
 
 
@@ -50,7 +51,7 @@ def test_incidence_by_dot_product_q3():
 
 @pytest.mark.parametrize("q", prime_powers(2, 81))
 def test_axioms_hold_for_all_built_planes(q, plane_for):
-    # load_plane returns the built plane for a document equal to it without
+    # read_plane returns the built plane for its canonical text without
     # checking the axioms, so the built planes must pass them
     validate_axioms(plane_for(q))
 
@@ -248,28 +249,37 @@ def test_only_the_built_incidence_skips_the_general_loader(data):
     q = data.draw(st.sampled_from(prime_powers(2, 9)), label="q")
     plane = build_plane(q)
     n = plane.n
-    # a canonical document loads as the built plane
-    canonical, checks = _load_counting_checks(plane_to_doc(plane))
+    # the canonical text reads as the built plane; its document takes the
+    # general loader and loads the built incidence
+    text = _canonical(plane_to_doc(plane))
+    read, checks = _load_counting_checks(text, read_plane)
     assert checks == 0
+    canonical, checks = _load_counting_checks(plane_to_doc(plane))
+    assert checks == 1
     for side in ("line_points", "point_lines", "line_masks", "point_masks"):
+        assert getattr(read, side) == getattr(plane, side)
         assert getattr(canonical, side) == getattr(plane, side)
     # so does one with its entries in any order
     order = data.draw(st.permutations(range(n)), label="entries")
     doc = plane_to_doc(plane)
     doc["lines"] = [doc["lines"][i] for i in order]
     shuffled, checks = _load_counting_checks(doc)
-    assert checks == 0
+    assert checks == 1
     assert shuffled.line_points == plane.line_points
-    # a relabelled one takes the general path unless every entry, under id
-    # Li, lists built line i's names in its order
+    # a relabelled one takes the general path, and so does its text unless
+    # it is the canonical text
     points = data.draw(st.permutations(range(n)), label="points")
     lines = data.draw(st.permutations(range(n)), label="lines")
     rows = [None] * n
     for li, pts in enumerate(plane.line_points):
         rows[lines[li]] = tuple(points[p] for p in pts)
     loaded, checks = _load_counting_checks(relabelled(plane_to_doc(plane), points, lines))
-    assert checks == (rows != plane.line_points)
+    assert checks == 1
     assert loaded.line_points == [tuple(sorted(r)) for r in rows]
+    moved_text = _canonical(relabelled(plane_to_doc(plane), points, lines))
+    read, checks = _load_counting_checks(moved_text, read_plane)
+    assert checks == (moved_text != text)
+    assert read.line_points == loaded.line_points
     # and a relabelled partition gets the relabelled verdict
     t = data.draw(st.integers(1, 16), label="classes")
     labels = data.draw(st.lists(st.integers(0, t - 1), min_size=2 * n, max_size=2 * n))
@@ -349,15 +359,6 @@ def _load_spied(doc, load=load_plane):
     return result, calls
 
 
-@pytest.mark.parametrize("q", [4, 32])
-def test_a_canonical_document_is_recognised_without_the_per_name_parse(q):
-    doc = json.loads(json.dumps(plane_to_doc(build_plane(q))))
-    plane, calls = _load_spied(doc)
-    assert calls["builds"] == 1 and calls["parses"] == 0
-    assert calls["sorts"] == 0 and calls["masks"] == 0
-    assert plane is calls["built"]
-
-
 def _padded(doc):
     for entry in doc["lines"]:
         entry["id"] = f"L{int(entry['id'][1:]):04d}"
@@ -374,17 +375,12 @@ def _shuffled(doc):
 @pytest.mark.parametrize("edit", [_padded, _shuffled])
 @pytest.mark.parametrize("q", [4, 32])
 def test_padded_and_shuffled_documents_load_as_the_built_plane_with_one_build(q, edit):
-    # padded names differ from the built plane's, so every line is parsed
-    # and the full loader runs; a shuffle keeps every entry's names, so
-    # each entry keeps its built row and the document is the built plane
+    # the loader builds no plane to compare with: every line is parsed and
+    # the full loader runs, and the one build is the reference plane below
     doc = edit(plane_to_doc(build_plane(q)))
     plane, calls = _load_spied(doc)
-    assert calls["builds"] == 1
-    if edit is _padded:
-        assert calls["parses"] == plane.n and calls["sorts"] == 1 and calls["masks"] > 0
-    else:
-        assert calls["parses"] == calls["sorts"] == calls["masks"] == 0
-        assert plane is calls["built"]
+    assert calls["builds"] == 0
+    assert calls["parses"] == plane.n and calls["sorts"] == 1 and calls["masks"] > 0
     built = build_plane(q)
     for side in ("line_points", "point_lines", "line_masks", "point_masks"):
         assert getattr(plane, side) == getattr(built, side)
@@ -406,42 +402,74 @@ def _one_short_line(q):
 
 
 @pytest.mark.parametrize(
-    "make, q, builds, parses, message",
+    "make, q, message",
     [
-        (_moved_incidence, 4, 1, 1, "(point-degree): point P0 lies on 4 lines, expected 5"),
-        (_moved_incidence, 32, 1, 1, "(point-degree): point P0 lies on 32 lines, expected 33"),
-        (_one_short_line, 4, 0, 21, "(line-size): line L3 has 4 points, expected 5"),
-        (_one_short_line, 32, 0, 1057, "(line-size): line L3 has 32 points, expected 33"),
+        (_moved_incidence, 4, "(point-degree): point P0 lies on 4 lines, expected 5"),
+        (_moved_incidence, 32, "(point-degree): point P0 lies on 32 lines, expected 33"),
+        (_one_short_line, 4, "(line-size): line L3 has 4 points, expected 5"),
+        (_one_short_line, 32, "(line-size): line L3 has 32 points, expected 33"),
     ],
     ids=["moved-4", "moved-32", "short-4", "short-32"],
 )
-def test_size_faults_are_reported_before_any_mask(make, q, builds, parses, message):
+def test_size_faults_are_reported_before_any_mask(make, q, message):
     err, calls = _load_spied(make(q))
     assert isinstance(err, ValueError)
     assert str(err) == f"axiom violation {message}"
-    # a short line is not PG(2,q)'s shape, so it is not even built and every
-    # line is parsed; in a moved incidence only the edited line is parsed.
-    # Either way no row is sorted and no mask is built.
-    assert calls["builds"] == builds and calls["parses"] == parses
+    # no plane is built and every line is parsed, but no row is sorted and
+    # no mask is built
+    assert calls["builds"] == 0 and calls["parses"] == q * q + q + 1
     assert calls["sorts"] == 0 and calls["masks"] == 0
 
 
-def test_a_line_count_of_an_order_with_no_field_takes_the_full_loader_unbuilt():
-    # 43 lines fit q=6, which is not a prime power, so there is no PG(2,6) to
-    # build. The cyclic lines {Pi, ..., Pi+6} mod 43 keep every size and
-    # degree at 7, so the full loader sorts, builds the masks and reaches
-    # the point-pair check.
+def _cyclic_43_lines():
+    """43 lines, which fit q=6, a line count with no PG(2,q): the cyclic
+    lines {Pi, ..., Pi+6} mod 43 keep every size and degree at 7."""
     n = 43
-    doc = {
+    return {
         "lines": [
             {"id": f"L{i}", "points": [f"P{(i + j) % n}" for j in range(7)]} for i in range(n)
         ]
     }
-    err, calls = _load_spied(doc)
+
+
+def test_a_line_count_of_an_order_with_no_field_takes_the_full_loader_unbuilt():
+    # 6 is not a prime power, so the sizes hold and the full loader sorts,
+    # builds the masks and reaches the point-pair check.
+    err, calls = _load_spied(_cyclic_43_lines())
     assert isinstance(err, ValueError)
     assert str(err) == "axiom violation (point-pair): points P0 and P1 lie on 6 common lines"
-    assert calls["builds"] == 0 and calls["parses"] == n
+    assert calls["builds"] == 0 and calls["parses"] == 43
     assert calls["sorts"] == 1 and calls["masks"] > 0
+
+
+def _bad_point_name(q):
+    """PG(2,q)'s document, its shape kept, with a point name no id parses from."""
+    doc = plane_to_doc(build_plane(q))
+    doc["lines"][2]["points"][1] = "Q1"
+    return doc
+
+
+# Documents of PG(2,q)'s shape: every count of lines and points is PG(2,q)'s.
+_PG_SHAPED = {
+    "canonical": lambda q: plane_to_doc(build_plane(q)),
+    "shuffled": lambda q: _shuffled(plane_to_doc(build_plane(q))),
+    "padded": lambda q: _padded(plane_to_doc(build_plane(q))),
+    "moved": _moved_incidence,
+    "short": _one_short_line,
+    "malformed": _bad_point_name,
+}
+
+
+@pytest.mark.parametrize("case", list(_PG_SHAPED))
+@pytest.mark.parametrize("q", [4, 32])
+def test_the_loader_builds_no_plane(case, q):
+    # every document, PG(2,q)'s own included, is parsed, not compared with a built plane
+    result, calls = _load_spied(_PG_SHAPED[case](q))
+    assert calls["builds"] == 0
+    if case == "malformed":
+        assert str(result) == "bad point id 'Q1' on line L2"
+    else:
+        assert calls["parses"] == q * q + q + 1
 
 
 def test_load_rejects_points_that_are_not_an_array():
@@ -827,18 +855,67 @@ def test_a_canonical_text_loads_as_the_built_plane_without_a_json_decode(q):
         assert getattr(plane, side) == getattr(built, side)
 
 
-@pytest.mark.parametrize("q", [4, 32])
-def test_a_text_of_canonical_length_that_differs_builds_the_plane_once(q):
-    # two entries swapped keep the length, so the text is built for and
-    # compared, then decoded; the document's entries keep the same build's rows
+def _swapped_entries(q):
+    """PG(2,q)'s document with its second and last entries swapped, which
+    keeps the canonical length of its text."""
     doc = plane_to_doc(build_plane(q))
     doc["lines"][1], doc["lines"][-1] = doc["lines"][-1], doc["lines"][1]
-    plane, calls = _load_spied(_canonical(doc), read_plane)
-    assert plane is calls["built"] and calls["builds"] == 1 and calls["parses"] == 0
-    # one incidence moved: one build, the edited line parsed, today's message
+    return doc
+
+
+@pytest.mark.parametrize("q", [4, 32])
+def test_a_text_of_canonical_length_that_differs_builds_the_plane_once(q):
+    # two entries swapped keep the length, so read_plane builds the plane and
+    # compares; the text differs, so it is decoded and loaded by the full loader
+    plane, calls = _load_spied(_canonical(_swapped_entries(q)), read_plane)
+    assert calls["builds"] == 1 and calls["parses"] == plane.n and calls["sorts"] == 1
+    assert plane is not calls["built"] and plane.line_points == calls["built"].line_points
+    # one incidence moved: one build, every line parsed, today's message
     err, calls = _load_spied(_canonical(_moved_incidence(q)), read_plane)
     assert str(err) == str(_load_spied(_moved_incidence(q))[0])
-    assert calls["builds"] == 1 and calls["parses"] == 1 and calls["masks"] == 0
+    assert calls["builds"] == 1 and calls["parses"] == plane.n and calls["masks"] == 0
+
+
+@pytest.mark.parametrize("q", [4, 32])
+def test_a_text_that_differs_reaches_the_loader_as_its_document_alone(q):
+    # the plane built for the comparison is dropped before the decode, so the
+    # only reference left to it then is the one this test keeps
+    doc = _swapped_entries(q)
+    built, refs, loads = [], [], []
+    real_build, real_decode = plane_mod.build_pg2, json.loads
+
+    def build(f):
+        built.append(real_build(f))
+        return built[-1]
+
+    def decode(text):
+        refs.append(sys.getrefcount(built[0]))
+        return real_decode(text)
+
+    def load(*args, **kwargs):
+        loads.append((args, kwargs))
+        return load_plane(*args, **kwargs)
+
+    with mock.patch.object(plane_mod, "build_pg2", build), \
+            mock.patch("json.loads", decode), mock.patch.object(plane_mod, "load_plane", load):
+        plane = read_plane(_canonical(doc))
+    assert len(built) == 1 and refs == [sys.getrefcount(built[0])]
+    assert loads == [((doc,), {})]
+    assert plane.line_points == built[0].line_points
+
+
+@pytest.mark.parametrize("case", ["q6", "over the limit"])
+def test_a_text_of_canonical_length_with_no_plane_to_build_reads_like_its_document(case):
+    # q=6 has no field, and with no bytes to spare PG(2,4) is too large to
+    # hold: build_plane refuses, so the text is decoded and loaded
+    limit = 0 if case == "over the limit" else plane_mod.PLANE_BYTES_LIMIT
+    doc = {**_cyclic_43_lines(), "q": 6} if case == "q6" else plane_to_doc(build_plane(4))
+    text = _canonical(doc)
+    assert len(text) == plane_mod._text_length(doc["q"])
+    with mock.patch.object(plane_mod, "PLANE_BYTES_LIMIT", limit):
+        err, calls = _load_spied(text, read_plane)
+        assert (type(err), str(err)) == _outcome(lambda t: load_plane(json.loads(t)), text)
+    assert calls["builds"] == 0
 
 
 def _outcome(load, text):
